@@ -49,17 +49,28 @@ def vol_pow_table(shape: tuple[int, ...], h: tuple[float, ...], e: float) -> np.
     vol = np.arange(1, shape[0] + 1) * h[0]
     for nk, hk in zip(shape[1:], h[1:]):
         vol = vol[..., None] * (np.arange(1, nk + 1) * hk)
-    return np.array([_libm_pow(v, e) for v in vol.ravel().tolist()]).reshape(vol.shape)
+    return libm_pow(vol, e)
 
 
-def _libm_pow(v: float, e: float) -> float:
+def libm_pow(x: np.ndarray, e: float) -> np.ndarray:
+    """x**e elementwise, one libm ``pow`` call per element.
+
+    Bit-equal to the scalar ``float ** float`` on every element where that
+    returns a float; numpy's own ``power`` may differ in the last bit.
+    """
+    return np.array([_c_pow(v, e) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def _c_pow(v: float, e: float) -> float:
     try:
         return math.pow(v, e)
-    except (OverflowError, ValueError):
-        # C pow returns +inf here (v**e past the double range, or v == 0 with
-        # e < 0); math.pow raises instead. The inf reaches the output, which
-        # GridFunction rejects as non-finite.
+    except OverflowError:
+        # past the double range: C pow returns +inf (bases here are >= 0)
         return math.inf
+    except ValueError:
+        # C pow returns +inf for 0 to a negative power and NaN for a
+        # negative base to a non-integer power; math.pow raises for both
+        return math.inf if v == 0 else math.nan
 
 
 # --- numpy backend ----------------------------------------------------------

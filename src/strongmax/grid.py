@@ -179,8 +179,7 @@ def enumerate_basis(basis: Basis, shape: Sequence[int], cell_size: Sequence[floa
     elif basis.kind == DYADIC_RECTS:
         per_axis = [_axis_ranges_dyadic(nk) for nk in shape]
     else:  # cubes: equal physical sides within one cell width
-        tol = max(h)
-        yield from _enumerate_cubes(shape, h, tol, basis.scale_bounds)
+        yield from _enumerate_cubes(shape, h, basis.scale_bounds)
         return
 
     lo_s, hi_s = basis.scale_bounds if basis.scale_bounds else (0.0, np.inf)
@@ -191,24 +190,30 @@ def enumerate_basis(basis: Basis, shape: Sequence[int], cell_size: Sequence[floa
         yield Rect(tuple(a for a, _ in combo), tuple(b for _, b in combo))
 
 
-def _enumerate_cubes(shape, h, tol, scale_bounds):
+def _cube_counts(shape, h, scale_bounds) -> Iterator[tuple[int, ...]]:
+    """Per-axis cell counts of the cubes basis, in enumeration order."""
+    tol = max(h)
     lo_s, hi_s = scale_bounds if scale_bounds else (0.0, np.inf)
-    n = len(shape)
     for c0 in range(1, shape[0] + 1):
         side0 = c0 * h[0]
         if not (lo_s <= side0 <= hi_s):
             continue
         counts_per_axis = []
-        for k in range(1, n):
+        for k in range(1, len(shape)):
             # equal physical sides "within one cell": strictly closer than
             # one cell width, so uniform grids yield exact cubes only
             opts = [c for c in range(1, shape[k] + 1) if abs(c * h[k] - side0) < tol * (1 - 1e-12)]
             counts_per_axis.append(opts)
         for rest in itertools.product(*counts_per_axis):
-            counts = (c0,) + rest
-            anchors = [range(shape[k] - counts[k] + 1) for k in range(n)]
-            for lo in itertools.product(*anchors):
-                yield Rect(lo, tuple(l + c - 1 for l, c in zip(lo, counts)))
+            yield (c0,) + rest
+
+
+def _enumerate_cubes(shape, h, scale_bounds):
+    n = len(shape)
+    for counts in _cube_counts(shape, h, scale_bounds):
+        anchors = [range(shape[k] - counts[k] + 1) for k in range(n)]
+        for lo in itertools.product(*anchors):
+            yield Rect(lo, tuple(l + c - 1 for l, c in zip(lo, counts)))
 
 
 @dataclass(frozen=True)
@@ -274,6 +279,134 @@ def rect_integral_direct(f: GridFunction, r: Rect) -> float:
 
 
 # ---------------------------------------------------------------------------
+# A basis as arrays: the rectangles of a basis as rows of index arrays, so a
+# supremum over the basis is a few numpy operations per block of rows rather
+# than Python work per rectangle.
+
+# Rows per block of a basis table. Bases are built and reduced one block at
+# a time, so memory stays flat however many rectangles a basis has.
+RECT_BLOCK = 1 << 14
+
+
+@dataclass(frozen=True)
+class RectTable:
+    """Rectangles as rows: row j is the rect with inclusive cell index ranges
+    lo[j, k]..hi[j, k] per axis k; lo and hi are int arrays of shape (R, n).
+
+    Every per-row quantity is the same floating-point expression, in the same
+    order, as its per-Rect counterpart, so the two agree bit for bit.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def __len__(self) -> int:
+        return self.lo.shape[0]
+
+    def rect(self, j: int) -> Rect:
+        return Rect(tuple(self.lo[j].tolist()), tuple(self.hi[j].tolist()))
+
+    def cell_counts(self) -> np.ndarray:
+        return self.hi - self.lo + 1
+
+    def n_cells(self) -> np.ndarray:
+        """Cells per rect as floats, float(prod(r.cell_counts()))."""
+        return np.prod(self.cell_counts(), axis=1).astype(np.float64)
+
+    def volumes(self, cell_size: Sequence[float]) -> np.ndarray:
+        """Physical volumes, the left-associated product of Rect.volume."""
+        counts = self.cell_counts()
+        vol = counts[:, 0] * float(cell_size[0])
+        for k in range(1, counts.shape[1]):
+            vol = vol * (counts[:, k] * float(cell_size[k]))
+        return vol
+
+    def cell_sums(self, p: PrefixSum) -> np.ndarray:
+        """rect_cell_sum of every row: the same prefix-sum differences,
+        nested with axis 0 innermost."""
+        cum, lo, hi = p.cum, self.lo, self.hi
+
+        def rec(axis: int, tail: tuple) -> np.ndarray:
+            if axis < 0:
+                return cum[tail]
+            return rec(axis - 1, (hi[:, axis] + 1, *tail)) - rec(axis - 1, (lo[:, axis], *tail))
+
+        return rec(lo.shape[1] - 1, ())
+
+    def cell_mins(self, mins: np.ndarray) -> np.ndarray:
+        """Minimum cell value of every row, from a box_min_table.
+
+        Each rect is covered by 2**n boxes of 2**k_j cells along axis j, with
+        k_j = floor(log2(count_j)); a minimum rounds nothing, so this equals
+        np.min over the rect's cells.
+        """
+        lev = np.frexp(self.cell_counts())[1] - 1
+        far = self.hi + 1 - (1 << lev)
+        n = lev.shape[1]
+        corners = itertools.product(*[(self.lo[:, k], far[:, k]) for k in range(n)])
+        levels = tuple(lev[:, k] for k in range(n))
+        return np.minimum.reduce([mins[idx + levels] for idx in corners])
+
+
+def box_min_table(values: np.ndarray) -> np.ndarray:
+    """Sparse table of box minima for RectTable.cell_mins.
+
+    T[i_1, ..., i_n, k_1, ..., k_n] is the minimum of values over the box of
+    2**k_j cells along axis j starting at cell i (+inf where it leaves the
+    grid).
+    """
+    table = np.asarray(values, dtype=np.float64)
+    for axis, n_cells in enumerate(np.shape(values)):
+        levels = [np.moveaxis(table, axis, 0)]
+        while 2 ** len(levels) <= n_cells:
+            prev, span = levels[-1], 2 ** (len(levels) - 1)
+            nxt = np.full_like(prev, np.inf)
+            nxt[: n_cells - span] = np.minimum(prev[: n_cells - span], prev[span:])
+            levels.append(nxt)
+        table = np.moveaxis(np.stack(levels, axis=-1), 0, axis)
+    return table
+
+
+def basis_tables(
+    basis: Basis, shape: Sequence[int], cell_size: Sequence[float] | None = None
+) -> Iterator[RectTable]:
+    """The rects of enumerate_basis, in its order, as tables of at most
+    RECT_BLOCK rows each."""
+    shape = tuple(int(s) for s in shape)
+    h = tuple(float(x) for x in cell_size) if cell_size is not None else (1.0,) * len(shape)
+    if basis.kind == CUBES:
+        for counts in _cube_counts(shape, h, basis.scale_bounds):
+            starts = [np.arange(nk - c + 1) for nk, c in zip(shape, counts)]
+            yield from _product_tables([(a, a + (c - 1)) for a, c in zip(starts, counts)])
+        return
+    lo_s, hi_s = basis.scale_bounds if basis.scale_bounds else (0.0, np.inf)
+    per_axis = []
+    for nk, hk in zip(shape, h):
+        if basis.kind == ALL_RECTS:
+            a, b = np.triu_indices(nk)
+        else:
+            a, b = np.array(_axis_ranges_dyadic(nk)).T
+        # a rect is skipped when any side leaves the bounds, so filtering
+        # each axis first keeps the product's order
+        side = (b - a + 1) * hk
+        keep = (side >= lo_s) & (side <= hi_s)
+        per_axis.append((a[keep], b[keep]))
+    yield from _product_tables(per_axis)
+
+
+def _product_tables(per_axis: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[RectTable]:
+    """Rows of itertools.product over per-axis (lo, hi) ranges, last axis
+    fastest, in blocks of RECT_BLOCK."""
+    sizes = tuple(len(a) for a, _ in per_axis)
+    total = int(np.prod(sizes))
+    for start in range(0, total, RECT_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(total, start + RECT_BLOCK)), sizes)
+        lo = np.stack([a[i] for (a, _), i in zip(per_axis, idx)], axis=1)
+        hi = np.stack([b[i] for (_, b), i in zip(per_axis, idx)], axis=1)
+        yield RectTable(lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # Grid file format: text header, then row-major values as CSV (default) or
 # IEEE-754 little-endian float64 binary after a "data" line.
 
@@ -317,16 +450,40 @@ def read_grid(path: str) -> GridFunction:
             break
         key, _, rest = line.partition(" ")
         fields[key] = rest.split()
-    dims = int(fields["dims"][0])
-    shape = tuple(int(v) for v in fields["shape"])
-    cell_size = tuple(float(v) for v in fields["cell_size"])
-    origin = tuple(float(v) for v in fields.get("origin", ["0.0"] * dims))
+    dims = _header_field(path, fields, "dims", int)[0]
+    shape = tuple(_header_field(path, fields, "shape", int))
+    cell_size = tuple(_header_field(path, fields, "cell_size", float))
+    if "origin" in fields:
+        origin = tuple(_header_field(path, fields, "origin", float))
+    else:
+        origin = (0.0,) * dims
+    if len(shape) != dims:
+        raise GridError(f"{path}: shape has {len(shape)} entries but dims is {dims}")
     fmt = fields.get("format", ["csv"])[0]
     body = raw[head_end:]
+    count = int(np.prod(shape))
     if fmt == "bin":
-        values = np.frombuffer(body, dtype="<f8", count=int(np.prod(shape)))
+        if len(body) < 8 * count:
+            raise GridError(
+                f"{path}: data holds {len(body)} bytes, shape {shape} needs {8 * count}"
+            )
+        values = np.frombuffer(body, dtype="<f8", count=count)
     elif fmt == "csv":
-        values = np.loadtxt(io.StringIO(body.decode("ascii")), delimiter=",", ndmin=2)
+        try:
+            values = np.loadtxt(io.StringIO(body.decode("ascii")), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise GridError(f"{path}: unreadable data: {exc}") from None
+        if values.size != count:
+            raise GridError(f"{path}: data holds {values.size} values, shape {shape} needs {count}")
     else:
         raise GridError(f"{path}: unknown format {fmt!r}")
     return GridFunction(shape, cell_size, np.asarray(values).reshape(shape), origin)
+
+
+def _header_field(path: str, fields: dict, key: str, conv) -> list:
+    if not fields.get(key):
+        raise GridError(f"{path}: header has no {key!r} line")
+    try:
+        return [conv(v) for v in fields[key]]
+    except ValueError:
+        raise GridError(f"{path}: bad {key!r} entry {' '.join(fields[key])!r}") from None

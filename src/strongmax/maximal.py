@@ -20,6 +20,7 @@ from .grid import (
     Basis,
     GridFunction,
     GridError,
+    PrefixSum,
     Rect,
     build_prefix_sum,
     enumerate_basis,
@@ -80,7 +81,7 @@ def strong_maximal(f: GridFunction, basis: Basis) -> GridFunction:
     return multilinear_fractional_maximal([f], MaximalQuery(basis=basis))
 
 
-def _rect_value(cums: np.ndarray, cell_size, r: Rect, e: float) -> float:
+def _rect_value(prefixes: list[PrefixSum], cell_size, r: Rect, e: float) -> float:
     # Bit-for-bit agreement with the sweep kernels rests on three things:
     # the volume is the same left-associated product of per-axis physical
     # spans, the cell sums difference the prefix sums in the same order, and
@@ -93,28 +94,17 @@ def _rect_value(cums: np.ndarray, cell_size, r: Rect, e: float) -> float:
     for k in range(1, r.dims):
         cellvol = cellvol * cell_size[k]
     val = vol**e
-    for i in range(cums.shape[0]):
-        val *= _cell_sum(cums[i], r) * cellvol
+    for p in prefixes:
+        val *= rect_cell_sum(p, r) * cellvol
     return val
-
-
-def _cell_sum(cum: np.ndarray, r: Rect) -> float:
-    lo, hi = r.lo, r.hi
-
-    def rec(axis: int, tail: tuple) -> float:
-        if axis < 0:
-            return float(cum[tail])
-        return rec(axis - 1, (hi[axis] + 1, *tail)) - rec(axis - 1, (lo[axis], *tail))
-
-    return rec(r.dims - 1, ())
 
 
 def _maximal_rect_scan(fs: list[GridFunction], basis: Basis, e: float) -> GridFunction:
     f0 = fs[0]
-    cums = _stacked_prefix(fs)
+    prefixes = [build_prefix_sum(f) for f in fs]
     out = np.zeros(f0.shape)
     for r in enumerate_basis(basis, f0.shape, f0.cell_size):
-        val = _rect_value(cums, f0.cell_size, r, e)
+        val = _rect_value(prefixes, f0.cell_size, r, e)
         sl = r.slices()
         np.maximum(out[sl], val, out=out[sl])
     return f0.with_values(out)

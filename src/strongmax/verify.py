@@ -25,7 +25,8 @@ import numpy as np
 
 from .corpus import make_corpus
 from .covering import RectFamily, cf_select, scattered_select
-from .grid import Basis, GridError, GridFunction, Rect, build_prefix_sum, rect_cell_sum
+from ._kernels import libm_pow
+from .grid import Basis, GridError, GridFunction, Rect, RectTable, build_prefix_sum
 from .maximal import (
     MaximalQuery,
     level_set_measure,
@@ -527,15 +528,13 @@ def _bump_profile(a: float, c: float, p: float, q: float, r: float,
         wg = power_weight_grid(a * (1.0 - pp) * r, 1, cells)
         vg = power_weight_grid(c, 1, cells)
         cw, cv = build_prefix_sum(wg), build_prefix_sum(vg)
-        best = 0.0
-        for k in range(j + 1):
-            rect = Rect((0,), (2 ** (j - k) - 1,))
-            ncells = float(rect.cell_counts()[0])
-            val = (rect_cell_sum(cv, rect) / ncells) ** (1.0 / q) * (
-                rect_cell_sum(cw, rect) / ncells
-            ) ** (1.0 / (r * pp))
-            best = max(best, val)
-        prof.append(best)
+        hi = 2 ** (j - np.arange(j + 1)[:, None]) - 1
+        rects = RectTable(np.zeros_like(hi), hi)
+        ncells = rects.n_cells()
+        vals = libm_pow(rects.cell_sums(cv) / ncells, 1.0 / q) * libm_pow(
+            rects.cell_sums(cw) / ncells, 1.0 / (r * pp)
+        )
+        prof.append(float(np.fmax.reduce(vals, initial=0.0)))
     return prof
 
 

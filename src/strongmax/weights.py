@@ -5,6 +5,14 @@ every "in class" judgment here is a threshold classification: constants are
 computed exactly over the enumerated basis, and divergence is detected as
 growth across scales (nested rectangles, rising resolution). Reports carry
 the raw scale profiles.
+
+A basis-wide constant is the exact maximum over the basis's rectangle table
+(grid.basis_tables), evaluated a block of rows at a time. Each row's value is
+the same floating-point expression as the scalar per-rectangle formula, and
+every power is one libm ``pow`` per element (_kernels.libm_pow), so the
+constants and their witnesses (the first strict maximum in enumeration order)
+match a per-Rect scan bit for bit. A power that leaves the double range gives
++inf, so such a constant counts as >= CAP.
 """
 
 from __future__ import annotations
@@ -14,13 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import libm_pow
 from .grid import (
     Basis,
     GridError,
     GridFunction,
+    PrefixSum,
     Rect,
+    RectTable,
+    basis_tables,
+    box_min_table,
     build_prefix_sum,
-    enumerate_basis,
     rect_cell_sum,
 )
 from .maximal import strong_maximal
@@ -101,26 +113,26 @@ class WeightVector:
                             self.q / r, self.alpha)
 
 
-# --- generic sup over a basis ----------------------------------------------
+# --- sup over a basis, one table block at a time -----------------------------
 
 
-def _avg_maker(f: GridFunction, arr: np.ndarray):
-    """Closure computing the average of `arr` over a rect via prefix sums."""
-    p = build_prefix_sum(f.with_values(arr))
-
-    def avg(r: Rect) -> float:
-        return rect_cell_sum(p, r) / float(np.prod(r.cell_counts()))
-
-    return avg
+def _prefix(f: GridFunction, arr: np.ndarray) -> PrefixSum:
+    return build_prefix_sum(f.with_values(arr))
 
 
-def _sup_over_basis(shape, cell_size, basis: Basis, value_fn):
-    best = -math.inf
-    witness = None
-    for r in enumerate_basis(basis, shape, cell_size):
-        v = value_fn(r)
-        if v > best:
-            best, witness = v, r
+def _sup_over_tables(g0: GridFunction, basis: Basis, value_fn):
+    """First strict maximum of value_fn over the basis, in enumeration order.
+
+    value_fn maps a RectTable to one value per row. NaN never wins; an empty
+    or all -inf basis gives (-inf, None).
+    """
+    best, witness = -math.inf, None
+    for table in basis_tables(basis, g0.shape, g0.cell_size):
+        vals = value_fn(table)
+        vals = np.where(np.isnan(vals), -np.inf, vals)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, witness = float(vals[j]), table.rect(j)
     return best, witness
 
 
@@ -132,13 +144,14 @@ def ap_constant(
         raise WeightError("ap_constant needs p > 1")
     _require_positive(w)
     pp = conj_exponent(p)
-    avg_w = _avg_maker(w, w.values)
-    avg_s = _avg_maker(w, w.values ** (1.0 - pp))
+    pre_w = _prefix(w, w.values)
+    pre_s = _prefix(w, w.values ** (1.0 - pp))
 
-    def val(r):
-        return avg_w(r) * avg_s(r) ** (p / pp)
+    def val(t):
+        n = t.n_cells()
+        return t.cell_sums(pre_w) / n * libm_pow(t.cell_sums(pre_s) / n, p / pp)
 
-    best, witness = _sup_over_basis(w.shape, w.cell_size, basis, val)
+    best, witness = _sup_over_tables(w, basis, val)
     return (best, witness) if return_witness else best
 
 
@@ -148,50 +161,52 @@ def multi_weight_constant_apq(wv: WeightVector, basis: Basis) -> float:
     p_i = 1 slots use the infimum convention (inf_R w_i)^(-1).
     """
     g0 = wv.weights[0]
-    avg_nu_q = _avg_maker(g0, wv.nu() ** wv.q)
-    terms = []
+    pre_nu_q = _prefix(g0, wv.nu() ** wv.q)
+    slots = []
     for w, pi in zip(wv.weights, wv.ps):
         if pi == 1.0:
-            terms.append(("inf", w.values))
+            slots.append((None, box_min_table(w.values)))
         else:
             ppi = conj_exponent(pi)
-            terms.append((1.0 / ppi, _avg_maker(w, w.values ** (-ppi))))
+            slots.append((1.0 / ppi, _prefix(w, w.values ** (-ppi))))
 
-    def val(r):
-        out = avg_nu_q(r) ** (1.0 / wv.q)
-        for t in terms:
-            if t[0] == "inf":
-                out *= 1.0 / float(np.min(t[1][r.slices()]))
+    def val(t):
+        n = t.n_cells()
+        out = libm_pow(t.cell_sums(pre_nu_q) / n, 1.0 / wv.q)
+        for e, tab in slots:
+            if e is None:
+                out = out * (1.0 / t.cell_mins(tab))
             else:
-                out *= t[1](r) ** t[0]
+                out = out * libm_pow(t.cell_sums(tab) / n, e)
         return out
 
-    return _sup_over_basis(g0.shape, g0.cell_size, basis, val)[0]
+    return _sup_over_tables(g0, basis, val)[0]
 
 
 def multi_weight_constant_ap(wv: WeightVector, basis: Basis) -> float:
     """[w]_{A_p(vec)} = sup_R (avg nu_hat) prod_i (avg w_i^(1-p_i'))^(p/p_i')."""
     g0 = wv.weights[0]
     p = wv.p
-    avg_nu_hat = _avg_maker(g0, wv.nu_hat())
-    terms = []
+    pre_nu_hat = _prefix(g0, wv.nu_hat())
+    slots = []
     for w, pi in zip(wv.weights, wv.ps):
         if pi == 1.0:
-            terms.append(("inf", w.values))
+            slots.append((None, box_min_table(w.values)))
         else:
             ppi = conj_exponent(pi)
-            terms.append((p / ppi, _avg_maker(w, w.values ** (1.0 - ppi))))
+            slots.append((p / ppi, _prefix(w, w.values ** (1.0 - ppi))))
 
-    def val(r):
-        out = avg_nu_hat(r)
-        for t in terms:
-            if t[0] == "inf":
-                out *= (1.0 / float(np.min(t[1][r.slices()]))) ** p
+    def val(t):
+        n = t.n_cells()
+        out = t.cell_sums(pre_nu_hat) / n
+        for e, tab in slots:
+            if e is None:
+                out = out * libm_pow(1.0 / t.cell_mins(tab), p)
             else:
-                out *= t[1](r) ** t[0]
+                out = out * libm_pow(t.cell_sums(tab) / n, e)
         return out
 
-    return _sup_over_basis(g0.shape, g0.cell_size, basis, val)[0]
+    return _sup_over_tables(g0, basis, val)[0]
 
 
 def power_bump_check(
@@ -204,19 +219,22 @@ def power_bump_check(
     g0 = wv.weights[0]
     n = g0.dims
     vol_exp = wv.alpha / n + 1.0 / wv.q - 1.0 / wv.p
-    avg_v = _avg_maker(g0, v.values)
+    pre_v = _prefix(g0, v.values)
     terms = []
     for w, pi in zip(wv.weights, wv.ps):
         ppi = conj_exponent(pi)
-        terms.append((1.0 / (r * ppi), _avg_maker(w, w.values ** ((1.0 - ppi) * r))))
+        terms.append((1.0 / (r * ppi), _prefix(w, w.values ** ((1.0 - ppi) * r))))
 
-    def val(rect):
-        out = rect.volume(g0.cell_size) ** vol_exp * avg_v(rect) ** (1.0 / wv.q)
-        for e, avg in terms:
-            out *= avg(rect) ** e
+    def val(t):
+        cells = t.n_cells()
+        out = libm_pow(t.volumes(g0.cell_size), vol_exp) * libm_pow(
+            t.cell_sums(pre_v) / cells, 1.0 / wv.q
+        )
+        for e, pre in terms:
+            out = out * libm_pow(t.cell_sums(pre) / cells, e)
         return out
 
-    best, witness = _sup_over_basis(g0.shape, g0.cell_size, basis, val)
+    best, witness = _sup_over_tables(g0, basis, val)
     return {"constant": best, "witness": witness, "finite_under_cap": best < CAP}
 
 
@@ -485,15 +503,13 @@ def power_weight_profile(alpha: float, p: float, n: int, depth: int) -> list[flo
         wa = power_weight_grid(alpha, n, cells)
         wb = power_weight_grid(dual, n, cells)
         ca, cb = build_prefix_sum(wa), build_prefix_sum(wb)
-        best = 0.0
-        for a_vec in np.ndindex(*([j + 1] * n)):
-            hi = tuple(2 ** (j - a) - 1 for a in a_vec)
-            r = Rect((0,) * n, hi)
-            ncells = float(np.prod(r.cell_counts()))
-            avg_a = rect_cell_sum(ca, r) / ncells
-            avg_b = rect_cell_sum(cb, r) / ncells
-            best = max(best, avg_a * avg_b ** (p / pp))
-        profile.append(best)
+        # rows in np.ndindex order of the exponent vectors (a_1, ..., a_n)
+        a_vec = np.indices([j + 1] * n).reshape(n, -1).T
+        hi = 2 ** (j - a_vec) - 1
+        t = RectTable(np.zeros_like(hi), hi)
+        ncells = t.n_cells()
+        vals = t.cell_sums(ca) / ncells * libm_pow(t.cell_sums(cb) / ncells, p / pp)
+        profile.append(float(np.fmax.reduce(vals, initial=0.0)))
     return profile
 
 

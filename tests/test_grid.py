@@ -131,6 +131,40 @@ class TestIO:
         with pytest.raises(GridError):
             read_grid(str(path))
 
+    def test_truncated_binary_body_names_data(self, tmp_path):
+        f = GridFunction((3, 4), (0.5, 0.25), np.arange(12.0))
+        path = tmp_path / "g.grid"
+        write_grid(f, str(path), binary=True)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(GridError, match=r"data holds 91 bytes, shape \(3, 4\) needs 96"):
+            read_grid(str(path))
+
+    @pytest.mark.parametrize("key", ["dims", "shape", "cell_size"])
+    def test_missing_header_line_names_field(self, tmp_path, key):
+        f = GridFunction((3, 4), (0.5, 0.25), np.arange(12.0))
+        path = tmp_path / "g.grid"
+        write_grid(f, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith(key + " ")))
+        with pytest.raises(GridError, match=f"no '{key}' line"):
+            read_grid(str(path))
+
+    def test_bad_header_entry_names_field(self, tmp_path):
+        f = GridFunction((3,), (0.5,), np.arange(3.0))
+        path = tmp_path / "g.grid"
+        write_grid(f, str(path))
+        path.write_text(path.read_text().replace("shape 3", "shape three"))
+        with pytest.raises(GridError, match="bad 'shape' entry 'three'"):
+            read_grid(str(path))
+
+    def test_short_csv_body_is_rejected(self, tmp_path):
+        f = GridFunction((3, 4), (0.5, 0.25), np.arange(12.0))
+        path = tmp_path / "g.grid"
+        write_grid(f, str(path))
+        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+        with pytest.raises(GridError, match="data holds 8 values"):
+            read_grid(str(path))
+
 
 class TestRect:
     def test_volume_and_counts(self):

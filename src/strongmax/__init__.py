@@ -2,7 +2,6 @@
 rectangle Muckenhoupt weight classes, covering selection, and a theorem
 verification harness."""
 
-from ._kernels import USING_NUMBA
 from .corpus import make_corpus
 from .covering import RectFamily, SelectionResult, cf_select, scattered_select
 from .grid import (

@@ -1,10 +1,13 @@
 """Strong, multilinear fractional, and Orlicz maximal operators.
 
 All suprema are exact maxima over the enumerated basis. The all-rectangles
-basis goes through the sweep kernels (numba or numpy backend, see
-_kernels); dyadic and cube bases and the Orlicz-norm variant walk the
-enumerated rectangles directly. A slow per-point rectangle scan is kept as
-an independent second implementation for cross-checking.
+basis goes through the one numpy sweep in _kernels; dyadic and cube bases
+and the Orlicz-norm variant walk the enumerated rectangles directly. The
+multilinear operator first scales each input by a power of two so that its
+maximum lies in [0.5, 1), which keeps the prefix sums finite and, by
+homogeneity, changes no bit of the result where nothing underflows. A slow
+per-point rectangle scan, run on the unscaled inputs, is kept as an
+independent second implementation for cross-checking.
 """
 
 from __future__ import annotations
@@ -70,10 +73,20 @@ def multilinear_fractional_maximal(
         raise GridError(f"query.m={query.m} but {m} functions given")
     query.validate(n)
     e = query.alpha / n - m  # |R|^e * prod integrals
+    # M is homogeneous in each f_i: run it on f_i * 2^-k_i, whose maximum
+    # lies in [0.5, 1) so the prefix sums stay finite, and scale the result
+    # by 2^sum(k_i); powers of two scale without rounding
+    ks = [int(np.frexp(np.max(f.values))[1]) for f in fs]
+    fs = [f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, ks)]
     if query.basis.kind == ALL_RECTS and query.basis.scale_bounds is None:
         out = _kernels.sweep_all_rects(_stacked_prefix(fs), f0.cell_size, e)
-        return f0.with_values(out)
-    return _maximal_rect_scan(fs, query.basis, e)
+    else:
+        out = _maximal_rect_scan(fs, query.basis, e).values
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(out, sum(ks))
+    if np.all(np.isfinite(out)) and not np.all(np.isfinite(scaled)):
+        raise GridError("maximal function value overflows the double range")
+    return f0.with_values(scaled)
 
 
 def strong_maximal(f: GridFunction, basis: Basis) -> GridFunction:

@@ -7,18 +7,15 @@ a fixed grid is vacuous, so the harness favors growth checks across
 resolutions: a ratio is "stable" under < 25% growth per grid doubling and
 "divergent" above 100%.
 
-All checks are deterministic given their seed; run_all executes them as
-independent jobs in a thread pool (size from STRONGMAX_THREADS) and merges
-the reports in a fixed order, so output bytes do not depend on the pool
-size.
+All checks are deterministic given their seed; run_all executes the
+selected jobs one after another in the calling thread, in sorted-name
+order, and returns the reports in that order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -681,27 +678,21 @@ JOBS = {
 
 
 def thread_count() -> int:
-    raw = os.environ.get("STRONGMAX_THREADS", "").strip()
-    if raw:
-        return max(1, int(raw))
-    return min(4, os.cpu_count() or 1)
+    # run_all uses only the calling thread; perfbench's fingerprint reads this
+    return 1
 
 
 def run_all(seed: int = 0, theorems: list[str] | None = None) -> dict[str, VerificationReport]:
-    """Run the selected checks as independent jobs; deterministic output.
+    """Run the selected checks in sorted-name order; deterministic output.
 
-    Thread-pool size comes from STRONGMAX_THREADS; jobs are internally
-    deterministic and merged in a fixed key order, so results are
-    byte-identical for any pool size.
+    The first job that raises ends the run with its exception.
     """
     names = list(JOBS) if theorems is None else theorems
     for name in names:
         if name not in JOBS:
             raise GridError(f"unknown theorem selector: {name!r} "
                             f"(available: {', '.join(JOBS)})")
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futures = {name: pool.submit(JOBS[name], seed) for name in names}
-        return {name: futures[name].result() for name in sorted(names)}
+    return {name: JOBS[name](seed) for name in sorted(names)}
 
 
 def reports_to_json(reports: dict[str, VerificationReport]) -> str:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_DIMS = 3
 
@@ -309,6 +310,15 @@ class RectTable:
     def cell_counts(self) -> np.ndarray:
         return self.hi - self.lo + 1
 
+    def count_groups(self) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+        """(cell counts, row indices) for each distinct cell-count tuple."""
+        uniq, inv = np.unique(self.cell_counts(), axis=0, return_inverse=True)
+        inv = inv.ravel()
+        order = np.argsort(inv, kind="stable")
+        ends = np.cumsum(np.bincount(inv, minlength=len(uniq)))[:-1]
+        for counts, rows in zip(uniq.tolist(), np.split(order, ends)):
+            yield tuple(counts), rows
+
     def n_cells(self) -> np.ndarray:
         """Cells per rect as floats, float(prod(r.cell_counts()))."""
         return np.prod(self.cell_counts(), axis=1).astype(np.float64)
@@ -346,6 +356,12 @@ class RectTable:
         corners = itertools.product(*[(self.lo[:, k], far[:, k]) for k in range(n)])
         levels = tuple(lev[:, k] for k in range(n))
         return np.minimum.reduce([mins[idx + levels] for idx in corners])
+
+
+def window_cells(values: np.ndarray, counts: tuple[int, ...], lo: np.ndarray) -> np.ndarray:
+    """Row j holds the cells of the rect with the given cell counts and
+    lowest cell lo[j], in the C order of values[r.slices()].ravel()."""
+    return sliding_window_view(values, counts)[tuple(lo.T)].reshape(len(lo), -1)
 
 
 def box_min_table(values: np.ndarray) -> np.ndarray:

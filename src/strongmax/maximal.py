@@ -1,21 +1,27 @@
 """Strong, multilinear fractional, and Orlicz maximal operators.
 
 All suprema are exact maxima over the enumerated basis. The all-rectangles
-basis goes through the one numpy sweep in _kernels; dyadic and cube bases
-and the Orlicz-norm variant walk the enumerated rectangles directly. The
-multilinear operator first scales each input by a power of two so that its
-maximum lies in [0.5, 1), which keeps the prefix sums finite and, by
-homogeneity, changes no bit of the result where nothing underflows. A slow
-per-point rectangle scan, run on the unscaled inputs, is kept as an
-independent second implementation for cross-checking.
+basis goes through the one numpy sweep in _kernels. Dyadic and cube bases,
+scale-bounded bases and the Orlicz-norm variant are evaluated on the basis
+as arrays (grid.basis_tables): one value per rectangle row, then a per-cell
+maximum over the rows, folded one cell-count tuple at a time as a
+sliding-window maximum. Each row value is the per-rectangle expression
+evaluated elementwise, so these branches give the bits of a per-rectangle
+loop. The Orlicz variant runs one batched Luxemburg bisection
+(orlicz.luxemburg_norms) per cell-count tuple and slot. The multilinear
+operator first scales each input by a power of two so that its maximum lies
+in [0.5, 1), which keeps the prefix sums finite and, by homogeneity, changes
+no bit of the result where nothing underflows. A slow per-point rectangle
+scan, run on the unscaled inputs, is kept as an independent second
+implementation for cross-checking.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .grid import (
@@ -25,11 +31,13 @@ from .grid import (
     GridError,
     PrefixSum,
     Rect,
+    basis_tables,
     build_prefix_sum,
     enumerate_basis,
     rect_cell_sum,
+    window_cells,
 )
-from .orlicz import CellSet, luxemburg_norm_values
+from .orlicz import luxemburg_norms
 from .young import YoungFunction
 
 
@@ -81,7 +89,7 @@ def multilinear_fractional_maximal(
     if query.basis.kind == ALL_RECTS and query.basis.scale_bounds is None:
         out = _kernels.sweep_all_rects(_stacked_prefix(fs), f0.cell_size, e)
     else:
-        out = _maximal_rect_scan(fs, query.basis, e).values
+        out = _basis_table_max(fs, query.basis, e)
     with np.errstate(over="ignore"):
         scaled = np.ldexp(out, sum(ks))
     if np.all(np.isfinite(out)) and not np.all(np.isfinite(scaled)):
@@ -92,6 +100,41 @@ def multilinear_fractional_maximal(
 def strong_maximal(f: GridFunction, basis: Basis) -> GridFunction:
     """Classical strong maximal function: sup of plain averages."""
     return multilinear_fractional_maximal([f], MaximalQuery(basis=basis))
+
+
+def _fold_max(out: np.ndarray, lo: np.ndarray, counts: tuple[int, ...], vals: np.ndarray) -> None:
+    """out[x] = max(out[x], vals[j] over rows j whose rect holds cell x).
+
+    Every row is a rect of the given cell counts with lowest cell lo[j], and
+    no two rows share one. The values are laid out by lowest cell (-inf where
+    there is no row), so the maximum over rects holding x is a box maximum
+    over lowest cells x - counts + 1 .. x, taken one axis at a time.
+    """
+    best = np.full([nk - c + 1 for nk, c in zip(out.shape, counts)], -np.inf)
+    best[tuple(lo.T)] = vals
+    for axis, c in enumerate(counts):
+        pad = [(0, 0)] * out.ndim
+        pad[axis] = (c - 1, c - 1)
+        padded = np.pad(best, pad, constant_values=-np.inf)
+        best = sliding_window_view(padded, c, axis=axis).max(axis=-1)
+    np.maximum(out, best, out=out)
+
+
+def _basis_table_max(fs: list[GridFunction], basis: Basis, e: float) -> np.ndarray:
+    """max over basis rects R holding each cell of |R|^e prod_i integral_R f_i."""
+    f0 = fs[0]
+    prefixes = [build_prefix_sum(f) for f in fs]
+    cellvol = f0.cell_size[0]
+    for hk in f0.cell_size[1:]:
+        cellvol = cellvol * hk
+    out = np.zeros(f0.shape)
+    for table in basis_tables(basis, f0.shape, f0.cell_size):
+        val = _kernels.libm_pow(table.volumes(f0.cell_size), e)
+        for p in prefixes:
+            val = val * (table.cell_sums(p) * cellvol)
+        for counts, rows in table.count_groups():
+            _fold_max(out, table.lo[rows], counts, val[rows])
+    return out
 
 
 def _rect_value(prefixes: list[PrefixSum], cell_size, r: Rect, e: float) -> float:
@@ -106,7 +149,10 @@ def _rect_value(prefixes: list[PrefixSum], cell_size, r: Rect, e: float) -> floa
     cellvol = cell_size[0]
     for k in range(1, r.dims):
         cellvol = cellvol * cell_size[k]
-    val = vol**e
+    try:
+        val = vol**e
+    except (OverflowError, ZeroDivisionError):
+        raise GridError(f"|R|^e leaves the double range (|R| = {vol!r}, e = {e!r})") from None
     for p in prefixes:
         val *= rect_cell_sum(p, r) * cellvol
     return val
@@ -146,14 +192,15 @@ def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
     scale_exp = alpha / n
     cellvol = float(np.prod(f0.cell_size))
     out = np.zeros(f0.shape)
-    for r in enumerate_basis(query.basis, f0.shape, f0.cell_size):
-        sl = r.slices()
-        vol = r.volume(f0.cell_size)
-        val = vol**scale_exp
-        for f, psi in zip(fs, query.orlicz):
-            vals = f.values[sl].ravel()
-            val *= luxemburg_norm_values(vals, cellvol, vol, psi)
-        np.maximum(out[sl], val, out=out[sl])
+    for table in basis_tables(query.basis, f0.shape, f0.cell_size):
+        vols = table.volumes(f0.cell_size)
+        scales = _kernels.libm_pow(vols, scale_exp)
+        for counts, rows in table.count_groups():
+            lo, val = table.lo[rows], scales[rows]
+            for f, psi in zip(fs, query.orlicz):
+                cells = window_cells(f.values, counts, lo)
+                val = val * luxemburg_norms(cells, cellvol, vols[rows], psi)
+            _fold_max(out, lo, counts, val)
     return f0.with_values(out)
 
 

@@ -4,6 +4,14 @@ The Luxemburg norm is the infimal lambda > 0 making the normalized mean of
 Phi(|f|/lambda) over the set at most one; it is the unique crossing of a
 monotone function of lambda, so bracketing bisection is exact up to the
 requested tolerance.
+
+There is one bisection, ``luxemburg_norms``, batched over the rows of an
+(R, k) array, one set of k cells per row; a single norm is a one-row call.
+Each row runs the scalar control flow on its own bracket, and its mean is
+the pairwise sum of its k values along the contiguous last axis, the sum a
+1-D array of those values gets. So every row sees the same sequence of
+lambdas and the same means as a bisection run on that row alone, and gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -57,39 +65,66 @@ def _member_values(f: GridFunction, e: CellSet) -> np.ndarray:
     return np.abs(f.values[e.mask])
 
 
+def luxemburg_norms(
+    vals: np.ndarray, cell_measure: float, total_measure, phi: YoungFunction,
+    rel_tol: float = 1e-12,
+) -> np.ndarray:
+    """Luxemburg norms of the rows of vals (R, k), one set of k cells per row.
+
+    Every cell has measure cell_measure; total_measure is the measure of each
+    row's set (a scalar or R values). Each row runs the scalar bracketing
+    bisection: double hi from the row's max while the mean exceeds one, halve
+    lo while half of it still satisfies, then bisect to rel_tol. Rows that
+    have finished drop out of the active index arrays.
+    """
+    vals = np.asarray(vals, dtype=np.float64)
+    total = np.broadcast_to(np.asarray(total_measure, dtype=np.float64), vals.shape[:1])
+    if np.any(total <= 0):
+        raise MeasureError("Luxemburg norm needs a set of positive measure")
+    weight = cell_measure / total
+
+    def mean_phi(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        # Phi sees a 1-D array, as in a one-set call; the sum runs along the
+        # contiguous last axis, so each row gets the pairwise sum of its k
+        # values that a 1-D array of them gets
+        with np.errstate(over="ignore"):
+            phis = phi.eval((vals[rows] / lam[:, None]).ravel()).reshape(len(rows), -1)
+            return np.sum(phis, axis=1) * weight[rows]
+
+    hi = vals.max(axis=1, initial=0.0)
+    hi[hi == 0.0] = 0.0  # a row of zeros, of either sign, has norm +0.0
+    live = np.flatnonzero(hi)
+    rows = live
+    while rows.size:
+        rows = rows[mean_phi(rows, hi[rows]) > 1.0]
+        hi[rows] *= 2.0
+        if np.any(hi[rows] > 1e300):
+            raise MeasureError(f"{phi.label}: Luxemburg bracket unbounded")
+    lo = hi.copy()
+    rows = live[lo[live] > 1e-300]
+    while rows.size:
+        rows = rows[mean_phi(rows, lo[rows] * 0.5) <= 1.0]
+        lo[rows] *= 0.5
+        rows = rows[lo[rows] > 1e-300]
+    lo *= 0.5
+    # lo violates (or hit underflow floor), hi satisfies
+    rows = live[hi[live] - lo[live] > rel_tol * hi[live]]
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = mean_phi(rows, mid) <= 1.0
+        hi[rows[ok]] = mid[ok]
+        lo[rows[~ok]] = mid[~ok]
+        rows = rows[hi[rows] - lo[rows] > rel_tol * hi[rows]]
+    return hi
+
+
 def luxemburg_norm_values(
     vals: np.ndarray, cell_measure: float, total_measure: float,
     phi: YoungFunction, rel_tol: float = 1e-12,
 ) -> float:
     """Luxemburg norm of raw member-cell values (uniform cell measure)."""
-    if total_measure <= 0:
-        raise MeasureError("Luxemburg norm needs a set of positive measure")
-    vmax = float(vals.max(initial=0.0))
-    if vmax == 0.0:
-        return 0.0
-    weight = cell_measure / total_measure
-
-    def mean_phi(lam: float) -> float:
-        with np.errstate(over="ignore"):
-            return float(np.sum(phi.eval(vals / lam))) * weight
-
-    hi = vmax
-    while mean_phi(hi) > 1.0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise MeasureError(f"{phi.label}: Luxemburg bracket unbounded")
-    lo = hi
-    while lo > 1e-300 and mean_phi(lo * 0.5) <= 1.0:
-        lo *= 0.5
-    lo *= 0.5
-    # lo violates (or hit underflow floor), hi satisfies
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if mean_phi(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    row = np.reshape(vals, (1, -1))
+    return float(luxemburg_norms(row, cell_measure, total_measure, phi, rel_tol)[0])
 
 
 def luxemburg_norm(

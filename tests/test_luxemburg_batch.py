@@ -1,0 +1,135 @@
+"""The batched Luxemburg bisection against one scalar bisection per row.
+
+Every comparison is np.array_equal (or ==): each row of the batch runs the
+scalar control flow on the same sums, so the two agree bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from luxemburg_oracle import orlicz_maximal_oracle, scalar_norm, scalar_norms, young_sup_oracle
+from strongmax.grid import Basis, GridFunction
+from strongmax.maximal import MaximalQuery, orlicz_maximal
+from strongmax.orlicz import MeasureError, luxemburg_norm_values, luxemburg_norms
+from strongmax.verify import vector_valued_check
+from strongmax.young import YoungFunction, complementary, l_log_l, phi_n, power
+
+PHIS = [power(1.0), power(1.5), power(2.0), power(3.0), phi_n(2), phi_n(3), l_log_l(1, outer=1.5)]
+
+
+def _rows(rng, count, k, scale):
+    vals = rng.uniform(0, 1, (count, k)) * scale
+    vals[rng.uniform(size=(count, k)) < 0.3] = 0.0  # sparse rows, some all zero
+    return vals
+
+
+@pytest.mark.parametrize("phi", PHIS, ids=lambda p: p.label)
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 3.0, 1e6])
+@pytest.mark.parametrize("k", [1, 4, 9, 64])
+def test_rows_match_scalar_bisection(phi, scale, k):
+    rng = np.random.default_rng(k * 7 + int(np.log10(scale)) + 20)
+    vals = _rows(rng, 40, k, scale)
+    vals[3] = 0.0
+    total = rng.uniform(0.5, 2.0, 40) * k
+    got = luxemburg_norms(vals, 1.0, total, phi)
+    assert got[3] == 0.0
+    assert np.array_equal(got, scalar_norms(vals, 1.0, total, phi))
+
+
+@pytest.mark.parametrize("phi", PHIS, ids=lambda p: p.label)
+def test_scalar_total_measure_and_tolerance(phi):
+    rng = np.random.default_rng(5)
+    vals = _rows(rng, 25, 16, 2.0)
+    for rel_tol in (1e-12, 1e-6):
+        got = luxemburg_norms(vals, 0.25, 4.0, phi, rel_tol)
+        assert np.array_equal(got, scalar_norms(vals, 0.25, 4.0, phi, rel_tol))
+
+
+def test_bracket_doubles_and_halves():
+    # values near 1e6 need hi doubled many times from the row max under
+    # t^2 with a small set; values near 1e-6 under Phi_2 need lo halved
+    vals = np.array([[1e6, 2e6, 3e6, 0.0], [1e-6, 2e-6, 0.0, 5e-7], [1.0, 1.0, 1.0, 1.0]])
+    for phi in (power(2.0), phi_n(2), power(3.0)):
+        for cell, total in ((1.0, 0.5), (1.0, 4.0), (1.0, 400.0)):
+            got = luxemburg_norms(vals, cell, total, phi)
+            want = [scalar_norm(row, cell, total, phi) for row in vals]
+            assert np.array_equal(got, want)
+            assert all(g > 0 for g in got)
+
+
+def test_numeric_conjugate():
+    # the numeric conjugate's eval takes 1-D arrays only
+    phi = complementary(phi_n(2))
+    vals = np.array([[0.5, 0.25, 0.0], [0.0, 0.0, 0.0], [0.9, 0.1, 0.3]])
+    assert np.array_equal(luxemburg_norms(vals, 1.0, 3.0, phi), scalar_norms(vals, 1.0, 3.0, phi))
+
+
+def test_zero_rows_and_empty_rows():
+    assert np.array_equal(luxemburg_norms(np.zeros((3, 5)), 1.0, 5.0, phi_n(2)), np.zeros(3))
+    assert np.array_equal(luxemburg_norms(np.zeros((2, 0)), 1.0, 1.0, phi_n(2)), np.zeros(2))
+    signed = luxemburg_norms(np.array([[-0.0, -0.0], [-0.0, 1.0]]), 1.0, 2.0, phi_n(2))
+    assert signed[0] == 0.0 and not np.signbit(signed[0])
+    assert signed[1] == scalar_norm([-0.0, 1.0], 1.0, 2.0, phi_n(2))
+
+
+def test_unbounded_bracket_raises():
+    jump = YoungFunction(lambda t: np.where(np.asarray(t) > 0, np.inf, 0.0), label="jump")
+    vals = np.array([[0.0, 0.0], [1.0, 2.0]])
+    with pytest.raises(MeasureError, match="unbounded"):
+        scalar_norm(vals[1], 1.0, 2.0, jump)
+    with pytest.raises(MeasureError, match="unbounded"):
+        luxemburg_norms(vals, 1.0, 2.0, jump)
+    # a row of zeros never enters the bracket
+    assert luxemburg_norms(vals[:1], 1.0, 2.0, jump)[0] == 0.0
+
+
+def test_nonpositive_measure_raises():
+    with pytest.raises(MeasureError, match="positive measure"):
+        luxemburg_norms(np.ones((2, 3)), 1.0, np.array([3.0, 0.0]), phi_n(2))
+
+
+@pytest.mark.parametrize("phi", PHIS, ids=lambda p: p.label)
+def test_one_row_call_is_the_scalar_bisection(phi):
+    rng = np.random.default_rng(11)
+    for scale in (1e-6, 1.0, 1e6):
+        vals = rng.uniform(0, scale, 7)
+        assert luxemburg_norm_values(vals, 0.5, 3.5, phi) == scalar_norm(vals, 0.5, 3.5, phi)
+
+
+# --- the callers: orlicz_maximal and the Young condition ---------------------
+
+GRIDS = [((8,), (0.125,)), ((4, 4), (0.25, 0.25)), ((2, 2, 4), (0.5, 0.5, 0.25))]
+BASES = [
+    Basis("all"), Basis("dyadic"), Basis("cubes"),
+    Basis("all", (0.3, 0.8)), Basis("dyadic", (0.2, 0.6)), Basis("cubes", (0.3, 1.0)),
+]
+
+
+@pytest.mark.parametrize("shape,h", GRIDS, ids=lambda g: str(g))
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: f"{b.kind}-{b.scale_bounds}")
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_orlicz_maximal_matches_per_rect_oracle(shape, h, basis, m, alpha):
+    rng = np.random.default_rng(len(shape) * 10 + m)
+    fs = [GridFunction(shape, h, _rows(rng, 1, int(np.prod(shape)), 3.0)) for _ in range(m)]
+    psis = (phi_n(2), l_log_l(1, outer=1.5))[:m]
+    q = MaximalQuery(basis=basis, alpha=alpha, m=m, orlicz=psis)
+    got = orlicz_maximal(fs, q)
+    assert np.array_equal(got.values, orlicz_maximal_oracle(fs, q).values)
+
+
+# cell sizes that are not powers of two, so measures carry rounding
+@pytest.mark.parametrize(
+    "shape,h", [((8,), (0.3,)), ((4, 4), (0.3, 0.7)), ((2, 2, 4), (0.6, 0.7, 0.3))],
+    ids=lambda g: str(g),
+)
+@pytest.mark.parametrize("basis", [Basis("all"), Basis("dyadic"), Basis("cubes")], ids=lambda b: b.kind)
+def test_young_condition_sup_matches_per_rect_oracle(shape, h, basis):
+    rng = np.random.default_rng(len(shape))
+    w = GridFunction(shape, h, rng.uniform(0.2, 3.0, shape))
+    v = GridFunction(shape, h, rng.uniform(0.2, 3.0, shape))
+    fjs = [GridFunction(shape, h, rng.uniform(0, 1, shape)) for _ in range(2)]
+    a, b = power(2.5), power(3.0)
+    rep = vector_valued_check(fjs, w, v, p=3.0, q=2.0, a_young=a, b_young=b, r=1.5, basis=basis)
+    assert rep.skipped is None
+    assert rep.stats["young_condition_sup"] == young_sup_oracle(w, v, 2.0, a, b, basis)

@@ -121,6 +121,37 @@ class TestDualImplementations:
         assert np.array_equal(fast.values, slow.values)  # bit-identical
 
 
+    @pytest.mark.parametrize("shape", [(16,), (8, 8), (4, 8), (2, 4, 4), (1, 8), (4, 1, 2)])
+    @pytest.mark.parametrize(
+        "basis",
+        [Basis("dyadic"), Basis("cubes"), Basis("all", (0.5, 1.0)),
+         Basis("dyadic", (0.5, 1.3)), Basis("cubes", (0.5, 1.0))],
+        ids=lambda b: f"{b.kind}-{b.scale_bounds}",
+    )
+    @pytest.mark.parametrize("m,alpha", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 1.0)])
+    def test_exact_agreement_table_bases(self, shape, basis, m, alpha):
+        # the non-sweep branch evaluates the basis as arrays
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1] + m)
+        # equal sides, so the cubes basis has cubes past one cell; not a power
+        # of two, so the volumes and their powers carry rounding
+        h = (0.3,) * len(shape)
+        fs = [gf(rng.uniform(0, 3, shape), h=h) for _ in range(m)]
+        q = MaximalQuery(basis=basis, alpha=alpha, m=m)
+        fast = multilinear_fractional_maximal(fs, q)
+        slow = maximal_reference_scan(fs, q)
+        assert np.array_equal(fast.values, slow.values)  # bit-identical
+
+    @pytest.mark.parametrize(
+        "shape,h,m",
+        [((8,), (1e-160,), 2),  # |R|^-2 overflows
+         ((4, 4), (1e-200, 1e-200), 1)],  # |R| underflows to 0
+    )
+    def test_reference_scan_power_out_of_range(self, shape, h, m):
+        fs = [gf(np.ones(shape), h=h) for _ in range(m)]
+        with pytest.raises(GridError, match="double range"):
+            maximal_reference_scan(fs, MaximalQuery(basis=ALL, m=m))
+
+
 class TestOrlicz:
     def test_identity_psi_matches_fractional(self):
         rng = np.random.default_rng(4)

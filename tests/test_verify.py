@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from luxemburg_oracle import orlicz_maximal_oracle, scalar_norms
+from strongmax import verify
 from strongmax.corpus import make_corpus
 from strongmax.grid import Basis, GridError, GridFunction
 from strongmax.verify import (
@@ -191,6 +193,15 @@ class TestHarness:
         assert j1 == j2
         payload = json.loads(j1)
         assert payload["prop3.5"]["passed"] is True
+
+    def test_batched_luxemburg_keeps_report_bytes(self, monkeypatch):
+        # the Orlicz jobs' reports must not change by one bit when every
+        # Luxemburg norm comes from one scalar bisection per rectangle
+        theorems = ["one-weight", "vector-valued"]
+        batched = reports_to_json(run_all(seed=0, theorems=theorems))
+        monkeypatch.setattr(verify, "orlicz_maximal", orlicz_maximal_oracle)
+        monkeypatch.setattr(verify, "luxemburg_norms", scalar_norms)
+        assert reports_to_json(run_all(seed=0, theorems=theorems)) == batched
 
     def test_jobs_cover_documented_names(self):
         assert {"endpoint", "one-weight", "two-weight-bump", "prop3.5",

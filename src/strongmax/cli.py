@@ -93,16 +93,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_grids(paths: list[str], need: int | None = None) -> list[GridFunction]:
+def _load_grids(paths: list[str]) -> list[GridFunction]:
     if not paths:
         raise CliError("at least one --grid is required")
-    grids = [read_grid(p) for p in paths]
-    for g in grids:
-        if g.values.size == 0:
-            raise CliError(f"empty grid input: degenerate")
-    if need is not None and len(grids) != need:
-        raise CliError(f"expected {need} grid(s), got {len(grids)}")
-    return grids
+    return [read_grid(p) for p in paths]
 
 
 def _emit(payload: dict, args, default_name: str) -> None:
@@ -160,8 +154,10 @@ def _cmd_weights(args) -> int:
     basis = Basis(args.basis)
     ps = args.p or [2.0] * len(grids)
     payload: dict = {"class": args.klass, "basis": args.basis}
+    if args.klass in ("ap", "ainfty", "rd", "tauberian") and len(grids) != 1:
+        raise CliError(f"expected 1 grid(s), got {len(grids)}")
+    w = grids[0]
     if args.klass == "ap":
-        (w,) = _load_grids(args.grid, need=1)
         c, witness = ap_constant(w, ps[0], basis, return_witness=True)
         payload.update({"constant_or_bound": c, "witness_rect": witness, "p": ps[0]})
     elif args.klass in ("apq", "apvec"):
@@ -170,7 +166,6 @@ def _cmd_weights(args) -> int:
         payload.update({"constant_or_bound": fn(wv, basis),
                         "ps": ps, "q": args.q, "alpha": args.alpha})
     elif args.klass == "ainfty":
-        (w,) = _load_grids(args.grid, need=1)
         rep = a_infty_classify(w, rng=np.random.default_rng(args.seed))
         payload.update({
             "classification": rep.classification,
@@ -181,10 +176,8 @@ def _cmd_weights(args) -> int:
             ],
         })
     elif args.klass == "rd":
-        (w,) = _load_grids(args.grid, need=1)
         payload["constant_or_bound"] = reverse_doubling_constant(w)
     elif args.klass == "tauberian":
-        (w,) = _load_grids(args.grid, need=1)
         rep = tauberian_constant_estimate(w, basis, args.gamma, seed=args.seed)
         payload.update({"constant_or_bound": rep.max_ratio,
                         "witness_rect": rep.witness, "gamma": args.gamma,

@@ -118,9 +118,6 @@ class Rect:
             v *= c * h
         return v
 
-    def contains_cell(self, idx: Sequence[int]) -> bool:
-        return all(l <= i <= h for i, l, h in zip(idx, self.lo, self.hi))
-
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h + 1) for l, h in zip(self.lo, self.hi))
 

@@ -49,7 +49,6 @@ class MaximalQuery:
     alpha: float = 0.0
     m: int = 1
     orlicz: tuple[YoungFunction, ...] | None = None
-    phi_scale_alpha: float | None = None  # scale function phi(t) = t^(alpha/n)
 
     def validate(self, n: int) -> None:
         if not 0 <= self.alpha < self.m * n:
@@ -180,16 +179,14 @@ def maximal_reference_scan(fs: list[GridFunction], query: MaximalQuery) -> GridF
 def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
     """sup over basis sets B of phi(|B|) * prod_i ||f_i||_{Psi_i,B}.
 
-    phi(t) = t^(alpha/n) with alpha taken from phi_scale_alpha (falling back
-    to query.alpha); Psi_i from query.orlicz.
+    phi(t) = t^(alpha/n) with alpha = query.alpha; Psi_i from query.orlicz.
     """
     f0 = _check_common_grid(fs)
     n = f0.dims
     query.validate(n)
     if query.orlicz is None:
         raise GridError("orlicz_maximal needs query.orlicz")
-    alpha = query.alpha if query.phi_scale_alpha is None else query.phi_scale_alpha
-    scale_exp = alpha / n
+    scale_exp = query.alpha / n
     cellvol = float(np.prod(f0.cell_size))
     out = np.zeros(f0.shape)
     for table in basis_tables(query.basis, f0.shape, f0.cell_size):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, Rect
-from .young import YoungFunction, complementary
+from .young import YoungFunction, complementary, iterate
 
 
 class MeasureError(ValueError):
@@ -205,23 +205,10 @@ def product_norm_lemma_check(
     if norm_prod <= 1.0:
         return CheckReport("product_norm_lemma", norm_prod, 0.0, True,
                            note="hypothesis-skipped (product of norms <= 1)")
-    phim = _iterate(phi, m)
+    phim = iterate(phi, m)
     mean_prod = 1.0
     for f in fs:
         mean_prod *= mean_phi_over(f, e, phim)
     return CheckReport("product_norm_lemma", norm_prod, mean_prod,
                        math.isfinite(mean_prod) and mean_prod > 0)
 
-
-def _iterate(phi: YoungFunction, m: int) -> YoungFunction:
-    if m == 1:
-        return phi
-
-    def ev(t):
-        out = np.asarray(t, dtype=np.float64)
-        for _ in range(m):
-            out = phi.eval(out)
-        return out
-
-    return YoungFunction(ev, label=f"{phi.label}^({m})",
-                         is_submultiplicative=phi.is_submultiplicative)

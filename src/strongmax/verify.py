@@ -92,9 +92,6 @@ class VerificationReport:
             "stats": self.stats,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, default=_jsonify)
-
 
 def _jsonify(obj):
     if isinstance(obj, Rect):
@@ -199,10 +196,7 @@ def operator_ratio(
             mf = multilinear_fractional_maximal(list(fs), q)
         else:
             psi = phi_n(orlicz_k + 1)  # Phi_1 = identity, Phi_2 = t(1+log+ t)
-            q = MaximalQuery(
-                basis=basis, alpha=wv.alpha, m=wv.m,
-                orlicz=(psi,) * wv.m, phi_scale_alpha=wv.alpha,
-            )
+            q = MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m, orlicz=(psi,) * wv.m)
             mf = orlicz_maximal(list(fs), q)
         num = lp_norm(mf.with_values(mf.values * nu), wv.q)
         best = max(best, num / den)

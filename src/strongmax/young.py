@@ -1,16 +1,27 @@
 """Young-function calculus.
 
 Canonical families (powers, t[1+(log+ t)^(n-1)] and its iterates, the
-exponential-class dual), numeric convex conjugates, inverses, the O'Neil
-triple inequality check, and a tail-exponent classifier for the B*_p
+exponential-class dual), convex conjugates, inverses, the O'Neil triple
+inequality check, and a tail-exponent classifier for the B*_p
 integrability condition.
 
-Evaluation maps are vectorized over numpy arrays and may return +inf
-(extended values are legal for conjugates).
+Evaluation maps are vectorized over numpy arrays of any shape and may
+return +inf (extended values are legal for conjugates).
+
+Every conjugate has one evaluation path. A family with a closed form
+(t^s, and t(1+log+ t), which is Phi_2 and l_log_l(1)) carries it as the
+array map closed_complementary, +inf only where it overflows. Every other
+function goes through one numeric kernel: a grid argmax over t in
+[0, T_LARGE], refined by a vectorized golden-section ascent. The kernel
+cannot tell a finite supremum reached past T_LARGE from +inf, so it
+reports +inf there; the cap stays because a grid without one would have
+to reach t where Phi(t) overflows, and the objective s*t - Phi(t) is
+then inf - inf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -36,7 +47,7 @@ class YoungFunction:
     label: str
     is_submultiplicative: bool | None = None
     closed_inverse: Callable[[np.ndarray], np.ndarray] | None = None
-    closed_complementary: Callable[[float], float] | None = None
+    closed_complementary: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t):
         return self.eval(np.asarray(t, dtype=np.float64))
@@ -59,12 +70,15 @@ def power(s: float) -> YoungFunction:
     if s < 1:
         raise YoungFunctionError("power exponent must be >= 1 for convexity")
 
-    def conj(y: float) -> float:
-        # sup_t {yt - t^s}
+    def conj(y):
+        # sup_t {yt - t^s}, attained at t* = (y/s)^(1/(s-1))
+        y = np.asarray(y, dtype=np.float64)
         if s == 1.0:
-            return 0.0 if y <= 1.0 else math.inf
-        tstar = (y / s) ** (1.0 / (s - 1.0))
-        return y * tstar - tstar**s
+            return np.where(y <= 1.0, 0.0, np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            tstar = (y / s) ** (1.0 / (s - 1.0))
+            tpow = tstar**s
+            return np.where(np.isinf(tpow), np.inf, y * tstar - tpow)
 
     return YoungFunction(
         eval=lambda t: np.asarray(t, dtype=np.float64) ** s,
@@ -86,7 +100,8 @@ def l_log_l(k: int, outer: float = 1.0) -> YoungFunction:
         return base if outer == 1.0 else base**outer
 
     return YoungFunction(ev, label=f"[t(1+log+t)^{k}]^{outer:g}",
-                         is_submultiplicative=True if outer == 1.0 else None)
+                         is_submultiplicative=True if outer == 1.0 else None,
+                         closed_complementary=_conj_phi2 if (k, outer) == (1, 1.0) else None)
 
 
 def phi_n(n: int) -> YoungFunction:
@@ -107,24 +122,41 @@ def phi_n(n: int) -> YoungFunction:
         t = np.asarray(t, dtype=np.float64)
         return t * (1.0 + _logp(t) ** (n - 1))
 
-    return YoungFunction(ev, label=f"Phi_{n}", is_submultiplicative=True)
+    return YoungFunction(ev, label=f"Phi_{n}", is_submultiplicative=True,
+                         closed_complementary=_conj_phi2 if n == 2 else None)
 
 
-def phi_n_iter(n: int, m: int) -> YoungFunction:
-    """m-fold composition of Phi_n with itself."""
+def _conj_phi2(y):
+    """Conjugate of Phi_2(t) = t(1+log+ t).
+
+    0 for y <= 1; y - 1 on (1, 2], from the kink at t = 1 where Phi_2'
+    jumps from 1 to 2; e^(y-2) above 2, attained where 2 + log t = y.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return np.where(y <= 1.0, 0.0, np.where(y <= 2.0, y - 1.0, np.exp(y - 2.0)))
+
+
+def iterate(phi: YoungFunction, m: int) -> YoungFunction:
+    """m-fold composition of phi with itself; m = 1 gives phi."""
     if m < 1:
         raise YoungFunctionError("m must be >= 1")
-    base = phi_n(n)
     if m == 1:
-        return base
+        return phi
 
     def ev(t):
         out = np.asarray(t, dtype=np.float64)
         for _ in range(m):
-            out = base.eval(out)
+            out = phi.eval(out)
         return out
 
-    return YoungFunction(ev, label=f"Phi_{n}^({m})", is_submultiplicative=True)
+    return YoungFunction(ev, label=f"{phi.label}^({m})",
+                         is_submultiplicative=phi.is_submultiplicative)
+
+
+def phi_n_iter(n: int, m: int) -> YoungFunction:
+    """m-fold composition of Phi_n with itself."""
+    return iterate(phi_n(n), m)
 
 
 def psi_n(n: int) -> YoungFunction:
@@ -178,71 +210,32 @@ def from_config(name: str, **params) -> YoungFunction:
 # --- conjugate, inverse -----------------------------------------------------
 
 
-def complementary_value(phi: YoungFunction, s: float, samples: int = 400) -> float:
-    """Numeric convex conjugate: sup_t { s*t - phi(t) }.
+def _conjugate_vectorized(phi: YoungFunction, sv) -> np.ndarray:
+    """sup_t { s*t - phi(t) } at every point of sv, any shape.
 
-    Coarse sup over a log-spaced grid on [1e-12, T_LARGE], refined by
-    golden-section ascent around the grid maximizer. Returns +inf when the
-    objective is still increasing at the largest sample.
+    Grid argmax over 401 points of [0, T_LARGE], then a vectorized golden-section ascent on
+    the two grid cells around each maximizer. +inf where the objective is
+    still increasing at T_LARGE.
     """
-    if s < 0:
-        raise YoungFunctionError("conjugate argument must be >= 0")
-    if s == 0.0:
-        return 0.0
-    if phi.closed_complementary is not None:
-        return phi.closed_complementary(s)
-    ts = np.concatenate([[0.0], np.logspace(-12, math.log10(T_LARGE), samples)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        obj = s * ts - phi.eval(ts)
-    obj = np.where(np.isnan(obj), -np.inf, obj)
-    k = int(np.argmax(obj))
-    if k >= len(ts) - 1 and obj[-1] >= obj[-2]:
-        return math.inf
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, len(ts) - 1)]
-    return _golden_max(lambda t: s * t - float(phi.eval(np.float64(t))), lo, hi)
-
-
-def _golden_max(f, lo, hi, iters: int = 200):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a <= 1e-14 * max(1.0, abs(a)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd, f(lo), f(hi))
-
-
-def _conjugate_vectorized(phi: YoungFunction, sv: np.ndarray, samples: int) -> np.ndarray:
-    """Conjugate at an array of points: grid argmax + vectorized golden ascent."""
-    sv = np.atleast_1d(np.asarray(sv, dtype=np.float64))
-    ts = np.concatenate([[0.0], np.logspace(-12, math.log10(T_LARGE), samples)])
+    sv = np.asarray(sv, dtype=np.float64)
+    flat = sv.ravel()
+    ts = np.concatenate([[0.0], np.logspace(-12, math.log10(T_LARGE), 400)])
     with np.errstate(over="ignore", invalid="ignore"):
         phits = phi.eval(ts)
-        obj = sv[:, None] * ts[None, :] - phits[None, :]
+        obj = flat[:, None] * ts[None, :] - phits[None, :]
     obj = np.where(np.isnan(obj), -np.inf, obj)
     k = np.argmax(obj, axis=1)
-    out = np.zeros_like(sv)
+    out = np.zeros_like(flat)
     unbounded = (k >= len(ts) - 1) & (obj[:, -1] >= obj[:, -2])
     out[unbounded] = np.inf
-    zero = sv == 0.0
+    zero = flat == 0.0
     out[zero] = 0.0
     rest = ~(unbounded | zero)
     if np.any(rest):
         kr = k[rest]
         a = ts[np.maximum(kr - 1, 0)]
         b = ts[np.minimum(kr + 1, len(ts) - 1)]
-        s = sv[rest]
+        s = flat[rest]
 
         def f(t):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -258,27 +251,22 @@ def _conjugate_vectorized(phi: YoungFunction, sv: np.ndarray, samples: int) -> n
             a = np.where(left, a, c)
         best = np.maximum(f(a), np.maximum(f(b), f(0.5 * (a + b))))
         out[rest] = np.maximum(best, 0.0)
-    return out
+    return out.reshape(sv.shape)
 
 
-def complementary(phi: YoungFunction, samples: int = 400) -> YoungFunction:
-    """The complementary Young function as an evaluable object."""
-    if phi.closed_complementary is not None:
-        scalar = phi.closed_complementary
+def complementary(phi: YoungFunction) -> YoungFunction:
+    """The complementary Young function: closed_complementary, else the numeric kernel."""
+    conj = phi.closed_complementary
+    if conj is None:
+        conj = functools.partial(_conjugate_vectorized, phi)
+    return YoungFunction(conj, label=f"conj[{phi.label}]")
 
-        def ev(sv):
-            arr = np.atleast_1d(np.asarray(sv, dtype=np.float64))
-            flat = np.array([scalar(float(x)) for x in arr.ravel()])
-            res = flat.reshape(arr.shape)
-            return res if np.ndim(sv) else np.float64(res.ravel()[0])
 
-    else:
-
-        def ev(sv):
-            res = _conjugate_vectorized(phi, sv, samples)
-            return res if np.ndim(sv) else np.float64(res.ravel()[0])
-
-    return YoungFunction(ev, label=f"conj[{phi.label}]")
+def complementary_value(phi: YoungFunction, s: float) -> float:
+    """The complementary function of phi at one point s >= 0."""
+    if s < 0:
+        raise YoungFunctionError("conjugate argument must be >= 0")
+    return float(complementary(phi).eval(np.float64(s)))
 
 
 def inverse(phi: YoungFunction, y: float, rel_tol: float = 1e-12) -> float:

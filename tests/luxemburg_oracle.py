@@ -57,13 +57,12 @@ def scalar_norms(vals, cell_measure, total_measure, phi, rel_tol=1e-12) -> np.nd
 def orlicz_maximal_oracle(fs: list[GridFunction], query) -> GridFunction:
     """orlicz_maximal, one Rect and one scalar bisection at a time."""
     f0 = fs[0]
-    alpha = query.alpha if query.phi_scale_alpha is None else query.phi_scale_alpha
     cellvol = float(np.prod(f0.cell_size))
     out = np.zeros(f0.shape)
     for r in enumerate_basis(query.basis, f0.shape, f0.cell_size):
         sl = r.slices()
         vol = r.volume(f0.cell_size)
-        val = vol ** (alpha / f0.dims)
+        val = vol ** (query.alpha / f0.dims)
         for f, psi in zip(fs, query.orlicz):
             val *= scalar_norm(f.values[sl], cellvol, vol, psi)
         np.maximum(out[sl], val, out=out[sl])

@@ -76,6 +76,14 @@ class TestWeights:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CliError"
 
+    @pytest.mark.parametrize("klass", ["ap", "ainfty", "rd", "tauberian"])
+    def test_single_weight_classes_need_one_grid(self, klass, weight_grid, capsys):
+        assert main(["weights", "--class", klass, "--grid", weight_grid,
+                     "--grid", weight_grid]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CliError"
+        assert "expected 1 grid(s), got 2" in err["message"]
+
 
 class TestCover:
     def test_random_family_json(self, weight_grid, capsys):

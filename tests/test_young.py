@@ -9,6 +9,7 @@ from strongmax.young import (
     BORDERLINE,
     CONVERGENT,
     DIVERGENT,
+    YoungFunction,
     YoungFunctionError,
     bp_star_classify,
     complementary,
@@ -161,6 +162,57 @@ class TestComplementary:
             assert float(num.eval(np.float64(y))) == pytest.approx(
                 closed(y), rel=1e-6, abs=1e-9
             )
+
+    @pytest.mark.parametrize("phi", [phi_n(3), phi_n_iter(2, 2), psi_n(2), power(2.5)],
+                             ids=lambda p: p.label)
+    @pytest.mark.parametrize("shape", [(2, 3), (40, 9)])
+    def test_eval_keeps_shape(self, phi, shape):
+        # numeric and closed conjugates alike map arrays of any shape
+        s = np.random.default_rng(3).uniform(0, 6, shape)
+        conj = complementary(phi)
+        got = conj.eval(s)
+        assert got.shape == shape
+        assert np.array_equal(got, conj.eval(s.ravel()).reshape(shape))
+
+    def test_power_conjugate_overflow_is_inf(self):
+        assert complementary(power(1.3))(1e100) == math.inf
+        got = complementary(power(1.3))(np.array([1e100, 2.0]))
+        assert got[0] == math.inf and math.isfinite(got[1])
+
+    @pytest.mark.parametrize("phi", CANONICAL, ids=lambda p: p.label)
+    def test_value_is_one_element_call(self, phi):
+        conj = complementary(phi)
+        for s in (0.0, 0.3, 1.0, 1.5, 2.0, 7.5, 30.0):
+            assert complementary_value(phi, s) == float(conj(s))
+        with pytest.raises(YoungFunctionError):
+            complementary_value(phi, -1.0)
+
+    def test_phi2_closed_form_matches_numeric(self):
+        # the same Phi_2 with its closed conjugate hidden takes the numeric kernel
+        phi = phi_n(2)
+        assert l_log_l(1).closed_complementary is phi.closed_complementary
+        closed = complementary(phi)
+        numeric = complementary(YoungFunction(phi.eval, label="Phi_2, numeric"))
+        low = np.linspace(0.0, 2.0, 201)
+        assert np.allclose(closed(low), numeric(low), rtol=0.0, atol=1e-15)
+        high = np.linspace(2.0, 22.0, 401)
+        assert np.all(np.isfinite(numeric(high)))
+        assert np.allclose(closed(high), numeric(high), rtol=1e-12, atol=0.0)
+        # past the numeric kernel's T_LARGE cap the closed form stays finite
+        assert closed(25.0) == pytest.approx(math.exp(23.0), rel=1e-15)
+        assert numeric(25.0) == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CANONICAL), st.floats(0.0, 60.0), st.floats(0.0, 1e6))
+def test_fenchel_young(phi, s, t):
+    # s t <= Phi(t) + conj Phi(s) wherever the conjugate is finite
+    conj = complementary_value(phi, s)
+    if math.isinf(conj):
+        return
+    with np.errstate(over="ignore"):
+        rhs = float(phi(t)) + conj
+    assert s * t <= rhs + 1e-12 * max(s * t, rhs)
 
 
 class TestInverse:

@@ -111,7 +111,4 @@ def sweep_all_rects(P: np.ndarray, h: tuple[float, ...], e: float) -> np.ndarray
     P has shape (m, N_1+1, ..., N_n+1); returns an array of shape
     (N_1, ..., N_n).
     """
-    cellvol = h[0]
-    for hk in h[1:]:
-        cellvol = cellvol * hk  # left-associated, as in maximal._rect_value
-    return _sweep(P, vol_pow_table(tuple(k - 1 for k in P.shape[1:]), h, e), cellvol)
+    return _sweep(P, vol_pow_table(tuple(k - 1 for k in P.shape[1:]), h, e), math.prod(h))

@@ -55,7 +55,7 @@ class RectFamily:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.cell_size))
+        return math.prod(self.cell_size)
 
     def union_measure(self, indices=None) -> float:
         mask = np.zeros(self.shape, dtype=bool)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -71,7 +72,7 @@ class GridFunction:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.cell_size))
+        return math.prod(self.cell_size)
 
     def same_grid(self, other: "GridFunction") -> bool:
         return (
@@ -229,7 +230,7 @@ class PrefixSum:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.cell_size))
+        return math.prod(self.cell_size)
 
 
 def build_prefix_sum(f: GridFunction) -> PrefixSum:

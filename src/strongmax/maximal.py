@@ -18,6 +18,7 @@ implementation for cross-checking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,9 +124,7 @@ def _basis_table_max(fs: list[GridFunction], basis: Basis, e: float) -> np.ndarr
     """max over basis rects R holding each cell of |R|^e prod_i integral_R f_i."""
     f0 = fs[0]
     prefixes = [build_prefix_sum(f) for f in fs]
-    cellvol = f0.cell_size[0]
-    for hk in f0.cell_size[1:]:
-        cellvol = cellvol * hk
+    cellvol = f0.cell_volume
     out = np.zeros(f0.shape)
     for table in basis_tables(basis, f0.shape, f0.cell_size):
         val = _kernels.libm_pow(table.volumes(f0.cell_size), e)
@@ -139,15 +138,14 @@ def _basis_table_max(fs: list[GridFunction], basis: Basis, e: float) -> np.ndarr
 def _rect_value(prefixes: list[PrefixSum], cell_size, r: Rect, e: float) -> float:
     # Bit-for-bit agreement with the sweep kernels rests on three things:
     # the volume is the same left-associated product of per-axis physical
-    # spans, the cell sums difference the prefix sums in the same order, and
-    # the scalar vol**e is one libm pow call, as is each entry of
+    # spans (and the cell volume the same math.prod, a left fold), the cell
+    # sums difference the prefix sums in the same order, and the scalar
+    # vol**e is one libm pow call, as is each entry of
     # _kernels.vol_pow_table (math.pow on the same double).
     vol = (r.hi[0] - r.lo[0] + 1.0) * cell_size[0]
     for k in range(1, r.dims):
         vol = vol * ((r.hi[k] - r.lo[k] + 1.0) * cell_size[k])
-    cellvol = cell_size[0]
-    for k in range(1, r.dims):
-        cellvol = cellvol * cell_size[k]
+    cellvol = math.prod(cell_size)
     try:
         val = vol**e
     except (OverflowError, ZeroDivisionError):
@@ -187,7 +185,7 @@ def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
     if query.orlicz is None:
         raise GridError("orlicz_maximal needs query.orlicz")
     scale_exp = query.alpha / n
-    cellvol = float(np.prod(f0.cell_size))
+    cellvol = f0.cell_volume
     out = np.zeros(f0.shape)
     for table in basis_tables(query.basis, f0.shape, f0.cell_size):
         vols = table.volumes(f0.cell_size)

@@ -46,7 +46,7 @@ class CellSet:
 
     @property
     def measure(self) -> float:
-        return float(np.count_nonzero(self.mask)) * float(np.prod(self.cell_size))
+        return float(np.count_nonzero(self.mask)) * math.prod(self.cell_size)
 
     @classmethod
     def from_rect(cls, f: GridFunction, r: Rect) -> "CellSet":
@@ -134,7 +134,7 @@ def luxemburg_norm(
     vals = _member_values(f, e)
     if vals.size == 0:
         raise MeasureError("empty cell set")
-    return luxemburg_norm_values(vals, float(np.prod(f.cell_size)), e.measure, phi, rel_tol)
+    return luxemburg_norm_values(vals, f.cell_volume, e.measure, phi, rel_tol)
 
 
 def mean_phi_over(f: GridFunction, e: CellSet, phi: YoungFunction) -> float:
@@ -142,7 +142,7 @@ def mean_phi_over(f: GridFunction, e: CellSet, phi: YoungFunction) -> float:
     vals = _member_values(f, e)
     if vals.size == 0:
         raise MeasureError("empty cell set")
-    return float(np.sum(phi.eval(vals))) * float(np.prod(f.cell_size)) / e.measure
+    return float(np.sum(phi.eval(vals))) * f.cell_volume / e.measure
 
 
 def norm_le_one_equivalence_check(
@@ -177,7 +177,7 @@ def generalized_holder_check(
     if phi_bar is None:
         phi_bar = complementary(phi)
     lhs = float(np.sum(np.abs(f.values[e.mask] * g.values[e.mask]))) \
-        * float(np.prod(f.cell_size)) / e.measure
+        * f.cell_volume / e.measure
     nf = luxemburg_norm(f, e, phi)
     ng = luxemburg_norm(g, e, phi_bar)
     rhs = 2.0 * nf * ng

@@ -28,7 +28,6 @@ from .grid import (
     GridError,
     GridFunction,
     Rect,
-    RectTable,
     basis_tables,
     build_prefix_sum,
     window_cells,
@@ -45,6 +44,8 @@ from .orlicz import luxemburg_norms
 from .weights import (
     CAP,
     WeightVector,
+    _anchored_max,
+    _increment_ratio,
     a_infty_classify,
     ap_constant,
     multi_weight_constant_ap,
@@ -320,7 +321,7 @@ def vector_valued_check(
     # checked as grid values, then taken in absolute value as luxemburg_norm does
     wq = np.abs(f0.with_values(w.values**q).values)
     vinv = np.abs(f0.with_values(1.0 / v.values).values)
-    cellvol = float(np.prod(f0.cell_size))
+    cellvol = f0.cell_volume
     for table in basis_tables(basis, f0.shape, f0.cell_size):
         for counts, rows in table.count_groups():
             lo = table.lo[rows]
@@ -525,17 +526,10 @@ def _bump_profile(a: float, c: float, p: float, q: float, r: float,
     pp = p / (p - 1.0)
     prof = []
     for j in range(3, depth + 1):
-        cells = 2**j
-        wg = power_weight_grid(a * (1.0 - pp) * r, 1, cells)
-        vg = power_weight_grid(c, 1, cells)
-        cw, cv = build_prefix_sum(wg), build_prefix_sum(vg)
-        hi = 2 ** (j - np.arange(j + 1)[:, None]) - 1
-        rects = RectTable(np.zeros_like(hi), hi)
-        ncells = rects.n_cells()
-        vals = libm_pow(rects.cell_sums(cv) / ncells, 1.0 / q) * libm_pow(
-            rects.cell_sums(cw) / ncells, 1.0 / (r * pp)
-        )
-        prof.append(float(np.fmax.reduce(vals, initial=0.0)))
+        factors = [(build_prefix_sum(power_weight_grid(c, 1, 2**j)), 1.0 / q),
+                   (build_prefix_sum(power_weight_grid(a * (1.0 - pp) * r, 1, 2**j)),
+                    1.0 / (r * pp))]
+        prof.append(_anchored_max(j, 1, factors))
     return prof
 
 
@@ -547,15 +541,8 @@ def _bump_separation_witness(basis: Basis) -> bool:
     # x^(-0.5 r) integrates iff 0.5 r < 1, so r = 1.05 converges and
     # r = 2.5 diverges; v's exponent keeps small rects harmless.
     a, c, p, q = 0.5, 0.6, 2.0, 2.0
-
-    def increment_ratio(prof):
-        incs = np.maximum(np.diff(np.log(prof)), 0.0)
-        if incs[-1] < 1e-9:
-            return 0.0
-        return float(incs[-1] / max(incs[-2], 1e-300))
-
-    r_small = increment_ratio(_bump_profile(a, c, p, q, 1.05, 12))
-    r_large = increment_ratio(_bump_profile(a, c, p, q, 2.5, 12))
+    r_small = _increment_ratio(_bump_profile(a, c, p, q, 1.05, 12))
+    r_large = _increment_ratio(_bump_profile(a, c, p, q, 2.5, 12))
     return r_small < 0.9 <= r_large
 
 

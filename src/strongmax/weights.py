@@ -7,9 +7,12 @@ growth across scales (nested rectangles, rising resolution). Reports carry
 the raw scale profiles.
 
 A basis-wide constant is the exact maximum over the basis's rectangle table
-(grid.basis_tables), evaluated a block of rows at a time. Each row's value is
-the same floating-point expression as the scalar per-rectangle formula, and
-every power is one libm ``pow`` per element (_kernels.libm_pow), so the
+(grid.basis_tables), evaluated a block of rows at a time. Every constant and
+every origin-anchored growth profile forms its row values through one
+function, _row_values: a left-to-right product of factors, each a rectangle
+average or an inverse minimum, with one libm ``pow`` per element for each
+powered factor (_kernels.libm_pow). Each row's value is therefore the same
+floating-point expression as the scalar per-rectangle formula, so the
 constants and their witnesses (the first strict maximum in enumeration order)
 match a per-Rect scan bit for bit. A power that leaves the double range gives
 +inf, so such a constant counts as >= CAP.
@@ -120,20 +123,55 @@ def _prefix(f: GridFunction, arr: np.ndarray) -> PrefixSum:
     return build_prefix_sum(f.with_values(arr))
 
 
-def _sup_over_tables(g0: GridFunction, basis: Basis, value_fn):
-    """First strict maximum of value_fn over the basis, in enumeration order.
+def _row_values(table: RectTable, factors, vol=None) -> np.ndarray:
+    """One value per row of table: the product, left to right, of factors.
 
-    value_fn maps a RectTable to one value per row. NaN never wins; an empty
-    or all -inf basis gives (-inf, None).
+    A factor is (source, exponent). A PrefixSum source gives avg_R g, the
+    cell sum over the cell count; a box_min_table source gives 1 / min_R w.
+    An exponent of None takes that value as is; any other applies one libm
+    pow. vol = (cell_size, e) puts a leading factor |R|^e first.
+    """
+    n = table.n_cells()
+    out = None if vol is None else libm_pow(table.volumes(vol[0]), vol[1])
+    for source, e in factors:
+        if isinstance(source, PrefixSum):
+            x = table.cell_sums(source) / n
+        else:
+            x = 1.0 / table.cell_mins(source)
+        if e is not None:
+            x = libm_pow(x, e)
+        out = x if out is None else out * x
+    return out
+
+
+def _sup_over_tables(g0: GridFunction, basis: Basis, factors, vol=None):
+    """First strict maximum of the _row_values over the basis, in
+    enumeration order. NaN never wins; an empty or all -inf basis gives
+    (-inf, None).
     """
     best, witness = -math.inf, None
     for table in basis_tables(basis, g0.shape, g0.cell_size):
-        vals = value_fn(table)
+        vals = _row_values(table, factors, vol)
         vals = np.where(np.isnan(vals), -np.inf, vals)
         j = int(np.argmax(vals))
         if vals[j] > best:
             best, witness = float(vals[j]), table.rect(j)
     return best, witness
+
+
+def _slot_factors(wv: WeightVector, shift: float, outer: float, r: float = 1.0) -> list:
+    """The factors (avg_R w_i^((shift - p_i') r))^(outer / (r p_i')), one per
+    weight. A p_i = 1 slot uses the infimum convention (1 / min_R w_i)^outer;
+    x^1 is x, so an outer exponent of 1 applies no pow there.
+    """
+    factors = []
+    for w, pi in zip(wv.weights, wv.ps):
+        if pi == 1.0:
+            factors.append((box_min_table(w.values), None if outer == 1.0 else outer))
+        else:
+            ppi = conj_exponent(pi)
+            factors.append((_prefix(w, w.values ** ((shift - ppi) * r)), outer / (r * ppi)))
+    return factors
 
 
 def ap_constant(
@@ -144,14 +182,8 @@ def ap_constant(
         raise WeightError("ap_constant needs p > 1")
     _require_positive(w)
     pp = conj_exponent(p)
-    pre_w = _prefix(w, w.values)
-    pre_s = _prefix(w, w.values ** (1.0 - pp))
-
-    def val(t):
-        n = t.n_cells()
-        return t.cell_sums(pre_w) / n * libm_pow(t.cell_sums(pre_s) / n, p / pp)
-
-    best, witness = _sup_over_tables(w, basis, val)
+    factors = [(_prefix(w, w.values), None), (_prefix(w, w.values ** (1.0 - pp)), p / pp)]
+    best, witness = _sup_over_tables(w, basis, factors)
     return (best, witness) if return_witness else best
 
 
@@ -161,52 +193,15 @@ def multi_weight_constant_apq(wv: WeightVector, basis: Basis) -> float:
     p_i = 1 slots use the infimum convention (inf_R w_i)^(-1).
     """
     g0 = wv.weights[0]
-    pre_nu_q = _prefix(g0, wv.nu() ** wv.q)
-    slots = []
-    for w, pi in zip(wv.weights, wv.ps):
-        if pi == 1.0:
-            slots.append((None, box_min_table(w.values)))
-        else:
-            ppi = conj_exponent(pi)
-            slots.append((1.0 / ppi, _prefix(w, w.values ** (-ppi))))
-
-    def val(t):
-        n = t.n_cells()
-        out = libm_pow(t.cell_sums(pre_nu_q) / n, 1.0 / wv.q)
-        for e, tab in slots:
-            if e is None:
-                out = out * (1.0 / t.cell_mins(tab))
-            else:
-                out = out * libm_pow(t.cell_sums(tab) / n, e)
-        return out
-
-    return _sup_over_tables(g0, basis, val)[0]
+    factors = [(_prefix(g0, wv.nu() ** wv.q), 1.0 / wv.q), *_slot_factors(wv, 0.0, 1.0)]
+    return _sup_over_tables(g0, basis, factors)[0]
 
 
 def multi_weight_constant_ap(wv: WeightVector, basis: Basis) -> float:
     """[w]_{A_p(vec)} = sup_R (avg nu_hat) prod_i (avg w_i^(1-p_i'))^(p/p_i')."""
     g0 = wv.weights[0]
-    p = wv.p
-    pre_nu_hat = _prefix(g0, wv.nu_hat())
-    slots = []
-    for w, pi in zip(wv.weights, wv.ps):
-        if pi == 1.0:
-            slots.append((None, box_min_table(w.values)))
-        else:
-            ppi = conj_exponent(pi)
-            slots.append((p / ppi, _prefix(w, w.values ** (1.0 - ppi))))
-
-    def val(t):
-        n = t.n_cells()
-        out = t.cell_sums(pre_nu_hat) / n
-        for e, tab in slots:
-            if e is None:
-                out = out * libm_pow(1.0 / t.cell_mins(tab), p)
-            else:
-                out = out * libm_pow(t.cell_sums(tab) / n, e)
-        return out
-
-    return _sup_over_tables(g0, basis, val)[0]
+    factors = [(_prefix(g0, wv.nu_hat()), None), *_slot_factors(wv, 1.0, wv.p)]
+    return _sup_over_tables(g0, basis, factors)[0]
 
 
 def power_bump_check(
@@ -215,26 +210,13 @@ def power_bump_check(
     """sup_R |R|^(a/n+1/q-1/p) (avg v)^(1/q) prod (avg w_i^((1-p_i')r))^(1/(r p_i'))."""
     if r <= 1:
         raise WeightError("power bump needs r > 1")
+    if min(wv.ps) <= 1:
+        raise WeightError("power bump needs p_i > 1")
     _require_positive(v, "v")
     g0 = wv.weights[0]
-    n = g0.dims
-    vol_exp = wv.alpha / n + 1.0 / wv.q - 1.0 / wv.p
-    pre_v = _prefix(g0, v.values)
-    terms = []
-    for w, pi in zip(wv.weights, wv.ps):
-        ppi = conj_exponent(pi)
-        terms.append((1.0 / (r * ppi), _prefix(w, w.values ** ((1.0 - ppi) * r))))
-
-    def val(t):
-        cells = t.n_cells()
-        out = libm_pow(t.volumes(g0.cell_size), vol_exp) * libm_pow(
-            t.cell_sums(pre_v) / cells, 1.0 / wv.q
-        )
-        for e, pre in terms:
-            out = out * libm_pow(t.cell_sums(pre) / cells, e)
-        return out
-
-    best, witness = _sup_over_tables(g0, basis, val)
+    vol_exp = wv.alpha / g0.dims + 1.0 / wv.q - 1.0 / wv.p
+    factors = [(_prefix(g0, v.values), 1.0 / wv.q), *_slot_factors(wv, 1.0, 1.0, r)]
+    best, witness = _sup_over_tables(g0, basis, factors, vol=(g0.cell_size, vol_exp))
     return {"constant": best, "witness": witness, "finite_under_cap": best < CAP}
 
 
@@ -485,6 +467,25 @@ class PowerWeightReport:
     log_increment_ratio: float
 
 
+def _anchored_max(j: int, n: int, factors) -> float:
+    """Largest _row_values entry, and at least 0.0, over the origin-anchored
+    dyadic rectangles prod_k [0, 2^-a_k] (a_k <= j) of the grid with 2^j
+    cells per axis over [0,1]^n, rows in np.ndindex order of (a_1, ..., a_n).
+    """
+    hi = 2 ** (j - np.indices([j + 1] * n).reshape(n, -1).T) - 1
+    vals = _row_values(RectTable(np.zeros_like(hi), hi), factors)
+    return float(np.fmax.reduce(vals, initial=0.0))
+
+
+def _increment_ratio(profile) -> float:
+    """Ratio of the last two log-increments of a profile (negative ones
+    count as 0), or 0 once the last one is below 1e-9."""
+    incs = np.maximum(np.diff(np.log(profile)), 0.0)
+    if incs[-1] < 1e-9:
+        return 0.0
+    return float(incs[-1] / max(incs[-2], 1e-300))
+
+
 def power_weight_profile(alpha: float, p: float, n: int, depth: int) -> list[float]:
     """Ap-type constants of |x|^alpha on origin-anchored dyadic rectangles.
 
@@ -499,17 +500,9 @@ def power_weight_profile(alpha: float, p: float, n: int, depth: int) -> list[flo
     dual = alpha * (1.0 - pp)
     profile = []
     for j in range(2, depth + 1):
-        cells = 2**j
-        wa = power_weight_grid(alpha, n, cells)
-        wb = power_weight_grid(dual, n, cells)
-        ca, cb = build_prefix_sum(wa), build_prefix_sum(wb)
-        # rows in np.ndindex order of the exponent vectors (a_1, ..., a_n)
-        a_vec = np.indices([j + 1] * n).reshape(n, -1).T
-        hi = 2 ** (j - a_vec) - 1
-        t = RectTable(np.zeros_like(hi), hi)
-        ncells = t.n_cells()
-        vals = t.cell_sums(ca) / ncells * libm_pow(t.cell_sums(cb) / ncells, p / pp)
-        profile.append(float(np.fmax.reduce(vals, initial=0.0)))
+        factors = [(build_prefix_sum(power_weight_grid(alpha, n, 2**j)), None),
+                   (build_prefix_sum(power_weight_grid(dual, n, 2**j)), p / pp)]
+        profile.append(_anchored_max(j, n, factors))
     return profile
 
 
@@ -532,15 +525,7 @@ def power_weight_classify(
         return PowerWeightReport(in_ap=False, alpha=alpha, p=p, n=n,
                                  profile=[], log_increment_ratio=math.inf)
     profile = power_weight_profile(alpha, p, n, depth)
-    logs = np.log(profile)
-    incs = np.diff(logs)
-    incs = np.maximum(incs, 0.0)
-    tail = incs[-3:]
-    if tail[-1] < 1e-9:
-        ratio = 0.0
-    else:
-        prev = max(tail[-2], 1e-300)
-        ratio = float(tail[-1] / prev)
+    ratio = _increment_ratio(profile)
     in_ap = ratio < ratio_threshold
     return PowerWeightReport(in_ap=in_ap, alpha=alpha, p=p, n=n,
                              profile=profile, log_increment_ratio=ratio)

@@ -71,14 +71,14 @@ def power(s: float) -> YoungFunction:
         raise YoungFunctionError("power exponent must be >= 1 for convexity")
 
     def conj(y):
-        # sup_t {yt - t^s}, attained at t* = (y/s)^(1/(s-1))
+        # sup_t {yt - t^s}, attained at t* = (y/s)^(1/(s-1)); 0 (at t = 0) for y <= 0
         y = np.asarray(y, dtype=np.float64)
         if s == 1.0:
             return np.where(y <= 1.0, 0.0, np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
             tstar = (y / s) ** (1.0 / (s - 1.0))
             tpow = tstar**s
-            return np.where(np.isinf(tpow), np.inf, y * tstar - tpow)
+            return np.where(y <= 0.0, 0.0, np.where(np.isinf(tpow), np.inf, y * tstar - tpow))
 
     return YoungFunction(
         eval=lambda t: np.asarray(t, dtype=np.float64) ** s,
@@ -214,8 +214,9 @@ def _conjugate_vectorized(phi: YoungFunction, sv) -> np.ndarray:
     """sup_t { s*t - phi(t) } at every point of sv, any shape.
 
     Grid argmax over 401 points of [0, T_LARGE], then a vectorized golden-section ascent on
-    the two grid cells around each maximizer. +inf where the objective is
-    still increasing at T_LARGE.
+    the two grid cells around each maximizer. +inf where the maximizer is the
+    last grid point and the objective still rises over the last millionth
+    below T_LARGE.
     """
     sv = np.asarray(sv, dtype=np.float64)
     flat = sv.ravel()
@@ -226,11 +227,7 @@ def _conjugate_vectorized(phi: YoungFunction, sv) -> np.ndarray:
     obj = np.where(np.isnan(obj), -np.inf, obj)
     k = np.argmax(obj, axis=1)
     out = np.zeros_like(flat)
-    unbounded = (k >= len(ts) - 1) & (obj[:, -1] >= obj[:, -2])
-    out[unbounded] = np.inf
-    zero = flat == 0.0
-    out[zero] = 0.0
-    rest = ~(unbounded | zero)
+    rest = flat != 0.0
     if np.any(rest):
         kr = k[rest]
         a = ts[np.maximum(kr - 1, 0)]
@@ -250,7 +247,10 @@ def _conjugate_vectorized(phi: YoungFunction, sv) -> np.ndarray:
             b = np.where(left, d, b)
             a = np.where(left, a, c)
         best = np.maximum(f(a), np.maximum(f(b), f(0.5 * (a + b))))
-        out[rest] = np.maximum(best, 0.0)
+        # a maximizer in the last grid cell, which is 12.8% wide, may still
+        # lie below T_LARGE; only a rise at T_LARGE itself means +inf
+        rising = (kr == len(ts) - 1) & (f(ts[-1]) > f(ts[-1] * (1.0 - 1e-6)))
+        out[rest] = np.where(rising, np.inf, np.maximum(best, 0.0))
     return out.reshape(sv.shape)
 
 

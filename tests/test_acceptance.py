@@ -292,9 +292,9 @@ def test_criterion_7_weight_theory_and_one_weight():
 
 
 def test_criterion_8_determinism(tmp_path):
-    def run(threads: int, tag: str) -> bytes:
+    def run(hash_seed: int, tag: str) -> bytes:
         out = tmp_path / f"report-{tag}.json"
-        env = dict(os.environ, STRONGMAX_THREADS=str(threads))
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
         res = subprocess.run(
             [sys.executable, "-m", "strongmax.cli", "verify", "--seed", "0",
              "--out", str(out)],
@@ -303,9 +303,9 @@ def test_criterion_8_determinism(tmp_path):
         assert res.returncode == 0, res.stderr
         return out.read_bytes()
 
-    a = run(4, "t4-run1")
-    b = run(4, "t4-run2")
-    c = run(1, "t1-run1")
+    a = run(0, "h0")
+    b = run(1, "h1")
+    c = run(12345, "h12345")
     ok = a == b == c and json.loads(a)  # valid JSON too
-    _announce(8, "byte-identical verify reports across runs and thread counts",
+    _announce(8, "byte-identical verify reports across runs and hash seeds",
               bool(ok))

@@ -76,6 +76,13 @@ class TestWeights:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CliError"
 
+    def test_bump_with_p_one_is_weight_error(self, weight_grid, capsys):
+        assert main(["weights", "--class", "bump", "--grid", weight_grid,
+                     "--grid", weight_grid, "--grid", weight_grid,
+                     "--p", "1", "--p", "2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "WeightError", "message": "power bump needs p_i > 1"}
+
     @pytest.mark.parametrize("klass", ["ap", "ainfty", "rd", "tauberian"])
     def test_single_weight_classes_need_one_grid(self, klass, weight_grid, capsys):
         assert main(["weights", "--class", klass, "--grid", weight_grid,

@@ -166,6 +166,13 @@ class TestPowerBump:
         with pytest.raises(WeightError):
             power_bump_check(wv, w, 1.0, ALL)
 
+    def test_requires_every_p_above_one(self):
+        # p_i = 1 has no conjugate exponent for the bumped average
+        w = gf(np.ones(4))
+        wv = WeightVector((w, w), (1.0, 2.0), q=2.0, alpha=0.0)
+        with pytest.raises(WeightError, match="power bump needs p_i > 1"):
+            power_bump_check(wv, w, 1.5, ALL)
+
 
 class TestReverseDoubling:
     def test_constant_1d(self):

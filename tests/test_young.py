@@ -187,6 +187,28 @@ class TestComplementary:
         with pytest.raises(YoungFunctionError):
             complementary_value(phi, -1.0)
 
+    @pytest.mark.parametrize("s", [1.5, 2.5, 3.0])
+    def test_power_conjugate_is_zero_at_negative_points(self, s):
+        # sup over t >= 0 of y t - t^s is 0 (at t = 0) for y <= 0, as the
+        # numeric kernel and the Phi_2 closed form give
+        phi = power(s)
+        ys = np.array([-1.0, -1e-3, -0.0])
+        assert complementary(phi)(ys).tolist() == [0.0, 0.0, 0.0]
+        numeric = complementary(YoungFunction(phi.eval, label="numeric"))
+        assert numeric(ys).tolist() == [0.0, 0.0, 0.0]
+        assert complementary(phi_n(2))(ys).tolist() == [0.0, 0.0, 0.0]
+
+    def test_numeric_maximizer_in_last_grid_cell_is_finite(self):
+        # Phi_3'(1e9) = 471.9, so at s = 470 the maximizer lies in the last
+        # cell of the kernel's grid, below T_LARGE, and the supremum is finite
+        phi = phi_n(3)
+        conj = complementary(phi)
+        t = np.geomspace(1.0, 1e9, 2_000_001)
+        dense = float(np.max(470.0 * t - phi(t)))
+        assert float(conj(470.0)) == pytest.approx(dense, rel=1e-6)
+        # past Phi_3'(1e9) the objective still rises at T_LARGE
+        assert conj(500.0) == math.inf
+
     def test_phi2_closed_form_matches_numeric(self):
         # the same Phi_2 with its closed conjugate hidden takes the numeric kernel
         phi = phi_n(2)

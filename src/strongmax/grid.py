@@ -4,6 +4,10 @@ Functions are piecewise constant on a uniform n-dimensional grid (n <= 3).
 A rectangle is a union of whole cells, given by inclusive per-axis cell
 index ranges, so every integral over a rectangle is a finite sum and every
 supremum over a basis is a finite maximum.
+
+A basis is enumerated one Rect at a time (enumerate_basis, the reference),
+by cell-count tuple (basis_sizes, for the maximal operators), or as tables
+of rects in enumeration order (basis_tables, for the weight constants).
 """
 
 from __future__ import annotations
@@ -278,9 +282,9 @@ def rect_integral_direct(f: GridFunction, r: Rect) -> float:
 
 
 # ---------------------------------------------------------------------------
-# A basis as arrays: the rectangles of a basis as rows of index arrays, so a
-# supremum over the basis is a few numpy operations per block of rows rather
-# than Python work per rectangle.
+# A basis as arrays: by cell-count tuple, or as rows of index arrays, so a
+# supremum over the basis is a few numpy operations per size or per block of
+# rows rather than Python work per rectangle.
 
 # Rows per block of a basis table. Bases are built and reduced one block at
 # a time, so memory stays flat however many rectangles a basis has.
@@ -308,26 +312,9 @@ class RectTable:
     def cell_counts(self) -> np.ndarray:
         return self.hi - self.lo + 1
 
-    def count_groups(self) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-        """(cell counts, row indices) for each distinct cell-count tuple."""
-        uniq, inv = np.unique(self.cell_counts(), axis=0, return_inverse=True)
-        inv = inv.ravel()
-        order = np.argsort(inv, kind="stable")
-        ends = np.cumsum(np.bincount(inv, minlength=len(uniq)))[:-1]
-        for counts, rows in zip(uniq.tolist(), np.split(order, ends)):
-            yield tuple(counts), rows
-
     def n_cells(self) -> np.ndarray:
         """Cells per rect as floats, float(prod(r.cell_counts()))."""
         return np.prod(self.cell_counts(), axis=1).astype(np.float64)
-
-    def volumes(self, cell_size: Sequence[float]) -> np.ndarray:
-        """Physical volumes, the left-associated product of Rect.volume."""
-        counts = self.cell_counts()
-        vol = counts[:, 0] * float(cell_size[0])
-        for k in range(1, counts.shape[1]):
-            vol = vol * (counts[:, k] * float(cell_size[k]))
-        return vol
 
     def cell_sums(self, p: PrefixSum) -> np.ndarray:
         """rect_cell_sum of every row: the same prefix-sum differences,
@@ -356,12 +343,6 @@ class RectTable:
         return np.minimum.reduce([mins[idx + levels] for idx in corners])
 
 
-def window_cells(values: np.ndarray, counts: tuple[int, ...], lo: np.ndarray) -> np.ndarray:
-    """Row j holds the cells of the rect with the given cell counts and
-    lowest cell lo[j], in the C order of values[r.slices()].ravel()."""
-    return sliding_window_view(values, counts)[tuple(lo.T)].reshape(len(lo), -1)
-
-
 def box_min_table(values: np.ndarray) -> np.ndarray:
     """Sparse table of box minima for RectTable.cell_mins.
 
@@ -379,6 +360,42 @@ def box_min_table(values: np.ndarray) -> np.ndarray:
             levels.append(nxt)
         table = np.moveaxis(np.stack(levels, axis=-1), 0, axis)
     return table
+
+
+def basis_sizes(
+    basis: Basis, shape: Sequence[int], cell_size: Sequence[float] | None = None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(counts, step) for each cell-count tuple of the basis: its rects of
+    that size have their lowest cells on the anchors 0, step, 2*step, ...
+    along each axis. step is the counts for the dyadic basis and 1
+    otherwise; scale bounds filter the per-axis lengths, as in basis_tables.
+    Each count tuple comes once, in lexicographic order.
+    """
+    shape = tuple(int(s) for s in shape)
+    n = len(shape)
+    h = tuple(float(x) for x in cell_size) if cell_size is not None else (1.0,) * n
+    if basis.kind == CUBES:
+        for counts in _cube_counts(shape, h, basis.scale_bounds):
+            yield counts, (1,) * n
+        return
+    lo_s, hi_s = basis.scale_bounds if basis.scale_bounds else (0.0, np.inf)
+    per_axis = []
+    for nk, hk in zip(shape, h):
+        if basis.kind == ALL_RECTS:
+            lengths = range(1, nk + 1)
+        else:
+            lengths = sorted({b - a + 1 for a, b in _axis_ranges_dyadic(nk)})
+        per_axis.append([c for c in lengths if lo_s <= c * hk <= hi_s])
+    for counts in itertools.product(*per_axis):
+        yield counts, counts if basis.kind == DYADIC_RECTS else (1,) * n
+
+
+def size_cells(values: np.ndarray, counts: tuple[int, ...], step: tuple[int, ...]) -> np.ndarray:
+    """Row j holds the cells of the j-th rect of the given cell counts whose
+    lowest cell is on the anchors 0, step, 2*step, ... (anchors in C order),
+    in the C order of values[r.slices()].ravel()."""
+    win = sliding_window_view(values, counts)[tuple(slice(None, None, s) for s in step)]
+    return win.reshape(-1, math.prod(counts))
 
 
 def basis_tables(

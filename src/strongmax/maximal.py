@@ -1,19 +1,16 @@
 """Strong, multilinear fractional, and Orlicz maximal operators.
 
-All suprema are exact maxima over the enumerated basis. The all-rectangles
-basis goes through the one numpy sweep in _kernels. Dyadic and cube bases,
-scale-bounded bases and the Orlicz-norm variant are evaluated on the basis
-as arrays (grid.basis_tables): one value per rectangle row, then a per-cell
-maximum over the rows, folded one cell-count tuple at a time as a
-sliding-window maximum. Each row value is the per-rectangle expression
-evaluated elementwise, so these branches give the bits of a per-rectangle
-loop. The Orlicz variant runs one batched Luxemburg bisection
-(orlicz.luxemburg_norms) per cell-count tuple and slot. The multilinear
-operator first scales each input by a power of two so that its maximum lies
-in [0.5, 1), which keeps the prefix sums finite and, by homogeneity, changes
-no bit of the result where nothing underflows. A slow per-point rectangle
-scan, run on the unscaled inputs, is kept as an independent second
-implementation for cross-checking.
+All suprema are exact maxima over the basis, taken by one engine for every
+basis (_kernels.sweep): the rects of one cell-count tuple (grid.basis_sizes)
+are evaluated at once, each as the per-rectangle expression, and folded
+into the output by _kernels.fold_max; a maximum rounds nothing, so the bits
+are those of a per-rectangle loop. The Orlicz variant takes the same sizes
+and fold, with one batched Luxemburg bisection per size and slot. The
+multilinear operator first scales each input by a power of two so that its
+maximum lies in [0.5, 1), which keeps the prefix sums finite and, by
+homogeneity, changes no bit of the result where nothing underflows. A slow
+per-point rectangle scan, run on the unscaled inputs, is kept as an
+independent second implementation for cross-checking.
 """
 
 from __future__ import annotations
@@ -22,21 +19,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .grid import (
-    ALL_RECTS,
     Basis,
     GridFunction,
     GridError,
-    PrefixSum,
-    Rect,
-    basis_tables,
+    basis_sizes,
     build_prefix_sum,
     enumerate_basis,
     rect_cell_sum,
-    window_cells,
+    size_cells,
 )
 from .orlicz import luxemburg_norms
 from .young import YoungFunction
@@ -66,10 +59,6 @@ def _check_common_grid(fs: list[GridFunction]) -> GridFunction:
     return f0
 
 
-def _stacked_prefix(fs: list[GridFunction]) -> np.ndarray:
-    return np.stack([build_prefix_sum(f).cum for f in fs])
-
-
 def multilinear_fractional_maximal(
     fs: list[GridFunction], query: MaximalQuery
 ) -> GridFunction:
@@ -86,10 +75,8 @@ def multilinear_fractional_maximal(
     # by 2^sum(k_i); powers of two scale without rounding
     ks = [int(np.frexp(np.max(f.values))[1]) for f in fs]
     fs = [f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, ks)]
-    if query.basis.kind == ALL_RECTS and query.basis.scale_bounds is None:
-        out = _kernels.sweep_all_rects(_stacked_prefix(fs), f0.cell_size, e)
-    else:
-        out = _basis_table_max(fs, query.basis, e)
+    P = np.stack([build_prefix_sum(f).cum for f in fs])
+    out = _kernels.sweep(P, f0.cell_size, e, basis_sizes(query.basis, f0.shape, f0.cell_size))
     with np.errstate(over="ignore"):
         scaled = np.ldexp(out, sum(ks))
     if np.all(np.isfinite(out)) and not np.all(np.isfinite(scaled)):
@@ -102,65 +89,25 @@ def strong_maximal(f: GridFunction, basis: Basis) -> GridFunction:
     return multilinear_fractional_maximal([f], MaximalQuery(basis=basis))
 
 
-def _fold_max(out: np.ndarray, lo: np.ndarray, counts: tuple[int, ...], vals: np.ndarray) -> None:
-    """out[x] = max(out[x], vals[j] over rows j whose rect holds cell x).
-
-    Every row is a rect of the given cell counts with lowest cell lo[j], and
-    no two rows share one. The values are laid out by lowest cell (-inf where
-    there is no row), so the maximum over rects holding x is a box maximum
-    over lowest cells x - counts + 1 .. x, taken one axis at a time.
-    """
-    best = np.full([nk - c + 1 for nk, c in zip(out.shape, counts)], -np.inf)
-    best[tuple(lo.T)] = vals
-    for axis, c in enumerate(counts):
-        pad = [(0, 0)] * out.ndim
-        pad[axis] = (c - 1, c - 1)
-        padded = np.pad(best, pad, constant_values=-np.inf)
-        best = sliding_window_view(padded, c, axis=axis).max(axis=-1)
-    np.maximum(out, best, out=out)
-
-
-def _basis_table_max(fs: list[GridFunction], basis: Basis, e: float) -> np.ndarray:
-    """max over basis rects R holding each cell of |R|^e prod_i integral_R f_i."""
-    f0 = fs[0]
-    prefixes = [build_prefix_sum(f) for f in fs]
-    cellvol = f0.cell_volume
-    out = np.zeros(f0.shape)
-    for table in basis_tables(basis, f0.shape, f0.cell_size):
-        val = _kernels.libm_pow(table.volumes(f0.cell_size), e)
-        for p in prefixes:
-            val = val * (table.cell_sums(p) * cellvol)
-        for counts, rows in table.count_groups():
-            _fold_max(out, table.lo[rows], counts, val[rows])
-    return out
-
-
-def _rect_value(prefixes: list[PrefixSum], cell_size, r: Rect, e: float) -> float:
-    # Bit-for-bit agreement with the sweep kernels rests on three things:
-    # the volume is the same left-associated product of per-axis physical
-    # spans (and the cell volume the same math.prod, a left fold), the cell
-    # sums difference the prefix sums in the same order, and the scalar
-    # vol**e is one libm pow call, as is each entry of
-    # _kernels.vol_pow_table (math.pow on the same double).
-    vol = (r.hi[0] - r.lo[0] + 1.0) * cell_size[0]
-    for k in range(1, r.dims):
-        vol = vol * ((r.hi[k] - r.lo[k] + 1.0) * cell_size[k])
-    cellvol = math.prod(cell_size)
-    try:
-        val = vol**e
-    except (OverflowError, ZeroDivisionError):
-        raise GridError(f"|R|^e leaves the double range (|R| = {vol!r}, e = {e!r})") from None
-    for p in prefixes:
-        val *= rect_cell_sum(p, r) * cellvol
-    return val
-
-
 def _maximal_rect_scan(fs: list[GridFunction], basis: Basis, e: float) -> GridFunction:
     f0 = fs[0]
     prefixes = [build_prefix_sum(f) for f in fs]
+    cellvol = math.prod(f0.cell_size)
     out = np.zeros(f0.shape)
     for r in enumerate_basis(basis, f0.shape, f0.cell_size):
-        val = _rect_value(prefixes, f0.cell_size, r, e)
+        # Bit-for-bit agreement with the engine rests on three things: the
+        # volume is the same left-associated product of per-axis physical
+        # spans (and the cell volume the same math.prod, a left fold), the
+        # cell sums difference the prefix sums in the same order, and the
+        # scalar vol**e is one libm pow call, as is each entry of
+        # _kernels.vol_pow_table.
+        vol = r.volume(f0.cell_size)
+        try:
+            val = vol**e
+        except (OverflowError, ZeroDivisionError):
+            raise GridError(f"|R|^e leaves the double range (|R| = {vol!r}, e = {e!r})") from None
+        for p in prefixes:
+            val *= rect_cell_sum(p, r) * cellvol
         sl = r.slices()
         np.maximum(out[sl], val, out=out[sl])
     return f0.with_values(out)
@@ -184,18 +131,16 @@ def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
     query.validate(n)
     if query.orlicz is None:
         raise GridError("orlicz_maximal needs query.orlicz")
-    scale_exp = query.alpha / n
     cellvol = f0.cell_volume
+    vols = _kernels.volume_table(f0.shape, f0.cell_size)
+    scales = _kernels.vol_pow_table(f0.shape, f0.cell_size, query.alpha / n)
     out = np.zeros(f0.shape)
-    for table in basis_tables(query.basis, f0.shape, f0.cell_size):
-        vols = table.volumes(f0.cell_size)
-        scales = _kernels.libm_pow(vols, scale_exp)
-        for counts, rows in table.count_groups():
-            lo, val = table.lo[rows], scales[rows]
-            for f, psi in zip(fs, query.orlicz):
-                cells = window_cells(f.values, counts, lo)
-                val = val * luxemburg_norms(cells, cellvol, vols[rows], psi)
-            _fold_max(out, lo, counts, val)
+    for counts, step in basis_sizes(query.basis, f0.shape, f0.cell_size):
+        size = tuple(c - 1 for c in counts)
+        val = scales[size]
+        for f, psi in zip(fs, query.orlicz):
+            val = val * luxemburg_norms(size_cells(f.values, counts, step), cellvol, vols[size], psi)
+        _kernels.fold_max(out, val, counts, step)
     return f0.with_values(out)
 
 

@@ -188,7 +188,7 @@ def generalized_holder_check(
 
 
 def product_norm_lemma_check(
-    fs: list[GridFunction], e: CellSet, phi: YoungFunction, n_for_iter: int | None = None
+    fs: list[GridFunction], e: CellSet, phi: YoungFunction
 ) -> CheckReport:
     """Product of Phi-norms against the product of means of the m-fold iterate.
 

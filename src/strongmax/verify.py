@@ -28,9 +28,9 @@ from .grid import (
     GridError,
     GridFunction,
     Rect,
-    basis_tables,
+    basis_sizes,
     build_prefix_sum,
-    window_cells,
+    size_cells,
 )
 from .maximal import (
     MaximalQuery,
@@ -322,14 +322,12 @@ def vector_valued_check(
     wq = np.abs(f0.with_values(w.values**q).values)
     vinv = np.abs(f0.with_values(1.0 / v.values).values)
     cellvol = f0.cell_volume
-    for table in basis_tables(basis, f0.shape, f0.cell_size):
-        for counts, rows in table.count_groups():
-            lo = table.lo[rows]
-            # the measure of each rect's cell set, as CellSet.measure forms it
-            measure = float(np.prod(counts)) * cellvol
-            na = luxemburg_norms(window_cells(wq, counts, lo), cellvol, measure, a_young)
-            nb = luxemburg_norms(window_cells(vinv, counts, lo), cellvol, measure, b_young)
-            cond = max(cond, float(np.max(libm_pow(na, 1.0 / q) * nb)))
+    for counts, step in basis_sizes(basis, f0.shape, f0.cell_size):
+        # the measure of each rect's cell set, as CellSet.measure forms it
+        measure = float(np.prod(counts)) * cellvol
+        na = luxemburg_norms(size_cells(wq, counts, step), cellvol, measure, a_young)
+        nb = luxemburg_norms(size_cells(vinv, counts, step), cellvol, measure, b_young)
+        cond = max(cond, float(np.max(libm_pow(na, 1.0 / q) * nb)))
     report.stats["young_condition_sup"] = cond
     if cond >= CAP:
         report.skipped = "hypothesis-skipped: Young-function condition exceeds cap"

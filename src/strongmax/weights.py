@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import libm_pow
+from ._kernels import libm_pow, vol_pow_table
 from .grid import (
     Basis,
     GridError,
@@ -123,16 +123,16 @@ def _prefix(f: GridFunction, arr: np.ndarray) -> PrefixSum:
     return build_prefix_sum(f.with_values(arr))
 
 
-def _row_values(table: RectTable, factors, vol=None) -> np.ndarray:
+def _row_values(table: RectTable, factors, volpow=None) -> np.ndarray:
     """One value per row of table: the product, left to right, of factors.
 
     A factor is (source, exponent). A PrefixSum source gives avg_R g, the
     cell sum over the cell count; a box_min_table source gives 1 / min_R w.
     An exponent of None takes that value as is; any other applies one libm
-    pow. vol = (cell_size, e) puts a leading factor |R|^e first.
+    pow. volpow, a _kernels.vol_pow_table, puts a leading factor |R|^e first.
     """
     n = table.n_cells()
-    out = None if vol is None else libm_pow(table.volumes(vol[0]), vol[1])
+    out = None if volpow is None else volpow[tuple((table.cell_counts() - 1).T)]
     for source, e in factors:
         if isinstance(source, PrefixSum):
             x = table.cell_sums(source) / n
@@ -144,14 +144,14 @@ def _row_values(table: RectTable, factors, vol=None) -> np.ndarray:
     return out
 
 
-def _sup_over_tables(g0: GridFunction, basis: Basis, factors, vol=None):
+def _sup_over_tables(g0: GridFunction, basis: Basis, factors, volpow=None):
     """First strict maximum of the _row_values over the basis, in
     enumeration order. NaN never wins; an empty or all -inf basis gives
     (-inf, None).
     """
     best, witness = -math.inf, None
     for table in basis_tables(basis, g0.shape, g0.cell_size):
-        vals = _row_values(table, factors, vol)
+        vals = _row_values(table, factors, volpow)
         vals = np.where(np.isnan(vals), -np.inf, vals)
         j = int(np.argmax(vals))
         if vals[j] > best:
@@ -216,7 +216,8 @@ def power_bump_check(
     g0 = wv.weights[0]
     vol_exp = wv.alpha / g0.dims + 1.0 / wv.q - 1.0 / wv.p
     factors = [(_prefix(g0, v.values), 1.0 / wv.q), *_slot_factors(wv, 1.0, 1.0, r)]
-    best, witness = _sup_over_tables(g0, basis, factors, vol=(g0.cell_size, vol_exp))
+    volpow = vol_pow_table(g0.shape, g0.cell_size, vol_exp)
+    best, witness = _sup_over_tables(g0, basis, factors, volpow)
     return {"constant": best, "witness": witness, "finite_under_cap": best < CAP}
 
 
@@ -239,7 +240,7 @@ class AInftyReport:
 
 
 def a_infty_classify(
-    w: GridFunction, basis: Basis | None = None, slope_tol: float = 0.01,
+    w: GridFunction, slope_tol: float = 0.01,
     rng: np.random.Generator | None = None, n_random_pairs: int = 50,
 ) -> AInftyReport:
     """Growth-profile test of the A_infty comparability w(E)/w(R) <= C (|E|/|R|)^d.
@@ -519,6 +520,8 @@ def power_weight_classify(
     """
     if depth is None:
         depth = {1: 12, 2: 10}.get(n, 8)
+    if depth < 4:  # the tail ratio needs two log-increments, three entries
+        raise WeightError(f"power_weight_classify needs depth >= 4, got {depth}")
     if alpha <= -n:
         # not locally integrable near the origin, hence not a weight at all;
         # certain non-membership without a grid profile

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,41 @@ class TestDualImplementations:
         fs = [gf(np.ones(shape), h=h) for _ in range(m)]
         with pytest.raises(GridError, match="double range"):
             maximal_reference_scan(fs, MaximalQuery(basis=ALL, m=m))
+
+
+class TestEngine:
+    @pytest.mark.parametrize("kind", ["all", "dyadic", "cubes"])
+    @pytest.mark.parametrize(
+        "shape,h,m,alpha,expected",
+        [((16,), (1e-160,), 2, 0.0, 1.0),  # |R|^-2 overflows
+         ((4, 4), (1e-200, 1e-200), 1, 0.0, 1.0),  # |R| underflows to 0
+         # the cell volume rounds to 0 and |R| of 3 or more cells is
+         # subnormal, so |R|^-0.5 * (S * 0.0) is a finite 0
+         ((4, 4), (1e-162, 1e-162), 1, 1.0, 4e-162),
+         # a subnormal cell volume (1e-320) keeps about 11 bits
+         ((4, 4), (1e-160, 1e-160), 1, 1.0, 4e-160)],
+    )
+    def test_tiny_cells_give_the_finite_answer(self, kind, shape, h, m, alpha, expected):
+        fs = [gf(np.ones(shape), h=h) for _ in range(m)]
+        out = multilinear_fractional_maximal(fs, MaximalQuery(basis=Basis(kind), alpha=alpha, m=m))
+        assert np.allclose(out.values, expected, rtol=1e-12, atol=0.0)
+
+    def test_one_dimensional_sweep_memory_is_linear(self):
+        # an engine that holds all N^2 intervals of 2048 cells at once needs
+        # 2048^2 doubles = 32 MB per array
+        f = gf(np.random.default_rng(7).uniform(0, 1, 2048), h=(1.0 / 2048,))
+        tracemalloc.start()
+        try:
+            strong_maximal(f, ALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+    def test_cubes_are_all_intervals_in_one_dimension(self):
+        f = gf(np.random.default_rng(8).uniform(0, 3, 512), h=(0.3,))
+        cubes = strong_maximal(f, Basis("cubes")).values
+        assert np.array_equal(cubes, strong_maximal(f, ALL).values)  # bit-identical
 
 
 class TestOrlicz:

@@ -271,6 +271,16 @@ class TestPowerWeights:
         with pytest.raises(WeightError):
             power_weight_profile(0.5, 1.0, 1, depth=6)
 
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_classify_needs_two_log_increments(self, depth):
+        with pytest.raises(WeightError, match="depth >= 4"):
+            power_weight_classify(0.5, 2.0, 1, depth=depth)
+
+    def test_classify_at_smallest_depth(self):
+        rep = power_weight_classify(0.5, 2.0, 1, depth=4)
+        assert len(rep.profile) == 3
+        assert math.isfinite(rep.log_increment_ratio)
+
     def test_in_class_profile_bounded(self):
         rep = power_weight_classify(0.5, 2.0, 1)
         assert rep.in_ap

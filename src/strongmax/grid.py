@@ -6,8 +6,10 @@ index ranges, so every integral over a rectangle is a finite sum and every
 supremum over a basis is a finite maximum.
 
 A basis is enumerated one Rect at a time (enumerate_basis, the reference),
-by cell-count tuple (basis_sizes, for the maximal operators), or as tables
-of rects in enumeration order (basis_tables, for the weight constants).
+by cell-count tuple (basis_sizes, for the maximal operators), or in
+enumeration order as blocks of per-axis interval lists whose product is the
+block's rects (basis_blocks, for the weight constants); block_cell_sums and
+block_cell_mins reduce a block one axis at a time.
 """
 
 from __future__ import annotations
@@ -254,15 +256,12 @@ def rect_cell_sum(p: PrefixSum, r: Rect) -> float:
     """
     if not r.within(p.shape) or r.dims != len(p.shape):
         raise GridError(f"rect {r} out of bounds for shape {p.shape}")
-    cum = p.cum
-    lo, hi = r.lo, r.hi
-
-    def rec(axis: int, tail: tuple) -> float:
-        if axis < 0:
-            return float(cum[tail])
-        return rec(axis - 1, (hi[axis] + 1, *tail)) - rec(axis - 1, (lo[axis], *tail))
-
-    return rec(r.dims - 1, ())
+    # the 2**n corner values in C order; each pass differences the leading
+    # remaining axis, whose two halves are the list's two halves
+    v = [p.cum.item(c) for c in itertools.product(*[(l, h + 1) for l, h in zip(r.lo, r.hi)])]
+    while len(v) > 1:
+        v = [b - a for a, b in zip(v[: len(v) // 2], v[len(v) // 2 :])]
+    return v[0]
 
 
 def rect_integral(p: PrefixSum, r: Rect) -> float:
@@ -282,84 +281,14 @@ def rect_integral_direct(f: GridFunction, r: Rect) -> float:
 
 
 # ---------------------------------------------------------------------------
-# A basis as arrays: by cell-count tuple, or as rows of index arrays, so a
-# supremum over the basis is a few numpy operations per size or per block of
-# rows rather than Python work per rectangle.
+# A basis as arrays: by cell-count tuple, or as blocks of per-axis interval
+# lists whose product is the block's rects, so a supremum over the basis is a
+# few numpy operations per size or per block rather than Python work per
+# rectangle.
 
-# Rows per block of a basis table. Bases are built and reduced one block at
-# a time, so memory stays flat however many rectangles a basis has.
+# Most rects per block. Bases are built and reduced one block at a time, so
+# memory stays flat however many rectangles a basis has.
 RECT_BLOCK = 1 << 14
-
-
-@dataclass(frozen=True)
-class RectTable:
-    """Rectangles as rows: row j is the rect with inclusive cell index ranges
-    lo[j, k]..hi[j, k] per axis k; lo and hi are int arrays of shape (R, n).
-
-    Every per-row quantity is the same floating-point expression, in the same
-    order, as its per-Rect counterpart, so the two agree bit for bit.
-    """
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __len__(self) -> int:
-        return self.lo.shape[0]
-
-    def rect(self, j: int) -> Rect:
-        return Rect(tuple(self.lo[j].tolist()), tuple(self.hi[j].tolist()))
-
-    def cell_counts(self) -> np.ndarray:
-        return self.hi - self.lo + 1
-
-    def n_cells(self) -> np.ndarray:
-        """Cells per rect as floats, float(prod(r.cell_counts()))."""
-        return np.prod(self.cell_counts(), axis=1).astype(np.float64)
-
-    def cell_sums(self, p: PrefixSum) -> np.ndarray:
-        """rect_cell_sum of every row: the same prefix-sum differences,
-        nested with axis 0 innermost."""
-        cum, lo, hi = p.cum, self.lo, self.hi
-
-        def rec(axis: int, tail: tuple) -> np.ndarray:
-            if axis < 0:
-                return cum[tail]
-            return rec(axis - 1, (hi[:, axis] + 1, *tail)) - rec(axis - 1, (lo[:, axis], *tail))
-
-        return rec(lo.shape[1] - 1, ())
-
-    def cell_mins(self, mins: np.ndarray) -> np.ndarray:
-        """Minimum cell value of every row, from a box_min_table.
-
-        Each rect is covered by 2**n boxes of 2**k_j cells along axis j, with
-        k_j = floor(log2(count_j)); a minimum rounds nothing, so this equals
-        np.min over the rect's cells.
-        """
-        lev = np.frexp(self.cell_counts())[1] - 1
-        far = self.hi + 1 - (1 << lev)
-        n = lev.shape[1]
-        corners = itertools.product(*[(self.lo[:, k], far[:, k]) for k in range(n)])
-        levels = tuple(lev[:, k] for k in range(n))
-        return np.minimum.reduce([mins[idx + levels] for idx in corners])
-
-
-def box_min_table(values: np.ndarray) -> np.ndarray:
-    """Sparse table of box minima for RectTable.cell_mins.
-
-    T[i_1, ..., i_n, k_1, ..., k_n] is the minimum of values over the box of
-    2**k_j cells along axis j starting at cell i (+inf where it leaves the
-    grid).
-    """
-    table = np.asarray(values, dtype=np.float64)
-    for axis, n_cells in enumerate(np.shape(values)):
-        levels = [np.moveaxis(table, axis, 0)]
-        while 2 ** len(levels) <= n_cells:
-            prev, span = levels[-1], 2 ** (len(levels) - 1)
-            nxt = np.full_like(prev, np.inf)
-            nxt[: n_cells - span] = np.minimum(prev[: n_cells - span], prev[span:])
-            levels.append(nxt)
-        table = np.moveaxis(np.stack(levels, axis=-1), 0, axis)
-    return table
 
 
 def basis_sizes(
@@ -368,7 +297,7 @@ def basis_sizes(
     """(counts, step) for each cell-count tuple of the basis: its rects of
     that size have their lowest cells on the anchors 0, step, 2*step, ...
     along each axis. step is the counts for the dyadic basis and 1
-    otherwise; scale bounds filter the per-axis lengths, as in basis_tables.
+    otherwise; scale bounds filter the per-axis lengths, as in basis_blocks.
     Each count tuple comes once, in lexicographic order.
     """
     shape = tuple(int(s) for s in shape)
@@ -398,17 +327,27 @@ def size_cells(values: np.ndarray, counts: tuple[int, ...], step: tuple[int, ...
     return win.reshape(-1, math.prod(counts))
 
 
-def basis_tables(
+# One (lo, hi) pair of int arrays per axis: the inclusive cell-index ranges of
+# that axis. The block's rects are their product, last axis fastest.
+Block = list[tuple[np.ndarray, np.ndarray]]
+
+
+def basis_blocks(
     basis: Basis, shape: Sequence[int], cell_size: Sequence[float] | None = None
-) -> Iterator[RectTable]:
-    """The rects of enumerate_basis, in its order, as tables of at most
-    RECT_BLOCK rows each."""
+) -> Iterator[Block]:
+    """The rects of enumerate_basis, in its order, as blocks.
+
+    A cubes block holds one cell-count tuple with every anchor. The all and
+    dyadic bases split the leading axis into runs, so that a block holds at
+    most RECT_BLOCK rects (or one leading interval, when the other axes hold
+    more).
+    """
     shape = tuple(int(s) for s in shape)
     h = tuple(float(x) for x in cell_size) if cell_size is not None else (1.0,) * len(shape)
     if basis.kind == CUBES:
         for counts in _cube_counts(shape, h, basis.scale_bounds):
             starts = [np.arange(nk - c + 1) for nk, c in zip(shape, counts)]
-            yield from _product_tables([(a, a + (c - 1)) for a, c in zip(starts, counts)])
+            yield [(a, a + (c - 1)) for a, c in zip(starts, counts)]
         return
     lo_s, hi_s = basis.scale_bounds if basis.scale_bounds else (0.0, np.inf)
     per_axis = []
@@ -422,19 +361,40 @@ def basis_tables(
         side = (b - a + 1) * hk
         keep = (side >= lo_s) & (side <= hi_s)
         per_axis.append((a[keep], b[keep]))
-    yield from _product_tables(per_axis)
+    (a, b), rest = per_axis[0], per_axis[1:]
+    inner = math.prod(len(lo) for lo, _ in rest)
+    if inner:  # else some axis keeps no interval and the basis is empty
+        run = max(1, RECT_BLOCK // inner)
+        for s in range(0, len(a), run):
+            yield [(a[s : s + run], b[s : s + run]), *rest]
 
 
-def _product_tables(per_axis: list[tuple[np.ndarray, np.ndarray]]) -> Iterator[RectTable]:
-    """Rows of itertools.product over per-axis (lo, hi) ranges, last axis
-    fastest, in blocks of RECT_BLOCK."""
-    sizes = tuple(len(a) for a, _ in per_axis)
-    total = int(np.prod(sizes))
-    for start in range(0, total, RECT_BLOCK):
-        idx = np.unravel_index(np.arange(start, min(total, start + RECT_BLOCK)), sizes)
-        lo = np.stack([a[i] for (a, _), i in zip(per_axis, idx)], axis=1)
-        hi = np.stack([b[i] for (_, b), i in zip(per_axis, idx)], axis=1)
-        yield RectTable(lo, hi)
+def block_cell_sums(p: PrefixSum, block: Block) -> np.ndarray:
+    """rect_cell_sum of every rect of the block, shaped by its per-axis
+    lengths: the same prefix-sum differences, nested with axis 0 innermost."""
+    s = p.cum
+    for k, (lo, hi) in enumerate(block):
+        s = np.take(s, hi + 1, axis=k) - np.take(s, lo, axis=k)
+    return s
+
+
+def block_cell_mins(values: np.ndarray, block: Block) -> np.ndarray:
+    """np.min over the cells of every rect of the block, shaped by its
+    per-axis lengths.
+
+    Each axis takes np.minimum.reduceat over the segments [lo, hi + 1), on
+    the axis padded with +inf so that hi + 1 may equal its length, and keeps
+    every other result; a minimum rounds nothing, so this equals np.min over
+    the rect's cells.
+    """
+    m = np.asarray(values, dtype=np.float64)
+    for k, (lo, hi) in enumerate(block):
+        pad = [(0, 0)] * m.ndim
+        pad[k] = (0, 1)
+        edges = np.stack([lo, hi + 1], axis=1).ravel()
+        m = np.minimum.reduceat(np.pad(m, pad, constant_values=np.inf), edges, axis=k)
+        m = m[(slice(None),) * k + (slice(None, None, 2),)]
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -151,5 +151,7 @@ def level_set_measure(mf: GridFunction, lam: float) -> float:
 
 def lp_norm(f: GridFunction, p: float, weight: GridFunction | None = None) -> float:
     """Global L^p norm, optionally against a weight density."""
+    if weight is not None and not f.same_grid(weight):
+        raise GridError("weight must live on the function's grid")
     w = weight.values if weight is not None else 1.0
     return float(np.sum(f.values**p * w) * f.cell_volume) ** (1.0 / p)

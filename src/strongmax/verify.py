@@ -34,6 +34,7 @@ from .grid import (
 )
 from .maximal import (
     MaximalQuery,
+    _check_common_grid,
     level_set_measure,
     lp_norm,
     multilinear_fractional_maximal,
@@ -121,8 +122,8 @@ def endpoint_check(
     In one dimension the bracket factor is 1 (the (n-1)-power log correction
     is void and the inequality reduces to its weak-(1,1)-type form).
     """
-    if lam <= 0:
-        raise GridError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise GridError(f"lambda must be positive and finite, got {lam}")
     m = len(fs)
     n = fs[0].dims
     basis = basis or Basis("all")
@@ -302,7 +303,8 @@ def vector_valued_check(
     against v^p is finite.
     """
     basis = basis or Basis("all")
-    n = fjs[0].dims
+    f0 = _check_common_grid([*fjs, w, v])
+    n = f0.dims
     report = VerificationReport(
         theorem="vector-valued",
         config={"p": p, "q": q, "r": r, "count": len(fjs), "basis": basis.kind},
@@ -316,7 +318,6 @@ def vector_valued_check(
     if not in_bp_star(complementary(b_young), q, n):
         report.skipped = "hypothesis-skipped: conj(B) not in B*_q"
         return report
-    f0 = fjs[0]
     cond = 0.0
     # checked as grid values, then taken in absolute value as luxemburg_norm does
     wq = np.abs(f0.with_values(w.values**q).values)

@@ -6,20 +6,22 @@ computed exactly over the enumerated basis, and divergence is detected as
 growth across scales (nested rectangles, rising resolution). Reports carry
 the raw scale profiles.
 
-A basis-wide constant is the exact maximum over the basis's rectangle table
-(grid.basis_tables), evaluated a block of rows at a time. Every constant and
-every origin-anchored growth profile forms its row values through one
-function, _row_values: a left-to-right product of factors, each a rectangle
-average or an inverse minimum, with one libm ``pow`` per element for each
-powered factor (_kernels.libm_pow). Each row's value is therefore the same
-floating-point expression as the scalar per-rectangle formula, so the
-constants and their witnesses (the first strict maximum in enumeration order)
-match a per-Rect scan bit for bit. A power that leaves the double range gives
+A basis-wide constant is the exact maximum over the basis, taken one block
+of grid.basis_blocks at a time: a product of per-axis interval lists, in
+enumeration order. Every constant and every origin-anchored growth profile
+forms the values of a block through one function, _row_values: a
+left-to-right product of factors, each a rectangle average or an inverse
+minimum, with one libm ``pow`` per element for each powered factor
+(_kernels.libm_pow). Each rect's value is therefore the same floating-point
+expression as the scalar per-rectangle formula, so the constants and their
+witnesses (the first strict maximum in enumeration order) match a per-Rect
+scan bit for bit. A power that leaves the double range gives
 +inf, so such a constant counts as >= CAP.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -28,13 +30,14 @@ import numpy as np
 from ._kernels import libm_pow, vol_pow_table
 from .grid import (
     Basis,
+    Block,
     GridError,
     GridFunction,
     PrefixSum,
     Rect,
-    RectTable,
-    basis_tables,
-    box_min_table,
+    basis_blocks,
+    block_cell_mins,
+    block_cell_sums,
     build_prefix_sum,
     rect_cell_sum,
 )
@@ -116,46 +119,51 @@ class WeightVector:
                             self.q / r, self.alpha)
 
 
-# --- sup over a basis, one table block at a time -----------------------------
+# --- sup over a basis, one block at a time ------------------------------------
 
 
 def _prefix(f: GridFunction, arr: np.ndarray) -> PrefixSum:
     return build_prefix_sum(f.with_values(arr))
 
 
-def _row_values(table: RectTable, factors, volpow=None) -> np.ndarray:
-    """One value per row of table: the product, left to right, of factors.
+def _row_values(block: Block, factors, volpow=None) -> np.ndarray:
+    """One value per rect of block, flat in C order: the product, left to
+    right, of factors.
 
     A factor is (source, exponent). A PrefixSum source gives avg_R g, the
-    cell sum over the cell count; a box_min_table source gives 1 / min_R w.
-    An exponent of None takes that value as is; any other applies one libm
-    pow. volpow, a _kernels.vol_pow_table, puts a leading factor |R|^e first.
+    cell sum over the cell count; an array of cell values w gives
+    1 / min_R w. An exponent of None takes that value as is; any other
+    applies one libm pow. volpow, a _kernels.vol_pow_table, puts a leading
+    factor |R|^e first.
     """
-    n = table.n_cells()
-    out = None if volpow is None else volpow[tuple((table.cell_counts() - 1).T)]
+    counts = [hi - lo + 1 for lo, hi in block]
+    n = functools.reduce(np.multiply.outer, counts).astype(np.float64)
+    out = None if volpow is None else volpow[np.ix_(*[c - 1 for c in counts])]
     for source, e in factors:
         if isinstance(source, PrefixSum):
-            x = table.cell_sums(source) / n
+            x = block_cell_sums(source, block) / n
         else:
-            x = 1.0 / table.cell_mins(source)
+            x = 1.0 / block_cell_mins(source, block)
         if e is not None:
             x = libm_pow(x, e)
         out = x if out is None else out * x
-    return out
+    return out.ravel()
 
 
-def _sup_over_tables(g0: GridFunction, basis: Basis, factors, volpow=None):
+def _sup_over_blocks(g0: GridFunction, basis: Basis, factors, volpow=None):
     """First strict maximum of the _row_values over the basis, in
     enumeration order. NaN never wins; an empty or all -inf basis gives
     (-inf, None).
     """
     best, witness = -math.inf, None
-    for table in basis_tables(basis, g0.shape, g0.cell_size):
-        vals = _row_values(table, factors, volpow)
+    for block in basis_blocks(basis, g0.shape, g0.cell_size):
+        vals = _row_values(block, factors, volpow)
         vals = np.where(np.isnan(vals), -np.inf, vals)
         j = int(np.argmax(vals))
         if vals[j] > best:
-            best, witness = float(vals[j]), table.rect(j)
+            idx = np.unravel_index(j, [len(lo) for lo, _ in block])
+            lo, hi = zip(*[(int(a[i]), int(b[i])) for (a, b), i in zip(block, idx)])
+            best, witness = float(vals[j]), Rect(lo, hi)
     return best, witness
 
 
@@ -167,7 +175,7 @@ def _slot_factors(wv: WeightVector, shift: float, outer: float, r: float = 1.0) 
     factors = []
     for w, pi in zip(wv.weights, wv.ps):
         if pi == 1.0:
-            factors.append((box_min_table(w.values), None if outer == 1.0 else outer))
+            factors.append((w.values, None if outer == 1.0 else outer))
         else:
             ppi = conj_exponent(pi)
             factors.append((_prefix(w, w.values ** ((shift - ppi) * r)), outer / (r * ppi)))
@@ -183,7 +191,7 @@ def ap_constant(
     _require_positive(w)
     pp = conj_exponent(p)
     factors = [(_prefix(w, w.values), None), (_prefix(w, w.values ** (1.0 - pp)), p / pp)]
-    best, witness = _sup_over_tables(w, basis, factors)
+    best, witness = _sup_over_blocks(w, basis, factors)
     return (best, witness) if return_witness else best
 
 
@@ -194,14 +202,14 @@ def multi_weight_constant_apq(wv: WeightVector, basis: Basis) -> float:
     """
     g0 = wv.weights[0]
     factors = [(_prefix(g0, wv.nu() ** wv.q), 1.0 / wv.q), *_slot_factors(wv, 0.0, 1.0)]
-    return _sup_over_tables(g0, basis, factors)[0]
+    return _sup_over_blocks(g0, basis, factors)[0]
 
 
 def multi_weight_constant_ap(wv: WeightVector, basis: Basis) -> float:
     """[w]_{A_p(vec)} = sup_R (avg nu_hat) prod_i (avg w_i^(1-p_i'))^(p/p_i')."""
     g0 = wv.weights[0]
     factors = [(_prefix(g0, wv.nu_hat()), None), *_slot_factors(wv, 1.0, wv.p)]
-    return _sup_over_tables(g0, basis, factors)[0]
+    return _sup_over_blocks(g0, basis, factors)[0]
 
 
 def power_bump_check(
@@ -212,12 +220,14 @@ def power_bump_check(
         raise WeightError("power bump needs r > 1")
     if min(wv.ps) <= 1:
         raise WeightError("power bump needs p_i > 1")
-    _require_positive(v, "v")
     g0 = wv.weights[0]
+    if not g0.same_grid(v):
+        raise WeightError("v must share the weights' grid")
+    _require_positive(v, "v")
     vol_exp = wv.alpha / g0.dims + 1.0 / wv.q - 1.0 / wv.p
     factors = [(_prefix(g0, v.values), 1.0 / wv.q), *_slot_factors(wv, 1.0, 1.0, r)]
     volpow = vol_pow_table(g0.shape, g0.cell_size, vol_exp)
-    best, witness = _sup_over_tables(g0, basis, factors, volpow)
+    best, witness = _sup_over_blocks(g0, basis, factors, volpow)
     return {"constant": best, "witness": witness, "finite_under_cap": best < CAP}
 
 
@@ -252,6 +262,8 @@ def a_infty_classify(
     i.e. no (C, d) pair can control the whole family.
     """
     _require_positive(w)
+    if min(w.shape) < 4:  # the tail fit needs two scales, sides 2 and 4
+        raise WeightError(f"a_infty_classify needs >= 4 cells per axis, got shape {w.shape}")
     n = w.dims
     cum = build_prefix_sum(w)
     cellvol = w.cell_volume
@@ -471,10 +483,10 @@ class PowerWeightReport:
 def _anchored_max(j: int, n: int, factors) -> float:
     """Largest _row_values entry, and at least 0.0, over the origin-anchored
     dyadic rectangles prod_k [0, 2^-a_k] (a_k <= j) of the grid with 2^j
-    cells per axis over [0,1]^n, rows in np.ndindex order of (a_1, ..., a_n).
+    cells per axis over [0,1]^n, in np.ndindex order of (a_1, ..., a_n).
     """
-    hi = 2 ** (j - np.indices([j + 1] * n).reshape(n, -1).T) - 1
-    vals = _row_values(RectTable(np.zeros_like(hi), hi), factors)
+    a = np.arange(j + 1)
+    vals = _row_values([(np.zeros_like(a), 2 ** (j - a) - 1)] * n, factors)
     return float(np.fmax.reduce(vals, initial=0.0))
 
 

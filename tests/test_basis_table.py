@@ -1,10 +1,11 @@
-"""Basis tables against per-rectangle scalar oracles, compared with ==.
+"""Basis blocks against per-rectangle scalar oracles, compared with ==.
 
 The oracles walk enumerate_basis one Rect at a time with rect_cell_sum and
-Python's scalar ``**``; the table code must give the same bits, including
+Python's scalar ``**``; the block code must give the same bits, including
 the witness rectangle (the first strict maximum in enumeration order).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,8 +17,9 @@ from strongmax.grid import (
     Basis,
     GridFunction,
     Rect,
-    basis_tables,
-    box_min_table,
+    basis_blocks,
+    block_cell_mins,
+    block_cell_sums,
     build_prefix_sum,
     enumerate_basis,
     rect_cell_sum,
@@ -146,40 +148,45 @@ def oracle_bump(wv, v, r_bump, basis):
     return _first_max(g0, basis, val)
 
 
-# --- the table itself ------------------------------------------------------------
+# --- the blocks themselves ---------------------------------------------------------
+
+
+def _block_rects(block):
+    """The block's rects: the product of its per-axis ranges, last axis fastest."""
+    ranges = [list(zip(lo.tolist(), hi.tolist())) for lo, hi in block]
+    return [Rect(tuple(a for a, _ in combo), tuple(b for _, b in combo))
+            for combo in itertools.product(*ranges)]
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_table_rows_follow_enumeration_order(case):
+def test_block_rects_follow_enumeration_order(case):
     shape, h, basis = case
-    rows = [t.rect(j) for t in basis_tables(basis, shape, h) for j in range(len(t))]
+    rows = [r for block in basis_blocks(basis, shape, h) for r in _block_rects(block)]
     assert rows == list(enumerate_basis(basis, shape, h))
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
-def test_table_quantities_match_rect_methods(case):
+def test_block_sums_and_mins_match_rect_methods(case):
     shape, h, basis = case
     w1, _, _ = _weights(shape, h, 5)
     pre = build_prefix_sum(w1)
-    mins = box_min_table(w1.values)
-    for t in basis_tables(basis, shape, h):
-        rects = [t.rect(j) for j in range(len(t))]
-        assert t.cell_sums(pre).tolist() == [rect_cell_sum(pre, r) for r in rects]
-        volumes = volume_table(shape, h)[tuple((t.cell_counts() - 1).T)]
-        assert volumes.tolist() == [r.volume(h) for r in rects]
-        assert t.n_cells().tolist() == [float(np.prod(r.cell_counts())) for r in rects]
-        assert t.cell_mins(mins).tolist() == [float(np.min(w1.values[r.slices()])) for r in rects]
+    for block in basis_blocks(basis, shape, h):
+        rects = _block_rects(block)
+        assert block_cell_sums(pre, block).ravel().tolist() == [rect_cell_sum(pre, r) for r in rects]
+        volumes = volume_table(shape, h)[np.ix_(*[hi - lo for lo, hi in block])]
+        assert volumes.ravel().tolist() == [r.volume(h) for r in rects]
+        assert block_cell_mins(w1.values, block).ravel().tolist() == [
+            float(np.min(w1.values[r.slices()])) for r in rects
+        ]
 
 
 def test_large_basis_comes_in_blocks():
     shape = (300,)  # 45150 intervals
-    tables = list(basis_tables(Basis("all"), shape))
-    assert len(tables) > 1
-    assert all(len(t) <= RECT_BLOCK for t in tables)
-    lo = np.concatenate([t.lo for t in tables])[:, 0]
-    hi = np.concatenate([t.hi for t in tables])[:, 0]
-    want = [(r.lo[0], r.hi[0]) for r in enumerate_basis(Basis("all"), shape)]
-    assert list(zip(lo.tolist(), hi.tolist())) == want
+    blocks = list(basis_blocks(Basis("all"), shape))
+    assert len(blocks) > 1
+    assert all(len(lo) <= RECT_BLOCK for (lo, _), in blocks)
+    rows = [r for block in blocks for r in _block_rects(block)]
+    assert rows == list(enumerate_basis(Basis("all"), shape))
 
 
 # --- constants ---------------------------------------------------------------------

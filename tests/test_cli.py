@@ -83,6 +83,24 @@ class TestWeights:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "WeightError", "message": "power bump needs p_i > 1"}
 
+    def test_bump_with_v_on_another_grid_is_weight_error(self, tmp_path, capsys):
+        paths = []
+        for name, shape in (("w", (2, 8)), ("v", (4, 4))):
+            path = str(tmp_path / f"{name}.grid")
+            write_grid(GridFunction(shape, (1.0, 1.0), np.arange(1.0, 17.0).reshape(shape)), path)
+            paths += ["--grid", path]
+        assert main(["weights", "--class", "bump", *paths, "--p", "2"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "WeightError", "message": "v must share the weights' grid"}
+
+    def test_ainfty_on_two_cells_is_weight_error(self, tmp_path, capsys):
+        path = str(tmp_path / "small.grid")
+        write_grid(GridFunction((2,), (1.0,), np.array([1.0, 2.0])), path)
+        assert main(["weights", "--class", "ainfty", "--grid", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "WeightError"
+        assert "needs >= 4 cells per axis" in err["message"]
+
     @pytest.mark.parametrize("klass", ["ap", "ainfty", "rd", "tauberian"])
     def test_single_weight_classes_need_one_grid(self, klass, weight_grid, capsys):
         assert main(["weights", "--class", klass, "--grid", weight_grid,

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -95,6 +97,19 @@ class TestPrefixSums:
         assert rect_cell_sum(p, r) == 10.0
         assert rect_integral(p, r) == pytest.approx(rect_integral_direct(f, r))
         assert rect_average(p, Rect((0, 0), (0, 1))) == pytest.approx(1.5)
+
+    def test_cell_sum_leaves_no_reference_cycle(self):
+        # a cycle through the prefix sums would keep them alive until the
+        # cyclic collector runs, and a large grid's sums raise peak memory
+        p = build_prefix_sum(gf(np.ones((4, 4, 4))))
+        gc.disable()
+        try:
+            assert rect_cell_sum(p, Rect((0, 1, 2), (3, 2, 2))) == 8.0
+            ref = weakref.ref(p.cum)
+            del p
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -10,6 +10,7 @@ from strongmax.grid import Basis, GridError, GridFunction
 from strongmax.maximal import (
     MaximalQuery,
     level_set_measure,
+    lp_norm,
     maximal_reference_scan,
     multilinear_fractional_maximal,
     orlicz_maximal,
@@ -228,6 +229,19 @@ class TestLevelSet:
     def test_lambda_zero_full(self):
         mf = gf(np.full((3, 3), 0.1), h=(0.5, 0.5))
         assert level_set_measure(mf, 0.0) == pytest.approx(9 * 0.25)
+
+
+class TestLpNorm:
+    def test_weighted(self):
+        f = gf(np.full((4, 4), 2.0), h=(0.25, 0.25))
+        w = gf(np.full((4, 4), 4.0), h=(0.25, 0.25))
+        assert lp_norm(f, 2.0, weight=w) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("shape,h", [((4, 1), (1.0, 1.0)), ((4, 4), (0.5, 1.0))])
+    def test_weight_on_another_grid_is_error(self, shape, h):
+        # a (4, 1) weight would broadcast against the (4, 4) function
+        with pytest.raises(GridError, match="weight must live on the function's grid"):
+            lp_norm(gf(np.ones((4, 4))), 2.0, weight=gf(np.ones(shape), h=h))
 
 
 @settings(max_examples=25, deadline=None)

@@ -65,6 +65,11 @@ class TestEndpoint:
         with pytest.raises(GridError):
             endpoint_check([gf(np.ones(4))], 0.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(GridError, match="lambda must be positive and finite"):
+            endpoint_check([gf(np.ones(4))], lam)
+
     def test_bilinear_with_alpha_passes(self):
         shape, h = (8, 8), (0.125, 0.125)
         fns = make_corpus(shape, h, seed=5, count=4)
@@ -136,6 +141,19 @@ class TestVectorValued:
                                   r=1.5, basis=Basis("dyadic"))
         assert rep.skipped is None
         assert rep.passed
+
+    @pytest.mark.parametrize("which", ["w", "v", "f"])
+    def test_grids_must_match(self, which):
+        shape, h = (8, 8), (0.125, 0.125)
+        ones = gf(np.ones(shape), h=h)
+        other = gf(np.arange(1.0, 65.0).reshape(4, 16), h=h)
+        fns = make_corpus(shape, h, seed=3, count=3)
+        w, v = (other if which == "w" else ones), (other if which == "v" else ones)
+        if which == "f":
+            fns = [*fns[:2], other]
+        with pytest.raises(GridError, match="must live on the same grid"):
+            vector_valued_check(fns, w, v, p=3.0, q=2.0, a_young=power(2.5),
+                                b_young=power(3.0), r=1.5, basis=Basis("dyadic"))
 
     def test_q_range_enforced(self):
         ones = gf(np.ones((4, 4)))

@@ -173,6 +173,19 @@ class TestPowerBump:
         with pytest.raises(WeightError, match="power bump needs p_i > 1"):
             power_bump_check(wv, w, 1.5, ALL)
 
+    @pytest.mark.parametrize("v_shape", [(4, 4), (3, 3), (2, 8, 1)])
+    def test_v_on_another_grid_is_error(self, v_shape):
+        # the same 16 cells on 4x4 would be read in the weights' 2x8 order
+        wv = WeightVector((gf(np.ones((2, 8))),), (2.0,), q=2.0, alpha=0.0)
+        v = gf(np.arange(1.0, 1.0 + math.prod(v_shape)).reshape(v_shape))
+        with pytest.raises(WeightError, match="v must share the weights' grid"):
+            power_bump_check(wv, v, 1.5, ALL)
+
+    def test_v_with_other_cell_size_is_error(self):
+        wv = WeightVector((gf(np.ones((4, 4))),), (2.0,), q=2.0, alpha=0.0)
+        with pytest.raises(WeightError, match="v must share the weights' grid"):
+            power_bump_check(wv, gf(np.ones((4, 4)), h=(0.5, 0.5)), 1.5, ALL)
+
 
 class TestReverseDoubling:
     def test_constant_1d(self):
@@ -212,6 +225,17 @@ class TestAInfty:
     def test_classification_strings(self):
         rep = a_infty_classify(gf(np.ones(32)), rng=np.random.default_rng(0))
         assert "A_infty" in rep.classification
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (8, 2), (1, 1)])
+    def test_grid_below_four_cells_per_axis_is_error(self, shape):
+        # the tail fit needs the dyadic scales 2 and 4 on every axis
+        with pytest.raises(WeightError, match="needs >= 4 cells per axis"):
+            a_infty_classify(gf(np.ones(shape)), rng=np.random.default_rng(0))
+
+    def test_four_cells_per_axis_fit(self):
+        rep = a_infty_classify(gf(np.ones((4, 4))), n_random_pairs=0)
+        assert rep.passes
+        assert [len(fam["points"]) for fam in rep.families] == [2, 2]
 
 
 class TestTauberian:

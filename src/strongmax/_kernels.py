@@ -7,6 +7,12 @@ exponent e = alpha/n - m, and the cell-count tuples of a basis
 containing the cell of |R|^e * prod_i integral_R f_i. It takes one size at
 a time: the cell sums of all its rects are shifted prefix-sum differences,
 times the size's one volume power, folded into the output by ``fold_max``.
+Each axis is folded in one pass from its largest count down: on an axis
+whose rects start at every cell, a rect of count c' >= c anchored at l
+covers the cells l .. l + c - 1 of the count-c rect anchored there, so a
+running maximum over the larger counts joins each count's values, and each
+count then folds only the window of anchors that the next smaller count
+does not reach (one anchor wide on the all basis).
 
 On a normal cell volume the engine and the per-rectangle reference scan in
 ``maximal`` agree bit for bit, for three reasons. They form |R|, the cell
@@ -17,7 +23,9 @@ by axis, leading axis first, the order of ``grid.rect_cell_sum``. The volume pow
 ``vol_pow_table`` calls ``math.pow``, and the reference scan's scalar
 ``vol**e`` calls the same C ``pow`` on the same double (numpy's SIMD
 ``power`` may differ from libm in the last bit). And a maximum rounds
-nothing, so any grouping of the maxima gives the same bits.
+nothing, so any grouping of the maxima gives the same value. Only the sign
+of a zero maximum depends on the grouping (numpy's ``maximum`` keeps its
+second operand on a tie, so -0.0 can win), and both return +0.0 there.
 """
 
 from __future__ import annotations
@@ -101,7 +109,15 @@ def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
 
     Sizes sharing a count prefix (one run in the lexicographic order of
     ``grid.basis_sizes``) share that prefix's differencing and folds; a flat
-    loop over the sizes would fold every axis for every size.
+    loop over the sizes would fold every axis for every size. The counts on
+    one axis are walked from the largest down. Where every step on the axis
+    is 1, the values of count c first take the maximum with those of the
+    larger counts at the same anchor, and then fold into the cells from
+    c_prev on with a window of c - c_prev anchors, c_prev being the next
+    smaller count (0 for the smallest): of the anchors whose count-c rects
+    hold cell x, x - c + 1 .. x - c_prev are those no smaller count reaches.
+    An axis with a larger step (dyadic) folds each count over its full
+    window, with no running maximum.
 
     Below a normal cell volume (and only there can |R| >= cellvol be
     subnormal), and wherever a direct value is not finite, the value is
@@ -118,8 +134,14 @@ def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
         # sizes all start with prefix; on the axes before axis = len(prefix)
         # sums and out hold anchors, from axis on out cells and sums prefix sums
         axis = len(prefix)
-        pre = (slice(None),) * (axis + 1)
-        for (c, s), group in itertools.groupby(sizes, key=lambda cs: (cs[0][axis], cs[1][axis])):
+        lead = (slice(None),) * axis
+        pre = lead + (slice(None),)
+        groups = [(c, s, list(g)) for (c, s), g in
+                  itertools.groupby(sizes, key=lambda cs: (cs[0][axis], cs[1][axis]))]
+        unit = all(s == 1 for _, s, _ in groups)
+        run = None  # on a step-1 axis: max over the larger counts, per anchor
+        for j in reversed(range(len(groups))):
+            c, s, group = groups[j]
             diff = sums[pre + (slice(c, None, s),)] - sums[pre + (slice(0, shape[axis] - c + 1, s),)]
             if axis < n - 1:
                 vals = np.full(diff.shape[1 : axis + 2] + shape[axis + 1 :], -np.inf)
@@ -136,11 +158,23 @@ def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
                     for x in [_c_pow(hk, e + m) for hk in h] + [diff[i][redo] for i in range(m)]:
                         fix = fix * x
                     vals[redo] = fix
-            fold_max(out, vals, ones[:axis] + (c,) + ones[axis + 1 :], ones[:axis] + (s,) + ones[axis + 1 :])
+            c_prev = 0
+            if unit:
+                # a rect of a larger count anchored at l covers the cells
+                # l .. l + c - 1 too, so its value joins vals[l]; then cell x
+                # needs only the anchors x - c + 1 .. x - c_prev, the smaller
+                # counts reaching the rest
+                if run is not None:
+                    head = lead + (slice(0, run.shape[axis]),)
+                    np.maximum(vals[head], run, out=vals[head])
+                run = vals
+                c_prev = groups[j - 1][0] if j else 0
+            fold_max(out[lead + (slice(c_prev, None),)], vals,
+                     ones[:axis] + (c - c_prev,) + ones[axis + 1 :], ones[:axis] + (s,) + ones[axis + 1 :])
 
     out = np.zeros(shape)
     fold_axis(out, P, sizes, ())
-    return out
+    return out + 0.0  # -0.0 -> +0.0
 
 
 def sweep_all_rects(P: np.ndarray, h: tuple[float, ...], e: float) -> np.ndarray:

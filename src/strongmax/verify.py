@@ -125,10 +125,10 @@ def endpoint_check(
     if not 0 < lam < math.inf:
         raise GridError(f"lambda must be positive and finite, got {lam}")
     m = len(fs)
-    n = fs[0].dims
     basis = basis or Basis("all")
     q = MaximalQuery(basis=basis, alpha=alpha, m=m)
     mf = multilinear_fractional_maximal(fs, q)
+    n = mf.dims
     lhs = level_set_measure(mf, lam**m) ** (m - alpha / n)
 
     phim = phi_n_iter(n, m)
@@ -188,6 +188,8 @@ def operator_ratio(
     nu = wv.nu()
     best = 0.0
     for fs in fs_tuples:
+        if not all(f.same_grid(w) for f, w in zip(fs, wv.weights)):
+            raise GridError("test functions must live on the weights' grid")
         den = 1.0
         for f, w, pi in zip(fs, wv.weights, wv.ps):
             den *= lp_norm(f.with_values(f.values * w.values), pi)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongmax.grid import Basis, GridError, GridFunction
+from strongmax import _kernels, maximal
+from strongmax.grid import Basis, GridError, GridFunction, Rect, build_prefix_sum, rect_cell_sum
 from strongmax.maximal import (
     MaximalQuery,
     level_set_measure,
@@ -16,6 +18,7 @@ from strongmax.maximal import (
     orlicz_maximal,
     strong_maximal,
 )
+from strongmax.verify import endpoint_check
 from strongmax.young import identity, phi_n
 
 
@@ -26,6 +29,11 @@ def gf(values, h=None):
 
 
 ALL = Basis("all")
+
+
+def same_bits(a, b) -> bool:
+    """Bit equality of two float64 arrays: -0.0 and 0.0 differ."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestStrongMaximal:
@@ -101,6 +109,10 @@ class TestFractional:
         with pytest.raises(GridError, match="overflows"):
             multilinear_fractional_maximal([f, f], MaximalQuery(basis=ALL, m=2))
 
+    def test_no_functions_is_error(self):
+        with pytest.raises(GridError, match="need at least one function"):
+            multilinear_fractional_maximal([], MaximalQuery(basis=ALL, m=1))
+
     def test_grid_mismatch(self):
         with pytest.raises(GridError):
             multilinear_fractional_maximal(
@@ -120,28 +132,31 @@ class TestDualImplementations:
         q = MaximalQuery(basis=ALL, alpha=alpha, m=m)
         fast = multilinear_fractional_maximal(fs, q)
         slow = maximal_reference_scan(fs, q)
-        assert np.array_equal(fast.values, slow.values)  # bit-identical
+        assert same_bits(fast.values, slow.values)
 
 
     @pytest.mark.parametrize("shape", [(16,), (8, 8), (4, 8), (2, 4, 4), (1, 8), (4, 1, 2)])
     @pytest.mark.parametrize(
-        "basis",
-        [Basis("dyadic"), Basis("cubes"), Basis("all", (0.5, 1.0)),
-         Basis("dyadic", (0.5, 1.3)), Basis("cubes", (0.5, 1.0))],
-        ids=lambda b: f"{b.kind}-{b.scale_bounds}",
+        "basis,hs",
+        [pytest.param(b, (0.3,), id=f"{b.kind}-{b.scale_bounds}")
+         for b in [Basis("dyadic"), Basis("cubes"), Basis("all", (0.5, 1.0)),
+                   Basis("dyadic", (0.5, 1.3)), Basis("cubes", (0.5, 1.0))]]
+        # unequal cells: the cubes' counts per axis skip values, so the fold
+        # windows span more than one count
+        + [pytest.param(Basis("cubes"), (0.3, 0.7), id="cubes-unequal-cells")],
     )
     @pytest.mark.parametrize("m,alpha", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 1.0)])
-    def test_exact_agreement_table_bases(self, shape, basis, m, alpha):
-        # the non-sweep branch evaluates the basis as arrays
+    def test_exact_agreement_table_bases(self, shape, basis, hs, m, alpha):
         rng = np.random.default_rng(len(shape) * 100 + shape[-1] + m)
-        # equal sides, so the cubes basis has cubes past one cell; not a power
-        # of two, so the volumes and their powers carry rounding
-        h = (0.3,) * len(shape)
+        # with equal sides the cubes basis has cubes past one cell; 0.3 and
+        # 0.7 are not powers of two, so the volumes and their powers carry
+        # rounding
+        h = tuple(hs[k % len(hs)] for k in range(len(shape)))
         fs = [gf(rng.uniform(0, 3, shape), h=h) for _ in range(m)]
         q = MaximalQuery(basis=basis, alpha=alpha, m=m)
         fast = multilinear_fractional_maximal(fs, q)
         slow = maximal_reference_scan(fs, q)
-        assert np.array_equal(fast.values, slow.values)  # bit-identical
+        assert same_bits(fast.values, slow.values)
 
     @pytest.mark.parametrize(
         "shape,h,m",
@@ -189,7 +204,136 @@ class TestEngine:
         assert np.array_equal(cubes, strong_maximal(f, ALL).values)  # bit-identical
 
 
+def _brute_force_sweep(fs, e, sizes):
+    """Per-rect maximum over the (counts, step) sizes, by the reference
+    scan's expressions."""
+    f0 = fs[0]
+    prefixes = [build_prefix_sum(f) for f in fs]
+    cellvol = math.prod(f0.cell_size)
+    out = np.zeros(f0.shape)
+    for counts, step in sizes:
+        anchors = [range(0, nk - c + 1, st) for nk, c, st in zip(f0.shape, counts, step)]
+        for lo in itertools.product(*anchors):
+            r = Rect(lo, tuple(l + c - 1 for l, c in zip(lo, counts)))
+            val = r.volume(f0.cell_size) ** e
+            for p in prefixes:
+                val *= rect_cell_sum(p, r) * cellvol
+            out[r.slices()] = np.maximum(out[r.slices()], val)
+    return out + 0.0
+
+
+class TestFold:
+    # hand-built size lists, in lexicographic order, whose counts skip
+    # values: a step-1 axis then folds windows of more than one count
+    @pytest.mark.parametrize(
+        "shape,sizes",
+        [((8,), [((1,), (1,)), ((3,), (1,)), ((6,), (1,))]),
+         ((8,), [((3,), (1,)), ((8,), (1,))]),
+         ((6, 7), [((1, 2), (1, 1)), ((1, 5), (1, 1)), ((3, 1), (1, 1)),
+                   ((3, 4), (1, 1)), ((3, 7), (1, 1)), ((6, 2), (1, 1))]),
+         ((4, 5, 3), [((1, 1, 3), (1, 1, 1)), ((2, 3, 1), (1, 1, 1)),
+                      ((2, 3, 2), (1, 1, 1)), ((4, 1, 1), (1, 1, 1))]),
+         # steps above 1 on an axis: no running maximum there
+         ((8,), [((1,), (1,)), ((2,), (2,)), ((4,), (4,))]),
+         ((4, 8), [((1, 2), (1, 2)), ((1, 4), (1, 4)), ((2, 2), (1, 2)), ((4, 1), (1, 1))])],
+        ids=["1d-1-3-6", "1d-3-8", "2d-gaps", "3d-gaps", "1d-steps", "2d-mixed-steps"],
+    )
+    @pytest.mark.parametrize("m,alpha", [(1, 0.0), (1, 0.5), (2, 1.0)])
+    def test_sweep_matches_brute_force(self, shape, sizes, m, alpha):
+        rng = np.random.default_rng(len(sizes) * 10 + m)
+        h = tuple(rng.uniform(0.3, 1.5, len(shape)))
+        # zeros on some cells, so some maxima are zero
+        fs = [gf(rng.uniform(0, 3, shape) * (rng.uniform(size=shape) < 0.7), h=h) for _ in range(m)]
+        e = alpha / len(shape) - m
+        P = np.stack([build_prefix_sum(f).cum for f in fs])
+        assert same_bits(_kernels.sweep(P, h, e, sizes), _brute_force_sweep(fs, e, sizes))
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The _kernels.sweep calls made, starting from an empty memo."""
+    monkeypatch.setattr(maximal, "_last_maximal", None)
+    calls = []
+    real = _kernels.sweep
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_kernels, "sweep", counting)
+    return calls
+
+
+def _fresh(fs, q):
+    maximal._last_maximal = None
+    return multilinear_fractional_maximal(fs, q)
+
+
+class TestLastEvaluation:
+    def _tuple(self):
+        rng = np.random.default_rng(11)
+        vals = [rng.uniform(0, 3, (4, 4)) for _ in range(2)]
+        vals[1][0, 0] = 0.0
+        return [gf(v, h=(0.5, 0.25)) for v in vals], MaximalQuery(basis=ALL, alpha=0.5, m=2)
+
+    def test_repeated_call_does_not_sweep(self, sweeps):
+        fs, q = self._tuple()
+        first = multilinear_fractional_maximal(fs, q)
+        again = multilinear_fractional_maximal([f.with_values(f.values) for f in fs], q)
+        assert len(sweeps) == 1
+        assert again is first and not again.values.flags.writeable
+        assert same_bits(again.values, _fresh(fs, q).values)
+
+    def test_endpoint_check_after_maximal_does_not_sweep(self, sweeps):
+        fs, q = self._tuple()
+        mf = multilinear_fractional_maximal(fs, q)
+        for lam in (0.25, 1.0, 4.0):
+            rep = endpoint_check(fs, lam, q.alpha)
+            assert rep.lhs == level_set_measure(mf, lam**2) ** (2 - q.alpha / 2)
+        assert len(sweeps) == 1
+
+    @pytest.mark.parametrize(
+        "change", ["basis", "alpha", "cell_size", "origin", "last_bit", "negative_zero"]
+    )
+    def test_changed_call_sweeps_again(self, sweeps, change):
+        fs, q = self._tuple()
+        multilinear_fractional_maximal(fs, q)
+        f = fs[1]
+        if change == "basis":
+            q = MaximalQuery(basis=Basis("dyadic"), alpha=q.alpha, m=q.m)
+        elif change == "alpha":
+            q = MaximalQuery(basis=q.basis, alpha=1.0, m=q.m)
+        elif change == "cell_size":
+            fs = [GridFunction(g.shape, (0.5, 0.5), g.values) for g in fs]
+        elif change == "origin":
+            fs = [GridFunction(g.shape, g.cell_size, g.values, (1.0, 0.0)) for g in fs]
+        else:
+            v = f.values.copy()
+            if change == "last_bit":
+                v[1, 2] = np.nextafter(v[1, 2], np.inf)
+            else:
+                v[0, 0] = -0.0
+            fs = [fs[0], f.with_values(v)]
+        out = multilinear_fractional_maximal(fs, q)
+        assert len(sweeps) == 2
+        assert out.same_grid(fs[0])
+        assert same_bits(out.values, _fresh(fs, q).values)
+
+    def test_failed_call_keeps_the_entry(self, sweeps):
+        fs, q = self._tuple()
+        first = multilinear_fractional_maximal(fs, q)
+        big = gf(np.full(4, 1e200))
+        with pytest.raises(GridError, match="overflows"):
+            multilinear_fractional_maximal([big, big], MaximalQuery(basis=ALL, m=2))
+        assert multilinear_fractional_maximal(fs, q) is first
+        assert len(sweeps) == 2
+
+
 class TestOrlicz:
+    def test_no_functions_is_error(self):
+        with pytest.raises(GridError, match="need at least one function"):
+            orlicz_maximal([], MaximalQuery(basis=ALL, m=1, orlicz=(identity(),)))
+
     def test_identity_psi_matches_fractional(self):
         rng = np.random.default_rng(4)
         f = gf(rng.uniform(0, 3, (6, 6)))

@@ -70,6 +70,10 @@ class TestEndpoint:
         with pytest.raises(GridError, match="lambda must be positive and finite"):
             endpoint_check([gf(np.ones(4))], lam)
 
+    def test_no_functions_is_error(self):
+        with pytest.raises(GridError, match="need at least one function"):
+            endpoint_check([], 1.0)
+
     def test_bilinear_with_alpha_passes(self):
         shape, h = (8, 8), (0.125, 0.125)
         fns = make_corpus(shape, h, seed=5, count=4)
@@ -96,6 +100,14 @@ class TestOneWeight:
         # Orlicz majorant dominates the plain operator ratio
         for v in rep.stats["orlicz_operator_ratio"].values():
             assert v >= rep.stats["operator_ratio"] - 1e-9
+
+
+    def test_test_functions_on_another_grid_is_error(self):
+        # a 4x1 weight would broadcast against a 4x4 test function
+        wv = WeightVector((gf(np.ones((4, 1))),), (2.0,), q=2.0, alpha=0.0)
+        f = gf(np.random.default_rng(3).uniform(0, 1, (4, 4)))
+        with pytest.raises(GridError, match="weights' grid"):
+            one_weight_equivalence_check(wv, [[f]])
 
 
 class TestTwoWeight:

@@ -24,8 +24,11 @@ by axis, leading axis first, the order of ``grid.rect_cell_sum``. The volume pow
 ``vol**e`` calls the same C ``pow`` on the same double (numpy's SIMD
 ``power`` may differ from libm in the last bit). And a maximum rounds
 nothing, so any grouping of the maxima gives the same value. Only the sign
-of a zero maximum depends on the grouping (numpy's ``maximum`` keeps its
-second operand on a tie, so -0.0 can win), and both return +0.0 there.
+of a zero maximum depends on the grouping: a zero cell sum times one that
+rounding left negative is -0.0, and numpy's ``maximum`` keeps its second
+operand on a tie, so -0.0 can win. ``sweep`` returns +0.0 there; the
+reference scan keeps the sign its rect order gives, so the two agree up to
+the sign of zero.
 """
 
 from __future__ import annotations

@@ -11,17 +11,6 @@ maximum lies in [0.5, 1), which keeps the prefix sums finite and, by
 homogeneity, changes no bit of the result where nothing underflows. A slow
 per-point rectangle scan, run on the unscaled inputs, is kept as an
 independent second implementation for cross-checking.
-
-multilinear_fractional_maximal keeps one entry: its last evaluation, keyed
-by (basis, alpha, m, shape, cell_size, origin) and a bit copy of each
-input's values. A call with that key and bit-equal inputs returns the
-stored read-only result without sweeping; inputs are compared as uint64,
-so -0.0 and 0.0 differ. The one reuse in real traffic is M followed by the
-endpoint checks of the same tuple (verify.endpoint_check sweeps M again
-for a tuple its caller has just evaluated), and one entry serves it; a
-larger memo would serve only repeats across benchmark rounds. A call that
-raises leaves the entry as it was. orlicz_maximal has no memo, since
-nothing calls it twice on one tuple.
 """
 
 from __future__ import annotations
@@ -72,32 +61,16 @@ def _check_common_grid(fs: list[GridFunction]) -> GridFunction:
     return f0
 
 
-# The last evaluation of multilinear_fractional_maximal: (key, bit copies of
-# the inputs' values, result), or None.
-_last_maximal: tuple | None = None
-
-
 def multilinear_fractional_maximal(
     fs: list[GridFunction], query: MaximalQuery
 ) -> GridFunction:
-    """sup over basis rects R containing x of prod_i |R|^(alpha/(mn)-1) int_R f_i.
-
-    A call on the query, grid and input bits of the previous call returns
-    the previous result, which is read-only, without sweeping again.
-    """
-    global _last_maximal
+    """sup over basis rects R containing x of prod_i |R|^(alpha/(mn)-1) int_R f_i."""
     f0 = _check_common_grid(fs)
     n = f0.dims
     m = len(fs)
     if m != query.m:
         raise GridError(f"query.m={query.m} but {m} functions given")
     query.validate(n)
-    key = (query.basis, query.alpha, m, f0.shape, f0.cell_size, f0.origin)
-    # compare bits, not values: -0.0 == 0.0, but the two may give other bits
-    bits = [f.values.view(np.uint64) for f in fs]
-    last = _last_maximal
-    if last is not None and last[0] == key and all(map(np.array_equal, last[1], bits)):
-        return last[2]
     e = query.alpha / n - m  # |R|^e * prod integrals
     # M is homogeneous in each f_i: run it on f_i * 2^-k_i, whose maximum
     # lies in [0.5, 1) so the prefix sums stay finite, and scale the result
@@ -110,9 +83,7 @@ def multilinear_fractional_maximal(
         scaled = np.ldexp(out, sum(ks))
     if np.all(np.isfinite(out)) and not np.all(np.isfinite(scaled)):
         raise GridError("maximal function value overflows the double range")
-    result = f0.with_values(scaled)
-    _last_maximal = (key, [b.copy() for b in bits], result)
-    return result
+    return f0.with_values(scaled)
 
 
 def strong_maximal(f: GridFunction, basis: Basis) -> GridFunction:
@@ -141,7 +112,7 @@ def _maximal_rect_scan(fs: list[GridFunction], basis: Basis, e: float) -> GridFu
             val *= rect_cell_sum(p, r) * cellvol
         sl = r.slices()
         np.maximum(out[sl], val, out=out[sl])
-    return f0.with_values(out + 0.0)  # -0.0 -> +0.0, as the engine gives
+    return f0.with_values(out)
 
 
 def maximal_reference_scan(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:

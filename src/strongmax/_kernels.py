@@ -1,18 +1,21 @@
-"""The exact maximal-function engine and the libm volume powers it reads.
+"""The one walk over a basis by cell-count tuple, the exact maximal-function
+engine on it, and the libm volume powers it reads.
 
-``sweep`` takes the stacked cumulative cell sums P of the m input functions,
-with P[i] = prefix-sum array of f_i (shape (N_1+1, ..., N_n+1)), the volume
-exponent e = alpha/n - m, and the cell-count tuples of a basis
-(``grid.basis_sizes``); the output cell value is max over the basis rects R
-containing the cell of |R|^e * prod_i integral_R f_i. It takes one size at
-a time: the cell sums of all its rects are shifted prefix-sum differences,
-times the size's one volume power, folded into the output by ``fold_max``.
-Each axis is folded in one pass from its largest count down: on an axis
-whose rects start at every cell, a rect of count c' >= c anchored at l
-covers the cells l .. l + c - 1 of the count-c rect anchored there, so a
-running maximum over the larger counts joins each count's values, and each
-count then folds only the window of anchors that the next smaller count
-does not reach (one anchor wide on the all basis).
+``fold_sizes`` walks the (counts, step) pairs of a basis
+(``grid.basis_sizes``): it narrows a stack of arrays over the grid to the
+rects of each size, one axis at a time, asks a leaf for one value per rect,
+and folds the values into each cell's maximum by ``fold_max``. Each axis is
+folded in one pass from its largest count down: on an axis whose rects
+start at every cell, a rect of count c' >= c anchored at l covers the cells
+l .. l + c - 1 of the count-c rect anchored there, so a running maximum
+over the larger counts joins each count's values, and each count then folds
+only the window of anchors that the next smaller count does not reach (one
+anchor wide on the all basis). Every maximum over a basis runs on this walk:
+``sweep`` narrows the stacked prefix sums P of the m input functions by
+shifted differences, and its leaf is |R|^e * prod_i integral_R f_i with
+e = alpha/n - m; the Orlicz maximal operator and the Young condition of the
+vector-valued check narrow the stacked cell values by ``grid.window``, and
+their leaves take Luxemburg norms.
 
 On a normal cell volume the engine and the per-rectangle reference scan in
 ``maximal`` agree bit for bit, for three reasons. They form |R|, the cell
@@ -26,7 +29,7 @@ by axis, leading axis first, the order of ``grid.rect_cell_sum``. The volume pow
 nothing, so any grouping of the maxima gives the same value. Only the sign
 of a zero maximum depends on the grouping: a zero cell sum times one that
 rounding left negative is -0.0, and numpy's ``maximum`` keeps its second
-operand on a tie, so -0.0 can win. ``sweep`` returns +0.0 there; the
+operand on a tie, so -0.0 can win. The walk returns +0.0 there; the
 reference scan keeps the sign its rect order gives, so the two agree up to
 the sign of zero.
 """
@@ -85,11 +88,10 @@ def fold_max(out: np.ndarray, vals: np.ndarray, counts: tuple[int, ...], step: t
     """out[x] = max(out[x], vals[a] over anchors a whose rect holds cell x).
 
     vals[a] belongs to the rect of the given cell counts whose lowest cell
-    is step * a; a flat vals holds the anchors in C order. The rects holding
-    x have lowest cells in the box x - counts + 1 .. x, so the fold is a box
-    maximum over lowest cells, one axis at a time, by doubling windows.
+    is step * a. The rects holding x have lowest cells in the box
+    x - counts + 1 .. x, so the fold is a box maximum over lowest cells, one
+    axis at a time, by doubling windows.
     """
-    vals = np.reshape(vals, [(n - c) // s + 1 for n, c, s in zip(out.shape, counts, step)])
     for axis, (c, s) in enumerate(zip(counts, step)):
         if c == 1:
             continue  # then s == 1 too: one rect per lowest cell, no window
@@ -106,61 +108,41 @@ def fold_max(out: np.ndarray, vals: np.ndarray, counts: tuple[int, ...], step: t
     np.maximum(out, vals, out=out)
 
 
-def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
-    """Maximal values over prefix sums P (m, N_1+1, ..., N_n+1) for the rects
-    of the (counts, step) pairs in sizes; returns shape (N_1, ..., N_n).
+def fold_sizes(shape: tuple[int, ...], sizes, src: np.ndarray, narrow, leaf) -> np.ndarray:
+    """out[x] = max of +0.0 and the leaf values of the rects of the (counts,
+    step) pairs in sizes that hold cell x; returns shape ``shape``.
+
+    src is a stack of m arrays over the grid (the grid axes follow one
+    leading axis). narrow(src, axis, c, s) keeps the rects of count c and
+    step s along grid axis ``axis``, its earlier axes already narrowed;
+    leaf(counts, src) turns a src narrowed on every axis into one value per
+    anchor, shaped by the anchors.
 
     Sizes sharing a count prefix (one run in the lexicographic order of
-    ``grid.basis_sizes``) share that prefix's differencing and folds; a flat
-    loop over the sizes would fold every axis for every size. The counts on
-    one axis are walked from the largest down. Where every step on the axis
-    is 1, the values of count c first take the maximum with those of the
-    larger counts at the same anchor, and then fold into the cells from
-    c_prev on with a window of c - c_prev anchors, c_prev being the next
-    smaller count (0 for the smallest): of the anchors whose count-c rects
-    hold cell x, x - c + 1 .. x - c_prev are those no smaller count reaches.
-    An axis with a larger step (dyadic) folds each count over its full
-    window, with no running maximum.
-
-    Below a normal cell volume (and only there can |R| >= cellvol be
-    subnormal), and wherever a direct value is not finite, the value is
-    L^e * prod_k h_k^(alpha/n) * prod_i S_i, with L = prod counts and S_i the
-    cell sums; alpha/n = e + m >= 0, so that form stays finite.
+    ``grid.basis_sizes``) share that prefix's narrowing and folds. Each axis
+    is walked from its largest count down, with a running maximum where
+    every step on the axis is 1 (see the module docstring).
     """
-    m, n = P.shape[0], P.ndim - 1
-    shape = tuple(k - 1 for k in P.shape[1:])
-    powtab = vol_pow_table(shape, h, e)
-    cellvol = math.prod(h)
+    n = len(shape)
     ones = (1,) * n
 
-    def fold_axis(out: np.ndarray, sums: np.ndarray, sizes, prefix: tuple[int, ...]) -> None:
+    def fold_axis(out: np.ndarray, src: np.ndarray, sizes, prefix: tuple[int, ...]) -> None:
         # sizes all start with prefix; on the axes before axis = len(prefix)
-        # sums and out hold anchors, from axis on out cells and sums prefix sums
+        # src and out hold anchors, from axis on out holds cells
         axis = len(prefix)
         lead = (slice(None),) * axis
-        pre = lead + (slice(None),)
         groups = [(c, s, list(g)) for (c, s), g in
                   itertools.groupby(sizes, key=lambda cs: (cs[0][axis], cs[1][axis]))]
         unit = all(s == 1 for _, s, _ in groups)
         run = None  # on a step-1 axis: max over the larger counts, per anchor
         for j in reversed(range(len(groups))):
             c, s, group = groups[j]
-            diff = sums[pre + (slice(c, None, s),)] - sums[pre + (slice(0, shape[axis] - c + 1, s),)]
+            sub = narrow(src, axis, c, s)
             if axis < n - 1:
-                vals = np.full(diff.shape[1 : axis + 2] + shape[axis + 1 :], -np.inf)
-                fold_axis(vals, diff, group, prefix + (c,))
+                vals = np.full(out.shape[:axis] + ((shape[axis] - c) // s + 1,) + shape[axis + 1 :], -np.inf)
+                fold_axis(vals, sub, group, prefix + (c,))
             else:
-                counts = prefix + (c,)
-                vals = powtab[tuple(k - 1 for k in counts)]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for i in range(m):
-                        vals = vals * (diff[i] * cellvol)
-                redo = ~np.isfinite(vals) | (cellvol < np.finfo(float).smallest_normal)
-                if redo.any():
-                    fix = _c_pow(float(math.prod(counts)), e)
-                    for x in [_c_pow(hk, e + m) for hk in h] + [diff[i][redo] for i in range(m)]:
-                        fix = fix * x
-                    vals[redo] = fix
+                vals = leaf(prefix + (c,), sub)
             c_prev = 0
             if unit:
                 # a rect of a larger count anchored at l covers the cells
@@ -176,8 +158,42 @@ def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
                      ones[:axis] + (c - c_prev,) + ones[axis + 1 :], ones[:axis] + (s,) + ones[axis + 1 :])
 
     out = np.zeros(shape)
-    fold_axis(out, P, sizes, ())
+    fold_axis(out, src, sizes, ())
     return out + 0.0  # -0.0 -> +0.0
+
+
+def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
+    """Maximal values over prefix sums P (m, N_1+1, ..., N_n+1) for the rects
+    of the (counts, step) pairs in sizes; returns shape (N_1, ..., N_n).
+
+    Below a normal cell volume (and only there can |R| >= cellvol be
+    subnormal), and wherever a direct value is not finite, the value is
+    L^e * prod_k h_k^(alpha/n) * prod_i S_i, with L = prod counts and S_i the
+    cell sums; alpha/n = e + m >= 0, so that form stays finite.
+    """
+    m = P.shape[0]
+    shape = tuple(k - 1 for k in P.shape[1:])
+    powtab = vol_pow_table(shape, h, e)
+    cellvol = math.prod(h)
+
+    def narrow(sums: np.ndarray, axis: int, c: int, s: int) -> np.ndarray:
+        pre = (slice(None),) * (axis + 1)
+        return sums[pre + (slice(c, None, s),)] - sums[pre + (slice(0, shape[axis] - c + 1, s),)]
+
+    def leaf(counts: tuple[int, ...], diff: np.ndarray) -> np.ndarray:
+        vals = powtab[tuple(k - 1 for k in counts)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(m):
+                vals = vals * (diff[i] * cellvol)
+        redo = ~np.isfinite(vals) | (cellvol < np.finfo(float).smallest_normal)
+        if redo.any():
+            fix = _c_pow(float(math.prod(counts)), e)
+            for x in [_c_pow(hk, e + m) for hk in h] + [diff[i][redo] for i in range(m)]:
+                fix = fix * x
+            vals[redo] = fix
+        return vals
+
+    return fold_sizes(shape, sizes, P, narrow, leaf)
 
 
 def sweep_all_rects(P: np.ndarray, h: tuple[float, ...], e: float) -> np.ndarray:

@@ -93,6 +93,22 @@ def _rect_cells(r: Rect) -> int:
     return int(np.prod(r.cell_counts()))
 
 
+def _greedy_keep(fam: RectFamily, order, frac: float) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Walk the rects in the given order and keep each one that the union of
+    those kept before covers in at most frac of its cells; returns the kept
+    indices, the union mask and the per-cell count of kept rects."""
+    union = np.zeros(fam.shape, dtype=bool)
+    overlap = np.zeros(fam.shape, dtype=np.int64)
+    kept: list[int] = []
+    for i in order:
+        sl = fam.rects[i].slices()
+        if int(np.count_nonzero(union[sl])) <= frac * _rect_cells(fam.rects[i]):
+            kept.append(i)
+            union[sl] = True
+            overlap[sl] += 1
+    return kept, union, overlap
+
+
 def cf_select(fam: RectFamily, theta: float = 0.5) -> SelectionResult:
     """Greedy covering extraction with overlap threshold theta.
 
@@ -108,16 +124,7 @@ def cf_select(fam: RectFamily, theta: float = 0.5) -> SelectionResult:
     n = len(fam.shape)
     cellvol = fam.cell_volume
     order = sorted(range(len(fam)), key=lambda i: (-_rect_cells(fam.rects[i]), i))
-    union = np.zeros(fam.shape, dtype=bool)
-    overlap = np.zeros(fam.shape, dtype=np.int64)
-    kept: list[int] = []
-    for i in order:
-        sl = fam.rects[i].slices()
-        covered = int(np.count_nonzero(union[sl]))
-        if covered <= theta * _rect_cells(fam.rects[i]):
-            kept.append(i)
-            union[sl] = True
-            overlap[sl] += 1
+    kept, union, overlap = _greedy_keep(fam, order, theta)
     # kept stays in selection (volume-descending) order: that is the order
     # in which the scattered property holds by construction
     union_after = float(np.count_nonzero(union)) * cellvol
@@ -185,16 +192,7 @@ def scattered_select(
     wv = w.values if w is not None else np.ones(fam.shape)
     cellvol = fam.cell_volume
 
-    union = np.zeros(fam.shape, dtype=bool)
-    overlap = np.zeros(fam.shape, dtype=np.int64)
-    kept: list[int] = []
-    for i in range(len(fam)):
-        sl = fam.rects[i].slices()
-        if int(np.count_nonzero(union[sl])) <= lam * _rect_cells(fam.rects[i]):
-            kept.append(i)
-            union[sl] = True
-            overlap[sl] += 1
-
+    kept, _, overlap = _greedy_keep(fam, range(len(fam)), lam)
     n_fam = len(fam)
     kept_set = set(kept)
 

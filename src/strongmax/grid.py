@@ -6,7 +6,8 @@ index ranges, so every integral over a rectangle is a finite sum and every
 supremum over a basis is a finite maximum.
 
 A basis is enumerated one Rect at a time (enumerate_basis, the reference),
-by cell-count tuple (basis_sizes, for the maximal operators), or in
+by cell-count tuple (basis_sizes, walked by _kernels.fold_sizes for the
+maximal operators and the Young condition; window narrows cell values), or in
 enumeration order as blocks of per-axis interval lists whose product is the
 block's rects (basis_blocks, for the weight constants); block_cell_sums and
 block_cell_mins reduce a block one axis at a time.
@@ -58,8 +59,8 @@ class GridFunction:
             raise GridError("shape entries must be >= 1")
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         h = _as_tuple(self.cell_size, n, "cell_size")
-        if any(not (hk > 0) for hk in h):
-            raise GridError("cell_size entries must be positive")
+        if any(not (0 < hk < math.inf) for hk in h):
+            raise GridError("cell_size entries must be positive and finite")
         object.__setattr__(self, "cell_size", tuple(float(hk) for hk in h))
         org = self.origin if self.origin else (0.0,) * n
         object.__setattr__(self, "origin", tuple(float(o) for o in _as_tuple(org, n, "origin")))
@@ -319,12 +320,13 @@ def basis_sizes(
         yield counts, counts if basis.kind == DYADIC_RECTS else (1,) * n
 
 
-def size_cells(values: np.ndarray, counts: tuple[int, ...], step: tuple[int, ...]) -> np.ndarray:
-    """Row j holds the cells of the j-th rect of the given cell counts whose
-    lowest cell is on the anchors 0, step, 2*step, ... (anchors in C order),
-    in the C order of values[r.slices()].ravel()."""
-    win = sliding_window_view(values, counts)[tuple(slice(None, None, s) for s in step)]
-    return win.reshape(-1, math.prod(counts))
+def window(stack: np.ndarray, axis: int, c: int, s: int) -> np.ndarray:
+    """A view of a stack of functions (m, N_1, ..., N_n) narrowed to the
+    rects of count c along grid axis ``axis`` whose lowest cells are the
+    anchors 0, s, 2*s, ...: that axis then holds the anchors, and a new last
+    axis the c cells of each rect. Narrowed on every axis, the trailing axes
+    hold a rect's cells in the C order of values[r.slices()]."""
+    return sliding_window_view(stack, c, axis=axis + 1)[(slice(None),) * (axis + 1) + (slice(None, None, s),)]
 
 
 # One (lo, hi) pair of int arrays per axis: the inclusive cell-index ranges of

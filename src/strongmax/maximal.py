@@ -1,15 +1,22 @@
 """Strong, multilinear fractional, and Orlicz maximal operators.
 
-All suprema are exact maxima over the basis, taken by one engine for every
-basis (_kernels.sweep): the rects of one cell-count tuple (grid.basis_sizes)
-are evaluated at once, each as the per-rectangle expression, and folded
-into the output by _kernels.fold_max; a maximum rounds nothing, so the bits
-are those of a per-rectangle loop. The Orlicz variant takes the same sizes
-and fold, with one batched Luxemburg bisection per size and slot. The
-multilinear operator first scales each input by a power of two so that its
-maximum lies in [0.5, 1), which keeps the prefix sums finite and, by
-homogeneity, changes no bit of the result where nothing underflows. A slow
-per-point rectangle scan, run on the unscaled inputs, is kept as an
+All suprema are exact maxima over the basis, taken by one walk for every
+basis (_kernels.fold_sizes over grid.basis_sizes): the rects of one
+cell-count tuple are evaluated at once, each as the per-rectangle
+expression, and folded into the output; a maximum rounds nothing, so the
+bits are those of a per-rectangle loop. The multilinear operator walks the
+prefix sums (_kernels.sweep); the Orlicz operator walks the cell values,
+with one batched Luxemburg bisection per size and slot.
+
+One body serves both operators. It checks the inputs (one grid, m
+functions, 0 <= alpha < m*n, m Young functions for the Orlicz operator),
+scales each input by a power of two so that its maximum lies in [0.5, 1),
+runs the walk, scales the result back and raises a GridError where that
+leaves the double range. Both operators are homogeneous in each input, and
+a power of two scales every integral, Luxemburg norm and product without
+rounding, so the scaling changes no bit of the result where no scaled value
+underflows; it keeps the prefix sums finite. A slow per-point rectangle scan,
+run on the unscaled inputs after the same checks, is kept as an
 independent second implementation for cross-checking.
 """
 
@@ -29,7 +36,7 @@ from .grid import (
     build_prefix_sum,
     enumerate_basis,
     rect_cell_sum,
-    size_cells,
+    window,
 )
 from .orlicz import luxemburg_norms
 from .young import YoungFunction
@@ -44,12 +51,6 @@ class MaximalQuery:
     m: int = 1
     orlicz: tuple[YoungFunction, ...] | None = None
 
-    def validate(self, n: int) -> None:
-        if not 0 <= self.alpha < self.m * n:
-            raise GridError(f"need 0 <= alpha < m*n, got alpha={self.alpha}, m={self.m}, n={n}")
-        if self.orlicz is not None and len(self.orlicz) != self.m:
-            raise GridError("orlicz list length must equal m")
-
 
 def _check_common_grid(fs: list[GridFunction]) -> GridFunction:
     if not fs:
@@ -61,29 +62,53 @@ def _check_common_grid(fs: list[GridFunction]) -> GridFunction:
     return f0
 
 
-def multilinear_fractional_maximal(
-    fs: list[GridFunction], query: MaximalQuery
-) -> GridFunction:
-    """sup over basis rects R containing x of prod_i |R|^(alpha/(mn)-1) int_R f_i."""
+def _checked(fs: list[GridFunction], query: MaximalQuery, orlicz: bool = False) -> GridFunction:
+    """The grid of fs, after the checks every operator makes."""
     f0 = _check_common_grid(fs)
+    if len(fs) != query.m:
+        raise GridError(f"query.m={query.m} but {len(fs)} functions given")
+    if not 0 <= query.alpha < query.m * f0.dims:
+        raise GridError(f"need 0 <= alpha < m*n, got alpha={query.alpha}, m={query.m}, n={f0.dims}")
+    if (orlicz or query.orlicz is not None) and len(query.orlicz or ()) != query.m:
+        raise GridError("query.orlicz must hold m Young functions")
+    return f0
+
+
+def _maximal(fs: list[GridFunction], query: MaximalQuery, orlicz: bool) -> GridFunction:
+    f0 = _checked(fs, query, orlicz)
     n = f0.dims
-    m = len(fs)
-    if m != query.m:
-        raise GridError(f"query.m={query.m} but {m} functions given")
-    query.validate(n)
-    e = query.alpha / n - m  # |R|^e * prod integrals
-    # M is homogeneous in each f_i: run it on f_i * 2^-k_i, whose maximum
-    # lies in [0.5, 1) so the prefix sums stay finite, and scale the result
-    # by 2^sum(k_i); powers of two scale without rounding
     ks = [int(np.frexp(np.max(f.values))[1]) for f in fs]
     fs = [f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, ks)]
-    P = np.stack([build_prefix_sum(f).cum for f in fs])
-    out = _kernels.sweep(P, f0.cell_size, e, basis_sizes(query.basis, f0.shape, f0.cell_size))
+    sizes = basis_sizes(query.basis, f0.shape, f0.cell_size)
+    if orlicz:
+        cellvol = f0.cell_volume
+        vols = _kernels.volume_table(f0.shape, f0.cell_size)
+        scales = _kernels.vol_pow_table(f0.shape, f0.cell_size, query.alpha / n)
+
+        def leaf(counts: tuple[int, ...], cells: np.ndarray) -> np.ndarray:
+            # cells (m, anchors, counts): phi(|R|) * prod_i ||f_i||_{Psi_i,R}
+            size = tuple(c - 1 for c in counts)
+            val = scales[size]
+            for v, psi in zip(cells, query.orlicz):
+                val = val * luxemburg_norms(v.reshape(-1, math.prod(counts)), cellvol, vols[size], psi)
+            return val.reshape(cells.shape[1 : n + 1])
+
+        out = _kernels.fold_sizes(f0.shape, sizes, np.stack([f.values for f in fs]), window, leaf)
+    else:
+        P = np.stack([build_prefix_sum(f).cum for f in fs])
+        out = _kernels.sweep(P, f0.cell_size, query.alpha / n - query.m, sizes)
     with np.errstate(over="ignore"):
         scaled = np.ldexp(out, sum(ks))
     if np.all(np.isfinite(out)) and not np.all(np.isfinite(scaled)):
         raise GridError("maximal function value overflows the double range")
     return f0.with_values(scaled)
+
+
+def multilinear_fractional_maximal(
+    fs: list[GridFunction], query: MaximalQuery
+) -> GridFunction:
+    """sup over basis rects R containing x of prod_i |R|^(alpha/(mn)-1) int_R f_i."""
+    return _maximal(fs, query, orlicz=False)
 
 
 def strong_maximal(f: GridFunction, basis: Basis) -> GridFunction:
@@ -117,10 +142,8 @@ def _maximal_rect_scan(fs: list[GridFunction], basis: Basis, e: float) -> GridFu
 
 def maximal_reference_scan(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
     """Independent per-rect scan implementation (oracle for the kernels)."""
-    f0 = _check_common_grid(fs)
-    query.validate(f0.dims)
-    e = query.alpha / f0.dims - len(fs)
-    return _maximal_rect_scan(fs, query.basis, e)
+    f0 = _checked(fs, query)
+    return _maximal_rect_scan(fs, query.basis, query.alpha / f0.dims - query.m)
 
 
 def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
@@ -128,22 +151,7 @@ def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
 
     phi(t) = t^(alpha/n) with alpha = query.alpha; Psi_i from query.orlicz.
     """
-    f0 = _check_common_grid(fs)
-    n = f0.dims
-    query.validate(n)
-    if query.orlicz is None:
-        raise GridError("orlicz_maximal needs query.orlicz")
-    cellvol = f0.cell_volume
-    vols = _kernels.volume_table(f0.shape, f0.cell_size)
-    scales = _kernels.vol_pow_table(f0.shape, f0.cell_size, query.alpha / n)
-    out = np.zeros(f0.shape)
-    for counts, step in basis_sizes(query.basis, f0.shape, f0.cell_size):
-        size = tuple(c - 1 for c in counts)
-        val = scales[size]
-        for f, psi in zip(fs, query.orlicz):
-            val = val * luxemburg_norms(size_cells(f.values, counts, step), cellvol, vols[size], psi)
-        _kernels.fold_max(out, val, counts, step)
-    return f0.with_values(out)
+    return _maximal(fs, query, orlicz=True)
 
 
 def level_set_measure(mf: GridFunction, lam: float) -> float:

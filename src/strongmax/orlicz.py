@@ -11,7 +11,12 @@ Each row runs the scalar control flow on its own bracket, and its mean is
 the pairwise sum of its k values along the contiguous last axis, the sum a
 1-D array of those values gets. So every row sees the same sequence of
 lambdas and the same means as a bisection run on that row alone, and gives
-the same bits.
+the same bits. Each row is first scaled by a power of two so that its
+maximum lies in [0.5, 1), and its norm scaled back. A power of two scales
+every lambda, mean argument and bracket without rounding, so this changes
+no bit where the unscaled bisection stays within its fixed floor (1e-300)
+and ceiling (1e300) and no scaled cell is subnormal; it keeps lo + hi
+finite and those limits far from any row's norm.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ def luxemburg_norms(
     total = np.broadcast_to(np.asarray(total_measure, dtype=np.float64), vals.shape[:1])
     if np.any(total <= 0):
         raise MeasureError("Luxemburg norm needs a set of positive measure")
+    if np.isnan(vals).any():
+        raise MeasureError("Luxemburg norm of a NaN cell value")
     weight = cell_measure / total
 
     def mean_phi(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -93,6 +100,9 @@ def luxemburg_norms(
 
     hi = vals.max(axis=1, initial=0.0)
     hi[hi == 0.0] = 0.0  # a row of zeros, of either sign, has norm +0.0
+    # each row runs on its values times 2^-k, k the exponent of its max
+    ks = np.frexp(hi)[1]
+    vals, hi = np.ldexp(vals, -ks[:, None]), np.ldexp(hi, -ks)
     live = np.flatnonzero(hi)
     rows = live
     while rows.size:
@@ -115,7 +125,7 @@ def luxemburg_norms(
         hi[rows[ok]] = mid[ok]
         lo[rows[~ok]] = mid[~ok]
         rows = rows[hi[rows] - lo[rows] > rel_tol * hi[rows]]
-    return hi
+    return np.ldexp(hi, ks)
 
 
 def luxemburg_norm_values(

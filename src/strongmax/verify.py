@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import make_corpus
 from .covering import RectFamily, cf_select, scattered_select
-from ._kernels import libm_pow
+from ._kernels import fold_sizes, libm_pow
 from .grid import (
     Basis,
     GridError,
@@ -30,7 +30,7 @@ from .grid import (
     Rect,
     basis_sizes,
     build_prefix_sum,
-    size_cells,
+    window,
 )
 from .maximal import (
     MaximalQuery,
@@ -56,7 +56,7 @@ from .weights import (
     power_weight_grid,
     reverse_doubling_constant,
 )
-from .young import complementary, in_bp_star, phi_n, phi_n_iter
+from .young import complementary, in_bp_star, phi_n, phi_n_iter, power
 
 STABLE_GROWTH = 0.25  # < 25% growth per doubling counts as bounded
 DIVERGENT_GROWTH = 1.0  # > 100% growth per doubling counts as divergent
@@ -320,17 +320,20 @@ def vector_valued_check(
     if not in_bp_star(complementary(b_young), q, n):
         report.skipped = "hypothesis-skipped: conj(B) not in B*_q"
         return report
-    cond = 0.0
     # checked as grid values, then taken in absolute value as luxemburg_norm does
-    wq = np.abs(f0.with_values(w.values**q).values)
-    vinv = np.abs(f0.with_values(1.0 / v.values).values)
+    vals = np.abs(np.stack([f0.with_values(w.values**q).values, f0.with_values(1.0 / v.values).values]))
     cellvol = f0.cell_volume
-    for counts, step in basis_sizes(basis, f0.shape, f0.cell_size):
-        # the measure of each rect's cell set, as CellSet.measure forms it
-        measure = float(np.prod(counts)) * cellvol
-        na = luxemburg_norms(size_cells(wq, counts, step), cellvol, measure, a_young)
-        nb = luxemburg_norms(size_cells(vinv, counts, step), cellvol, measure, b_young)
-        cond = max(cond, float(np.max(libm_pow(na, 1.0 / q) * nb)))
+
+    def leaf(counts: tuple[int, ...], cells: np.ndarray) -> np.ndarray:
+        # cells (2, anchors, counts); each rect's measure as CellSet.measure forms it
+        k = math.prod(counts)
+        na, nb = (luxemburg_norms(c.reshape(-1, k), cellvol, float(k) * cellvol, young)
+                  for c, young in zip(cells, (a_young, b_young)))
+        return (libm_pow(na, 1.0 / q) * nb).reshape(cells.shape[1 : n + 1])
+
+    # every rect holds a cell, and a maximum rounds nothing
+    sizes = basis_sizes(basis, f0.shape, f0.cell_size)
+    cond = float(np.max(fold_sizes(f0.shape, sizes, vals, window, leaf)))
     report.stats["young_condition_sup"] = cond
     if cond >= CAP:
         report.skipped = "hypothesis-skipped: Young-function condition exceeds cap"
@@ -577,8 +580,6 @@ def _job_two_weight(seed: int) -> VerificationReport:
 
 
 def _job_vector_valued(seed: int) -> VerificationReport:
-    from .young import power
-
     shape, h = (16, 16), (1.0 / 16, 1.0 / 16)
     ones = GridFunction(shape, h, np.ones(shape))
     fns = make_corpus(shape, h, seed + 2, 4)
@@ -590,8 +591,6 @@ def _job_vector_valued(seed: int) -> VerificationReport:
 
 
 def _job_vector_valued_skip(seed: int) -> VerificationReport:
-    from .young import power
-
     shape, h = (8, 8), (1.0 / 8, 1.0 / 8)
     ones = GridFunction(shape, h, np.ones(shape))
     fns = make_corpus(shape, h, seed + 2, 2)
@@ -613,14 +612,6 @@ def _job_two_weight_skip(seed: int) -> VerificationReport:
     fns = make_corpus(shape, h, seed + 1, 4)
     tuples = [fns[i : i + 2] for i in range(0, 4, 2)]
     return two_weight_power_bump_check(wv, v, 1.5, tuples)
-
-
-def _job_prop35(seed: int) -> VerificationReport:
-    return prop35_counterexample()
-
-
-def _job_weight_theory(seed: int) -> VerificationReport:
-    return weight_theory_suite(samples=40, seed=seed, shape=(8, 8))
 
 
 def _job_covering(seed: int) -> VerificationReport:
@@ -654,7 +645,7 @@ JOBS = {
     "two-weight-bump-skip": _job_two_weight_skip,
     "vector-valued": _job_vector_valued,
     "vector-valued-skip": _job_vector_valued_skip,
-    "prop3.5": _job_prop35,
+    "prop3.5": lambda seed: prop35_counterexample(),
     "prop3.6": lambda seed: VerificationReport(
         theorem="power-weight-interval",
         config={"p": 2.0, "n": 1},
@@ -664,7 +655,7 @@ JOBS = {
             and not power_weight_classify(-1.0, 2.0, 1).in_ap
         ),
     ),
-    "weight-theory": _job_weight_theory,
+    "weight-theory": lambda seed: weight_theory_suite(samples=40, seed=seed, shape=(8, 8)),
     "covering": _job_covering,
 }
 

@@ -338,29 +338,25 @@ def reverse_doubling_constant(w: GridFunction) -> float:
         lengths = tuple(2 ** (levels[k] - combo[k]) for k in range(n))
         if min(lengths) < 2:
             continue
-        parent = _block_sums(w.values, lengths)
-        child = _block_sums(w.values, tuple(l // 2 for l in lengths))
-        # child array is 2x finer per axis; group children under parents
-        grouped = child
-        for k in range(n):
-            grouped = grouped.reshape(
-                grouped.shape[:k] + (parent.shape[k], 2) + grouped.shape[k + 1 :]
-            )
-            grouped = np.moveaxis(grouped, k + 1, n + k)
-        ratios = parent[(...,) + (None,) * n] / grouped
-        d = min(d, float(np.min(ratios)))
+        parent = _block_reduce(w.values, lengths, np.add)
+        # a positive parent over its largest child: rounded division is
+        # monotone in the divisor, so this is the smallest ratio's double
+        child = _block_reduce(_block_reduce(w.values, tuple(l // 2 for l in lengths), np.add), (2,) * n, np.maximum)
+        d = min(d, float(np.min(parent / child)))
     if not math.isfinite(d):
         raise GridError("grid too small for reverse doubling (needs >= 2 cells/axis)")
     return d
 
 
-def _block_sums(values: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
+def _block_reduce(values: np.ndarray, lengths: tuple[int, ...], ufunc) -> np.ndarray:
+    """ufunc.reduce over each block of the given per-axis lengths, one axis
+    at a time (np.add gives np.sum's pairwise block sums)."""
     out = values
     for k, L in enumerate(lengths):
         if L == 1:
             continue
         shp = out.shape
-        out = out.reshape(shp[:k] + (shp[k] // L, L) + shp[k + 1 :]).sum(axis=k + 1)
+        out = ufunc.reduce(out.reshape(shp[:k] + (shp[k] // L, L) + shp[k + 1 :]), axis=k + 1)
     return out
 
 
@@ -459,6 +455,8 @@ def _gauss_cell_average(exponent: float, lo: np.ndarray, hi: np.ndarray, n: int)
 
 def power_weight_grid(exponent: float, n: int, cells: int, extent: float = 1.0) -> GridFunction:
     """|x|^exponent on [0, extent]^n, midpoint-sampled, origin cell by quadrature."""
+    if cells < 1:
+        raise WeightError(f"power weight grid needs at least one cell per axis, got {cells}")
     h = extent / cells
     axes = [(np.arange(cells) + 0.5) * h for _ in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")

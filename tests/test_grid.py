@@ -38,6 +38,11 @@ class TestGridFunction:
         with pytest.raises(GridError):
             gf([np.inf, 1.0])
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_a_cell_size_that_is_not_positive_and_finite(self, h):
+        with pytest.raises(GridError, match="cell_size entries must be positive and finite"):
+            GridFunction((2, 2), (1.0, h), np.ones((2, 2)))
+
     def test_rejects_dims_above_three(self):
         with pytest.raises(GridError):
             GridFunction((2, 2, 2, 2), (1, 1, 1, 1), np.ones((2, 2, 2, 2)))

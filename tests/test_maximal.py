@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongmax import _kernels
@@ -18,7 +18,7 @@ from strongmax.maximal import (
     orlicz_maximal,
     strong_maximal,
 )
-from strongmax.young import identity, phi_n
+from strongmax.young import identity, l_log_l, phi_n, power
 
 
 def gf(values, h=None):
@@ -152,6 +152,11 @@ class TestDualImplementations:
         slow = maximal_reference_scan(fs, q)
         assert np.array_equal(fast.values, slow.values)  # bit-identical up to the sign of zero
 
+    @pytest.mark.parametrize("count,m", [(2, 1), (1, 2)])
+    def test_reference_scan_needs_m_functions(self, count, m):
+        with pytest.raises(GridError, match="functions given"):
+            maximal_reference_scan([gf(np.ones(4))] * count, MaximalQuery(basis=ALL, m=m))
+
     @pytest.mark.parametrize(
         "shape,h,m",
         [((8,), (1e-160,), 2),  # |R|^-2 overflows
@@ -264,6 +269,44 @@ class TestOrlicz:
         with pytest.raises(GridError, match="need at least one function"):
             orlicz_maximal([], MaximalQuery(basis=ALL, m=1, orlicz=(identity(),)))
 
+    @pytest.mark.parametrize("count,m", [(3, 1), (1, 2)])
+    def test_needs_m_functions(self, count, m):
+        q = MaximalQuery(basis=ALL, m=m, orlicz=(identity(),) * m)
+        with pytest.raises(GridError, match="functions given"):
+            orlicz_maximal([gf(np.ones(4))] * count, q)
+
+    def test_needs_m_young_functions(self):
+        for orlicz in (None, (identity(),) * 2):
+            with pytest.raises(GridError, match="m Young functions"):
+                orlicz_maximal([gf(np.ones(4))], MaximalQuery(basis=ALL, m=1, orlicz=orlicz))
+
+    @pytest.mark.parametrize(
+        "kind,values",
+        [("all", [1.0, 1e308, 1e308]), ("cubes", [1.0, 1e308, 1e308]),
+         ("dyadic", [1.0, 1e308, 1e308, 1.0])],
+    )
+    def test_values_near_the_double_limit(self, kind, values):
+        # unscaled, the bisection's lo + hi overflows; the one-cell rect of
+        # 1e308 has Phi_2-norm 1e308 (Phi_2(1) = 1) and no rect a larger one
+        q = MaximalQuery(basis=Basis(kind), m=1, orlicz=(phi_n(2),))
+        out = orlicz_maximal([gf(values)], q).values
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out[1:3], 1e308, rtol=1e-11, atol=0.0)
+
+    def test_overflowing_answer_raises(self):
+        f = gf(np.full(4, 1e200))
+        q = MaximalQuery(basis=ALL, m=2, orlicz=(phi_n(2),) * 2)
+        with pytest.raises(GridError, match="overflows"):
+            orlicz_maximal([f, f], q)
+
+    def test_small_values_beside_a_large_one(self):
+        # the operator scales each input so that its maximum is below 1,
+        # which takes the 4-cell mean of 1e-292 to about 3e-303, below the
+        # bisection's fixed bracket floor of 1e-300
+        f = gf([1e10, 0.0, 0.0, 0.0, 1e-292, 0.0, 0.0, 0.0])
+        q = MaximalQuery(basis=Basis("dyadic", (4.0, 4.0)), m=1, orlicz=(identity(),))
+        assert np.allclose(orlicz_maximal([f], q).values, [2.5e9] * 4 + [2.5e-293] * 4, rtol=1e-11, atol=0.0)
+
     def test_identity_psi_matches_fractional(self):
         rng = np.random.default_rng(4)
         f = gf(rng.uniform(0, 3, (6, 6)))
@@ -359,6 +402,34 @@ def test_homogeneous_under_powers_of_two(seed, shape, kind, m_alpha, j, slot):
     fs[slot] = fs[slot].with_values(np.ldexp(fs[slot].values, j))
     scaled = multilinear_fractional_maximal(fs, q).values
     assert np.array_equal(scaled, np.ldexp(base, j))  # bit-equal
+
+
+PSIS = [phi_n(2), power(2.5), l_log_l(1, outer=1.5), identity()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**31),
+    st.sampled_from(SHAPES),
+    st.sampled_from(["all", "dyadic", "cubes"]),
+    st.sampled_from([(1, 0.0), (1, 0.5), (2, 0.0), (2, 1.0)]),
+    st.integers(-900, 1022),
+    st.integers(0, 1),
+    st.sampled_from(PSIS),
+)
+# near 2^1022 the largest values leave no room for the bisection's lo + hi
+@example(seed=0, shape=(8,), kind="all", m_alpha=(1, 0.0), j=1022, slot=0, psi=PSIS[0])
+def test_orlicz_homogeneous_under_powers_of_two(seed, shape, kind, m_alpha, j, slot, psi):
+    m, alpha = m_alpha
+    slot = min(slot, m - 1)
+    _, fs = _random_tuple(seed, shape, m)
+    q = MaximalQuery(basis=Basis(kind), alpha=alpha, m=m, orlicz=(psi, PSIS[3])[:m])
+    base = orlicz_maximal(fs, q).values
+    with np.errstate(over="ignore"):
+        expected = np.ldexp(base, j)
+    assume(np.all(np.isfinite(expected)))
+    fs[slot] = fs[slot].with_values(np.ldexp(fs[slot].values, j))
+    assert np.array_equal(orlicz_maximal(fs, q).values, expected)  # bit-equal
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,6 +11,7 @@ from strongmax.orlicz import (
     MeasureError,
     generalized_holder_check,
     luxemburg_norm,
+    luxemburg_norm_values,
     mean_phi_over,
     norm_le_one_equivalence_check,
     product_norm_lemma_check,
@@ -44,6 +45,17 @@ class TestLuxemburg:
         empty = CellSet(f.shape, f.cell_size, np.zeros(2, dtype=bool))
         with pytest.raises(MeasureError):
             luxemburg_norm(f, empty, identity())
+
+    def test_nan_cell_raises(self):
+        with pytest.raises(MeasureError, match="NaN"):
+            luxemburg_norm_values(np.array([1.0, math.nan]), 1.0, 2.0, phi_n(2))
+
+    @pytest.mark.parametrize("scale", [1e-305, 1.0, 1e305])
+    def test_norm_far_from_one(self, scale):
+        # with Phi = identity the norm is the mean; the bisection's bracket
+        # floor (1e-300) must not stop a norm of 2.5e-306
+        got = luxemburg_norm_values(np.array([scale, 0.0, 0.0, 0.0]), 1.0, 4.0, identity())
+        assert got == pytest.approx(scale / 4, rel=1e-11, abs=0.0)
 
     def test_subrect_set(self):
         f = gf([[1.0, 5.0], [2.0, 2.0]])

@@ -270,6 +270,11 @@ class TestPowerWeights:
         assert np.all(w.values > 0)
         assert w.values[0, 0] == np.max(w.values)
 
+    @pytest.mark.parametrize("cells", [0, -1])
+    def test_grid_needs_a_cell(self, cells):
+        with pytest.raises(WeightError, match="at least one cell"):
+            power_weight_grid(0.5, 1, cells)
+
     def test_alpha_zero_in_class_flat_profile(self):
         rep = power_weight_classify(0.0, 2.0, 1)
         assert rep.in_ap

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, grid_axes
 
 
 def _axis_centers(s: int) -> np.ndarray:
@@ -72,7 +72,7 @@ def make_corpus(
     shape, cell_size, seed: int, count: int = 50
 ) -> list[GridFunction]:
     """Deterministic corpus of `count` nonnegative grid functions."""
-    shape = tuple(int(s) for s in shape)
+    shape, _ = grid_axes(shape, cell_size)
     out = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridError, GridFunction, Rect
+from .grid import GridError, GridFunction, Rect, grid_axes
 
 
 class SelectionError(ValueError):
@@ -34,21 +34,19 @@ class RectFamily:
     shape: tuple[int, ...]
     cell_size: tuple[float, ...]
     rects: tuple[Rect, ...]
-    payload: tuple | None = None  # optional per-rect tags
 
     def __post_init__(self):
         if not self.rects:
             raise SelectionError("empty rectangle family")
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        object.__setattr__(self, "cell_size", tuple(float(h) for h in self.cell_size))
+        shape, h = grid_axes(self.shape, self.cell_size)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "cell_size", h)
         object.__setattr__(self, "rects", tuple(self.rects))
         for r in self.rects:
             if r.dims != len(self.shape):
                 raise GridError("rect dimension mismatch")
             if not r.within(self.shape):
                 raise GridError(f"rect {r} out of grid bounds {self.shape}")
-        if self.payload is not None and len(self.payload) != len(self.rects):
-            raise SelectionError("payload length must match family length")
 
     def __len__(self) -> int:
         return len(self.rects)
@@ -86,7 +84,6 @@ class SelectionResult:
 
 # default packing exponents delta swept in cf_select reports
 PACKING_DELTAS = tuple(round(0.1 * k, 2) for k in range(1, 21))  # 0.1 .. 2.0
-LN2 = math.log(2.0)
 
 
 def _rect_cells(r: Rect) -> int:
@@ -158,13 +155,13 @@ def cf_select(fam: RectFamily, theta: float = 0.5) -> SelectionResult:
     )
 
 
-def is_scattered(fam: RectFamily, indices: list[int], lam: float, tol: float = 0.0) -> bool:
+def is_scattered(fam: RectFamily, indices: list[int], lam: float) -> bool:
     """Each indexed set meets the union of its predecessors (within the
     subsequence, in the given order) in at most a lam fraction of itself."""
     union = np.zeros(fam.shape, dtype=bool)
     for i in indices:
         sl = fam.rects[i].slices()
-        if int(np.count_nonzero(union[sl])) > lam * _rect_cells(fam.rects[i]) + tol:
+        if int(np.count_nonzero(union[sl])) > lam * _rect_cells(fam.rects[i]):
             return False
         union[sl] = True
     return True

@@ -38,6 +38,22 @@ def _as_tuple(x, n: int, name: str) -> tuple:
     return t
 
 
+def grid_axes(shape, cell_size=None) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """shape and cell_size (a scalar, or 1.0 when None) as int and float
+    tuples, checked: 1..MAX_DIMS axes of at least one cell each, and
+    positive finite cell sides."""
+    shape = tuple(int(s) for s in shape)
+    if not 1 <= len(shape) <= MAX_DIMS:
+        raise GridError(f"dims must be in 1..{MAX_DIMS}, got {len(shape)}")
+    if min(shape) < 1:
+        raise GridError("shape entries must be >= 1")
+    h = _as_tuple(1.0 if cell_size is None else cell_size, len(shape), "cell_size")
+    h = tuple(float(hk) for hk in h)
+    if not all(0 < hk < math.inf for hk in h):
+        raise GridError("cell_size entries must be positive and finite")
+    return shape, h
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Nonnegative piecewise-constant function on a uniform grid.
@@ -52,18 +68,11 @@ class GridFunction:
     origin: tuple[float, ...] = ()
 
     def __post_init__(self):
-        n = len(self.shape)
-        if not 1 <= n <= MAX_DIMS:
-            raise GridError(f"dims must be in 1..{MAX_DIMS}, got {n}")
-        if any(int(s) < 1 for s in self.shape):
-            raise GridError("shape entries must be >= 1")
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        h = _as_tuple(self.cell_size, n, "cell_size")
-        if any(not (0 < hk < math.inf) for hk in h):
-            raise GridError("cell_size entries must be positive and finite")
-        object.__setattr__(self, "cell_size", tuple(float(hk) for hk in h))
-        org = self.origin if self.origin else (0.0,) * n
-        object.__setattr__(self, "origin", tuple(float(o) for o in _as_tuple(org, n, "origin")))
+        shape, h = grid_axes(self.shape, self.cell_size)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "cell_size", h)
+        org = self.origin if self.origin else (0.0,) * len(shape)
+        object.__setattr__(self, "origin", tuple(float(o) for o in _as_tuple(org, len(shape), "origin")))
         vals = np.asarray(self.values, dtype=np.float64).reshape(self.shape)
         if not np.all(np.isfinite(vals)):
             raise GridError("values must be finite")
@@ -156,6 +165,9 @@ class Basis:
     def __post_init__(self):
         if self.kind not in _BASIS_KINDS:
             raise GridError(f"unknown basis kind {self.kind!r}")
+        b = self.scale_bounds
+        if b is not None and not (len(b) == 2 and 0 <= b[0] <= b[1]):
+            raise GridError(f"scale_bounds must be (min_side, max_side) with 0 <= min_side <= max_side, got {b}")
 
 
 def _axis_ranges_all(n_cells: int) -> list[tuple[int, int]]:
@@ -176,9 +188,7 @@ def _axis_ranges_dyadic(n_cells: int) -> list[tuple[int, int]]:
 
 def enumerate_basis(basis: Basis, shape: Sequence[int], cell_size: Sequence[float] | None = None) -> Iterator[Rect]:
     """Yield every rectangle of the basis exactly once."""
-    shape = tuple(int(s) for s in shape)
-    n = len(shape)
-    h = tuple(float(x) for x in cell_size) if cell_size is not None else (1.0,) * n
+    shape, h = grid_axes(shape, cell_size)
 
     if basis.kind == ALL_RECTS:
         per_axis = [_axis_ranges_all(nk) for nk in shape]
@@ -244,6 +254,8 @@ def build_prefix_sum(f: GridFunction) -> PrefixSum:
     cum = f.values.astype(np.float64)
     for ax in range(f.dims):
         cum = np.cumsum(cum, axis=ax)
+    if cum.flat[-1] == math.inf:  # the total, the largest entry
+        raise GridError("prefix sums leave the double range")
     cum = np.pad(cum, [(1, 0)] * f.dims)
     cum.setflags(write=False)
     return PrefixSum(f.shape, f.cell_size, cum)
@@ -301,9 +313,8 @@ def basis_sizes(
     otherwise; scale bounds filter the per-axis lengths, as in basis_blocks.
     Each count tuple comes once, in lexicographic order.
     """
-    shape = tuple(int(s) for s in shape)
+    shape, h = grid_axes(shape, cell_size)
     n = len(shape)
-    h = tuple(float(x) for x in cell_size) if cell_size is not None else (1.0,) * n
     if basis.kind == CUBES:
         for counts in _cube_counts(shape, h, basis.scale_bounds):
             yield counts, (1,) * n
@@ -344,8 +355,7 @@ def basis_blocks(
     most RECT_BLOCK rects (or one leading interval, when the other axes hold
     more).
     """
-    shape = tuple(int(s) for s in shape)
-    h = tuple(float(x) for x in cell_size) if cell_size is not None else (1.0,) * len(shape)
+    shape, h = grid_axes(shape, cell_size)
     if basis.kind == CUBES:
         for counts in _cube_counts(shape, h, basis.scale_bounds):
             starts = [np.arange(nk - c + 1) for nk, c in zip(shape, counts)]

@@ -156,12 +156,19 @@ def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
 
 def level_set_measure(mf: GridFunction, lam: float) -> float:
     """Physical measure of the strict super-level set {Mf > lam}."""
+    if math.isnan(lam):
+        raise GridError("level must not be NaN")
     return float(np.count_nonzero(mf.values > lam)) * mf.cell_volume
 
 
 def lp_norm(f: GridFunction, p: float, weight: GridFunction | None = None) -> float:
-    """Global L^p norm, optionally against a weight density."""
+    """Global L^p norm, 0 < p < inf, optionally against a weight density."""
+    if not 0 < p < math.inf:
+        raise GridError(f"lp_norm needs 0 < p < inf, got {p}")
     if weight is not None and not f.same_grid(weight):
         raise GridError("weight must live on the function's grid")
     w = weight.values if weight is not None else 1.0
-    return float(np.sum(f.values**p * w) * f.cell_volume) ** (1.0 / p)
+    total = float(np.sum(f.values**p * w) * f.cell_volume)
+    if total == math.inf or (total == 0.0 and np.any((f.values > 0) & (w > 0))):
+        raise GridError(f"the L^{p:g} integral leaves the double range")
+    return total ** (1.0 / p)

@@ -3,7 +3,9 @@
 The Luxemburg norm is the infimal lambda > 0 making the normalized mean of
 Phi(|f|/lambda) over the set at most one; it is the unique crossing of a
 monotone function of lambda, so bracketing bisection is exact up to the
-requested tolerance.
+relative tolerance young.REL_TOL. That tolerance is a fixed constant far
+above the double spacing (2^-52), so the bracket always narrows below it
+and every bisection ends.
 
 There is one bisection, ``luxemburg_norms``, batched over the rows of an
 (R, k) array, one set of k cells per row; a single norm is a one-row call.
@@ -26,8 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, Rect
-from .young import YoungFunction, complementary, iterate
+from .grid import GridFunction, Rect, grid_axes
+from .young import REL_TOL, YoungFunction, complementary, iterate
+
+
+TOL = 1e-9  # slack of the norm-vs-mean and Hoelder comparisons
 
 
 class MeasureError(ValueError):
@@ -43,11 +48,14 @@ class CellSet:
     mask: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool).reshape(self.shape)
+        shape, h = grid_axes(self.shape, self.cell_size)
+        if np.size(self.mask) != math.prod(shape):
+            raise MeasureError(f"mask of {np.size(self.mask)} cells for a grid of shape {shape}")
+        mask = np.asarray(self.mask, dtype=bool).reshape(shape)
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        object.__setattr__(self, "cell_size", tuple(float(h) for h in self.cell_size))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "cell_size", h)
 
     @property
     def measure(self) -> float:
@@ -65,21 +73,20 @@ class CellSet:
 
 
 def _member_values(f: GridFunction, e: CellSet) -> np.ndarray:
-    if f.shape != e.shape:
-        raise MeasureError("grid/cell-set shape mismatch")
+    if (f.shape, f.cell_size) != (e.shape, e.cell_size):
+        raise MeasureError("grid/cell-set mismatch")
     return np.abs(f.values[e.mask])
 
 
 def luxemburg_norms(
-    vals: np.ndarray, cell_measure: float, total_measure, phi: YoungFunction,
-    rel_tol: float = 1e-12,
+    vals: np.ndarray, cell_measure: float, total_measure, phi: YoungFunction
 ) -> np.ndarray:
     """Luxemburg norms of the rows of vals (R, k), one set of k cells per row.
 
     Every cell has measure cell_measure; total_measure is the measure of each
     row's set (a scalar or R values). Each row runs the scalar bracketing
     bisection: double hi from the row's max while the mean exceeds one, halve
-    lo while half of it still satisfies, then bisect to rel_tol. Rows that
+    lo while half of it still satisfies, then bisect to REL_TOL. Rows that
     have finished drop out of the active index arrays.
     """
     vals = np.asarray(vals, dtype=np.float64)
@@ -118,33 +125,30 @@ def luxemburg_norms(
         rows = rows[lo[rows] > 1e-300]
     lo *= 0.5
     # lo violates (or hit underflow floor), hi satisfies
-    rows = live[hi[live] - lo[live] > rel_tol * hi[live]]
+    rows = live[hi[live] - lo[live] > REL_TOL * hi[live]]
     while rows.size:
         mid = 0.5 * (lo[rows] + hi[rows])
         ok = mean_phi(rows, mid) <= 1.0
         hi[rows[ok]] = mid[ok]
         lo[rows[~ok]] = mid[~ok]
-        rows = rows[hi[rows] - lo[rows] > rel_tol * hi[rows]]
+        rows = rows[hi[rows] - lo[rows] > REL_TOL * hi[rows]]
     return np.ldexp(hi, ks)
 
 
 def luxemburg_norm_values(
-    vals: np.ndarray, cell_measure: float, total_measure: float,
-    phi: YoungFunction, rel_tol: float = 1e-12,
+    vals: np.ndarray, cell_measure: float, total_measure: float, phi: YoungFunction
 ) -> float:
     """Luxemburg norm of raw member-cell values (uniform cell measure)."""
     row = np.reshape(vals, (1, -1))
-    return float(luxemburg_norms(row, cell_measure, total_measure, phi, rel_tol)[0])
+    return float(luxemburg_norms(row, cell_measure, total_measure, phi)[0])
 
 
-def luxemburg_norm(
-    f: GridFunction, e: CellSet, phi: YoungFunction, rel_tol: float = 1e-12
-) -> float:
+def luxemburg_norm(f: GridFunction, e: CellSet, phi: YoungFunction) -> float:
     """||f||_{Phi,E}: inf{lam > 0 : mean_E Phi(|f|/lam) <= 1}."""
     vals = _member_values(f, e)
     if vals.size == 0:
         raise MeasureError("empty cell set")
-    return luxemburg_norm_values(vals, f.cell_volume, e.measure, phi, rel_tol)
+    return luxemburg_norm_values(vals, f.cell_volume, e.measure, phi)
 
 
 def mean_phi_over(f: GridFunction, e: CellSet, phi: YoungFunction) -> float:
@@ -155,13 +159,11 @@ def mean_phi_over(f: GridFunction, e: CellSet, phi: YoungFunction) -> float:
     return float(np.sum(phi.eval(vals))) * f.cell_volume / e.measure
 
 
-def norm_le_one_equivalence_check(
-    f: GridFunction, e: CellSet, phi: YoungFunction, tol: float = 1e-9
-) -> bool:
-    """||f||_{Phi,E} <= 1 iff mean_E Phi(|f|) <= 1, within tol."""
+def norm_le_one_equivalence_check(f: GridFunction, e: CellSet, phi: YoungFunction) -> bool:
+    """||f||_{Phi,E} <= 1 iff mean_E Phi(|f|) <= 1, within TOL."""
     norm = luxemburg_norm(f, e, phi)
     mean = mean_phi_over(f, e, phi)
-    return (norm <= 1.0 + tol) == (mean <= 1.0 + tol)
+    return (norm <= 1.0 + TOL) == (mean <= 1.0 + TOL)
 
 
 @dataclass(frozen=True)
@@ -181,20 +183,19 @@ class CheckReport:
 
 def generalized_holder_check(
     f: GridFunction, g: GridFunction, e: CellSet, phi: YoungFunction,
-    phi_bar: YoungFunction | None = None, tol: float = 1e-9,
+    phi_bar: YoungFunction | None = None,
 ) -> CheckReport:
     """mean_E |fg| <= 2 ||f||_{Phi,E} ||g||_{conj Phi,E}."""
     if phi_bar is None:
         phi_bar = complementary(phi)
-    lhs = float(np.sum(np.abs(f.values[e.mask] * g.values[e.mask]))) \
-        * f.cell_volume / e.measure
+    lhs = float(np.sum(_member_values(f, e) * _member_values(g, e))) * f.cell_volume / e.measure
     nf = luxemburg_norm(f, e, phi)
     ng = luxemburg_norm(g, e, phi_bar)
     rhs = 2.0 * nf * ng
     if math.isinf(rhs):
         return CheckReport("generalized_holder", lhs, rhs, True,
                            note="vacuous (RHS infinite)")
-    return CheckReport("generalized_holder", lhs, rhs, lhs <= rhs + tol)
+    return CheckReport("generalized_holder", lhs, rhs, lhs <= rhs + TOL)
 
 
 def product_norm_lemma_check(
@@ -219,6 +220,7 @@ def product_norm_lemma_check(
     mean_prod = 1.0
     for f in fs:
         mean_prod *= mean_phi_over(f, e, phim)
-    return CheckReport("product_norm_lemma", norm_prod, mean_prod,
-                       math.isfinite(mean_prod) and mean_prod > 0)
+    if math.inf in (norm_prod, mean_prod):
+        raise MeasureError("product norm lemma: a product leaves the double range")
+    return CheckReport("product_norm_lemma", norm_prod, mean_prod, mean_prod > 0)
 

@@ -4,8 +4,7 @@ Each check computes concrete lhs/rhs quantities on a grid and records the
 configuration, ratios, and a pass/fail (or "skipped" when a hypothesis is
 violated; hypothesis violations are never silently passed). Boundedness on
 a fixed grid is vacuous, so the harness favors growth checks across
-resolutions: a ratio is "stable" under < 25% growth per grid doubling and
-"divergent" above 100%.
+resolutions.
 
 All checks are deterministic given their seed; run_all executes the
 selected jobs one after another in the calling thread, in sorted-name
@@ -44,6 +43,7 @@ from .maximal import (
 from .orlicz import luxemburg_norms
 from .weights import (
     CAP,
+    RATIO_THRESHOLD,
     WeightVector,
     _anchored_max,
     _increment_ratio,
@@ -58,8 +58,9 @@ from .weights import (
 )
 from .young import complementary, in_bp_star, phi_n, phi_n_iter, power
 
-STABLE_GROWTH = 0.25  # < 25% growth per doubling counts as bounded
-DIVERGENT_GROWTH = 1.0  # > 100% growth per doubling counts as divergent
+ORLICZ_KS = (0, 1)  # k of the Orlicz majorants Phi_(k+1) in the one-weight circle
+RD_GRID = 32  # cells per axis of the reverse-doubling grid in prop35_counterexample
+QUAD_TOL = 5e-3  # relative error allowed of the counterexample's masses and ratios
 
 
 @dataclass
@@ -119,8 +120,9 @@ def endpoint_check(
     lhs = |{M_alpha(f) > lam^m}|^(m - alpha/n);
     rhs = prod_i [1 + ((alpha/(mn)) log+ prod_j I_j)^(n-1)]^m * I_i,
     I_j = integral of Phi_n^(m)(|f_j|/lam).
-    In one dimension the bracket factor is 1 (the (n-1)-power log correction
-    is void and the inequality reduces to its weak-(1,1)-type form).
+    The bracket factor is 1 in one dimension (the (n-1)-power log
+    correction is void and the inequality reduces to its weak-(1,1)-type
+    form) and for alpha = 0, also where prod_j I_j overflows.
     """
     if not 0 < lam < math.inf:
         raise GridError(f"lambda must be positive and finite, got {lam}")
@@ -138,7 +140,7 @@ def endpoint_check(
     prod_i = 1.0
     for v in integrals:
         prod_i *= v
-    if n == 1:
+    if n == 1 or alpha == 0:
         bracket = 1.0
     else:
         logp = math.log(prod_i) if prod_i > 1.0 else 0.0
@@ -209,16 +211,16 @@ def operator_ratio(
 
 def one_weight_equivalence_check(
     wv: WeightVector, fs_tuples: list[list[GridFunction]],
-    basis: Basis | None = None, ks: tuple[int, ...] = (0, 1),
+    basis: Basis | None = None,
 ) -> VerificationReport:
     """Equivalence circle for the one-weight fractional estimate.
 
     (i) the fractional multi-weight constant; (ii) min over r of the same
     constant for w^r at exponents (p/r, q/r) (the open-property statement);
     (iii) empirical operator ratio of the fractional maximal; (iv) the same
-    for the Orlicz-maximal majorant with Phi_(k+1). Asserts: (i) finite
-    under cap implies (iii) and (iv) finite, and (iv) >= (iii) (pointwise
-    domination of the operators).
+    for the Orlicz-maximal majorant with Phi_(k+1), k in ORLICZ_KS.
+    Asserts: (i) finite under cap implies (iii) and (iv) finite, and
+    (iv) >= (iii) (pointwise domination of the operators).
     """
     n = wv.weights[0].dims
     if abs(1.0 / wv.q - (1.0 / wv.p - wv.alpha / n)) > 1e-9:
@@ -231,7 +233,7 @@ def one_weight_equivalence_check(
             continue
         c_ii = min(c_ii, multi_weight_constant_apq(wv.powered(r), basis))
     r_iii = operator_ratio(fs_tuples, wv, basis)
-    r_iv = {k: operator_ratio(fs_tuples, wv, basis, orlicz_k=k) for k in ks}
+    r_iv = {k: operator_ratio(fs_tuples, wv, basis, orlicz_k=k) for k in ORLICZ_KS}
     passed = True
     if c_i < CAP:
         passed = math.isfinite(r_iii) and all(math.isfinite(v) for v in r_iv.values())
@@ -305,14 +307,16 @@ def vector_valued_check(
     against v^p is finite.
     """
     basis = basis or Basis("all")
+    if not fjs:
+        raise GridError("need at least one function")
     f0 = _check_common_grid([*fjs, w, v])
     n = f0.dims
     report = VerificationReport(
         theorem="vector-valued",
         config={"p": p, "q": q, "r": r, "count": len(fjs), "basis": basis.kind},
     )
-    if not 1 < q < p:
-        raise GridError("need 1 < q < p")
+    if not (1 < q < p < math.inf and 1 < r < math.inf):
+        raise GridError(f"need 1 < q < p < inf and 1 < r < inf, got p={p}, q={q}, r={r}")
     rp = r / (r - 1.0)
     if not in_bp_star(complementary(a_young), rp, n):
         report.skipped = "hypothesis-skipped: conj(A) not in B*_{r'}"
@@ -361,23 +365,23 @@ def _decay_column(length: int) -> np.ndarray:
     return 1.0 / (1.0 + k) - 1.0 / (2.0 + k)
 
 
-def prop35_counterexample(
-    lmax: int = 8, rd_grid: int = 32, quad_tol: float = 5e-3
-) -> VerificationReport:
+def prop35_counterexample(lmax: int = 8) -> VerificationReport:
     """Weight with dyadic reverse doubling that fails the A_infty comparison.
 
     For n in {2, 3}, w(x) = (1 + |x_n|)^-2:
     (i) reverse doubling constant >= 2^(n-1) within 1%;
     (ii) w(R_l) = 2^(ln)/(1+2^l) and w(E_l)/w(R_l) = (1+2^-l)/2 within
-        quad_tol for l = 1..lmax, where R_l = [0, 2^l)^n and E_l is R_l
+        QUAD_TOL for l = 1..lmax, where R_l = [0, 2^l)^n and E_l is R_l
         thinned to x_n in [0, 1);
     (iii) the A_infty classifier reports failure.
     The masses factorize exactly across axes (w depends on x_n only), so
     they are computed from the last-axis column integrals times the
     cross-sectional area.
     """
+    if lmax < 2:  # the A_infty grid needs 2^lmax >= 4 cells per axis
+        raise GridError(f"prop35_counterexample needs lmax >= 2, got {lmax}")
     report = VerificationReport(theorem="rd-vs-a-infty-counterexample",
-                                config={"lmax": lmax, "rd_grid": rd_grid})
+                                config={"lmax": lmax, "rd_grid": RD_GRID})
     col = _decay_column(2**lmax)
     cum = np.concatenate([[0.0], np.cumsum(col)])
     ok = True
@@ -390,13 +394,13 @@ def prop35_counterexample(
             exact_mass = 2.0 ** (ell * n) / (1.0 + 2.0**ell)
             ratio = col[0] / cum[side]
             exact_ratio = 0.5 * (1.0 + 2.0**-ell)
-            ok &= abs(mass / exact_mass - 1.0) < quad_tol
-            ok &= abs(ratio / exact_ratio - 1.0) < quad_tol
+            ok &= abs(mass / exact_mass - 1.0) < QUAD_TOL
+            ok &= abs(ratio / exact_ratio - 1.0) < QUAD_TOL
             rows.append({"l": ell, "mass": mass, "exact_mass": exact_mass,
                          "ratio": ratio, "exact_ratio": exact_ratio})
         # reverse doubling on a dyadic grid; weight constant across other axes
-        colv = _decay_column(rd_grid)
-        shape = (rd_grid,) * n
+        colv = _decay_column(RD_GRID)
+        shape = (RD_GRID,) * n
         vals = np.broadcast_to(colv, shape).copy()  # varies along the last axis
         w = GridFunction(shape, (1.0,) * n, vals)
         d = reverse_doubling_constant(w)
@@ -475,13 +479,12 @@ def weight_theory_suite(
         )
         if c1 < CAP and not c2 < CAP:
             violations.append((idx, "scaling-monotonicity"))
-        # factorization
-        q = 1.0
-        capq = multi_weight_constant_apq(WeightVector(ws, ps, q=q), basis)
+        # factorization, at q = 1
+        capq = multi_weight_constant_apq(wv, basis)
         if capq < CAP:
             m = len(ws)
-            nu_q = ws[0].with_values((ws[0].values * ws[1].values) ** q)
-            if not ap_constant(nu_q, m * q, basis) < CAP:
+            nu_q = ws[0].with_values(ws[0].values * ws[1].values)
+            if not ap_constant(nu_q, m, basis) < CAP:
                 violations.append((idx, "factorization-nu"))
             for w, pi in zip(ws, ps):
                 ppi = pi / (pi - 1.0)
@@ -547,7 +550,7 @@ def _bump_separation_witness(basis: Basis) -> bool:
     a, c, p, q = 0.5, 0.6, 2.0, 2.0
     r_small = _increment_ratio(_bump_profile(a, c, p, q, 1.05, 12))
     r_large = _increment_ratio(_bump_profile(a, c, p, q, 2.5, 12))
-    return r_small < 0.9 <= r_large
+    return r_small < RATIO_THRESHOLD <= r_large
 
 
 # --- full run -------------------------------------------------------------------
@@ -561,57 +564,40 @@ def _job_endpoint(seed: int) -> VerificationReport:
     return rep
 
 
-def _job_one_weight(seed: int) -> VerificationReport:
+def _unit_weights(seed: int, count: int):
+    """The weight pair (1, 1) on the 16x16 grid at p = (2, 2), q = 1, and
+    the first count corpus functions of the seed on that grid, in pairs."""
     shape, h = (16, 16), (1.0 / 16, 1.0 / 16)
     ones = GridFunction(shape, h, np.ones(shape))
-    wv = WeightVector((ones, ones), (2.0, 2.0), q=1.0, alpha=0.0)
-    fns = make_corpus(shape, h, seed, 8)
-    tuples = [fns[i : i + 2] for i in range(0, 8, 2)]
+    fns = make_corpus(shape, h, seed, count)
+    return WeightVector((ones, ones), (2.0, 2.0), q=1.0, alpha=0.0), [fns[i : i + 2] for i in range(0, count, 2)]
+
+
+def _job_one_weight(seed: int) -> VerificationReport:
+    wv, tuples = _unit_weights(seed, 8)
     return one_weight_equivalence_check(wv, tuples, basis=Basis("dyadic"))
 
 
 def _job_two_weight(seed: int) -> VerificationReport:
-    shape, h = (16, 16), (1.0 / 16, 1.0 / 16)
-    ones = GridFunction(shape, h, np.ones(shape))
-    wv = WeightVector((ones, ones), (2.0, 2.0), q=1.0, alpha=0.0)
-    fns = make_corpus(shape, h, seed + 1, 8)
-    tuples = [fns[i : i + 2] for i in range(0, 8, 2)]
-    return two_weight_power_bump_check(wv, ones, 1.5, tuples)
-
-
-def _job_vector_valued(seed: int) -> VerificationReport:
-    shape, h = (16, 16), (1.0 / 16, 1.0 / 16)
-    ones = GridFunction(shape, h, np.ones(shape))
-    fns = make_corpus(shape, h, seed + 2, 4)
-    # conj(t^2.5) grows like t^(5/3) < r' = 3; conj(t^3) like t^1.5 < q = 2
-    return vector_valued_check(
-        fns, ones, ones, p=3.0, q=2.0,
-        a_young=power(2.5), b_young=power(3.0), r=1.5, basis=Basis("dyadic"),
-    )
-
-
-def _job_vector_valued_skip(seed: int) -> VerificationReport:
-    shape, h = (8, 8), (1.0 / 8, 1.0 / 8)
-    ones = GridFunction(shape, h, np.ones(shape))
-    fns = make_corpus(shape, h, seed + 2, 2)
-    # conj(t^1.3) grows like t^(13/3) > r' = 3: hypothesis must be refused
-    return vector_valued_check(
-        fns, ones, ones, p=3.0, q=2.0,
-        a_young=power(1.3), b_young=power(3.0), r=1.5, basis=Basis("dyadic"),
-    )
+    wv, tuples = _unit_weights(seed + 1, 8)
+    return two_weight_power_bump_check(wv, wv.weights[0], 1.5, tuples)
 
 
 def _job_two_weight_skip(seed: int) -> VerificationReport:
-    shape, h = (16, 16), (1.0 / 16, 1.0 / 16)
-    ones = GridFunction(shape, h, np.ones(shape))
-    wv = WeightVector((ones, ones), (2.0, 2.0), q=1.0, alpha=0.0)
+    wv, tuples = _unit_weights(seed + 1, 4)
     # v huge on a thin strip: the bump constant blows past the cap
-    vvals = np.ones(shape)
+    vvals = np.ones((16, 16))
     vvals[:, 0] = 1e12
-    v = GridFunction(shape, h, vvals)
-    fns = make_corpus(shape, h, seed + 1, 4)
-    tuples = [fns[i : i + 2] for i in range(0, 4, 2)]
-    return two_weight_power_bump_check(wv, v, 1.5, tuples)
+    return two_weight_power_bump_check(wv, wv.weights[0].with_values(vvals), 1.5, tuples)
+
+
+def _job_vector_valued(seed: int, cells: int, count: int, a_young) -> VerificationReport:
+    """The vector-valued check of count corpus functions of seed + 2 on the
+    cells x cells grid, with w = v = 1, p = 3, q = 2, B = t^3 and r = 1.5."""
+    shape, h = (cells, cells), (1.0 / cells, 1.0 / cells)
+    ones = GridFunction(shape, h, np.ones(shape))
+    return vector_valued_check(make_corpus(shape, h, seed + 2, count), ones, ones, p=3.0, q=2.0,
+                               a_young=a_young, b_young=power(3.0), r=1.5, basis=Basis("dyadic"))
 
 
 def _job_covering(seed: int) -> VerificationReport:
@@ -643,8 +629,10 @@ JOBS = {
     "one-weight": _job_one_weight,
     "two-weight-bump": _job_two_weight,
     "two-weight-bump-skip": _job_two_weight_skip,
-    "vector-valued": _job_vector_valued,
-    "vector-valued-skip": _job_vector_valued_skip,
+    # conj(t^2.5) grows like t^(5/3) < r' = 3; conj(t^3) like t^1.5 < q = 2
+    "vector-valued": lambda seed: _job_vector_valued(seed, 16, 4, power(2.5)),
+    # conj(t^1.3) grows like t^(13/3) > r' = 3: hypothesis must be refused
+    "vector-valued-skip": lambda seed: _job_vector_valued(seed, 8, 2, power(1.3)),
     "prop3.5": lambda seed: prop35_counterexample(),
     "prop3.6": lambda seed: VerificationReport(
         theorem="power-weight-interval",

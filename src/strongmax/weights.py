@@ -44,6 +44,9 @@ from .grid import (
 from .maximal import strong_maximal
 
 CAP = 1e6  # finiteness proxy for class membership on a fixed grid
+SLOPE_TOL = 0.01  # largest fitted log-constant slope an A_infty family may keep
+TAUBERIAN_TRIALS = 20  # random sets of each kind in the Tauberian estimate
+RATIO_THRESHOLD = 0.9  # tail log-increment ratio at which a profile counts as growing
 
 
 class WeightError(ValueError):
@@ -74,12 +77,12 @@ class WeightVector:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if len(self.weights) != len(self.ps):
-            raise WeightError("need one exponent per weight")
-        if any(pi < 1 for pi in self.ps):
-            raise WeightError("exponents p_i must be >= 1")
-        if self.q <= 0:
-            raise WeightError("q must be positive")
+        if not 0 < len(self.weights) == len(self.ps):
+            raise WeightError("need at least one weight, and one exponent per weight")
+        if not all(1 <= pi < math.inf for pi in self.ps):
+            raise WeightError(f"exponents p_i must be finite and >= 1, got {self.ps}")
+        if not (0 < self.q < math.inf and 0 <= self.alpha < math.inf):
+            raise WeightError(f"need 0 < q < inf and 0 <= alpha < inf, got q={self.q}, alpha={self.alpha}")
         for w in self.weights:
             _require_positive(w)
         g0 = self.weights[0]
@@ -122,7 +125,12 @@ class WeightVector:
 # --- sup over a basis, one block at a time ------------------------------------
 
 
-def _prefix(f: GridFunction, arr: np.ndarray) -> PrefixSum:
+def _prefix(f: GridFunction, arr: np.ndarray, name: str) -> PrefixSum:
+    """Prefix sums of arr, the cell values of the named power of positive
+    weights. A value that overflowed to inf or underflowed to 0 left the
+    double range, and no constant formed from it would be right."""
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise WeightError(f"{name} leaves the double range")
     return build_prefix_sum(f.with_values(arr))
 
 
@@ -132,9 +140,9 @@ def _row_values(block: Block, factors, volpow=None) -> np.ndarray:
 
     A factor is (source, exponent). A PrefixSum source gives avg_R g, the
     cell sum over the cell count; an array of cell values w gives
-    1 / min_R w. An exponent of None takes that value as is; any other
-    applies one libm pow. volpow, a _kernels.vol_pow_table, puts a leading
-    factor |R|^e first.
+    1 / min_R w. An exponent of 1.0 takes that value as is (libm pow(x, 1)
+    is x); any other applies one libm pow. volpow, a
+    _kernels.vol_pow_table, puts a leading factor |R|^e first.
     """
     counts = [hi - lo + 1 for lo, hi in block]
     n = functools.reduce(np.multiply.outer, counts).astype(np.float64)
@@ -144,7 +152,7 @@ def _row_values(block: Block, factors, volpow=None) -> np.ndarray:
             x = block_cell_sums(source, block) / n
         else:
             x = 1.0 / block_cell_mins(source, block)
-        if e is not None:
+        if e != 1.0:
             x = libm_pow(x, e)
         out = x if out is None else out * x
     return out.ravel()
@@ -169,16 +177,16 @@ def _sup_over_blocks(g0: GridFunction, basis: Basis, factors, volpow=None):
 
 def _slot_factors(wv: WeightVector, shift: float, outer: float, r: float = 1.0) -> list:
     """The factors (avg_R w_i^((shift - p_i') r))^(outer / (r p_i')), one per
-    weight. A p_i = 1 slot uses the infimum convention (1 / min_R w_i)^outer;
-    x^1 is x, so an outer exponent of 1 applies no pow there.
+    weight. A p_i = 1 slot uses the infimum convention (1 / min_R w_i)^outer.
     """
     factors = []
-    for w, pi in zip(wv.weights, wv.ps):
+    for i, (w, pi) in enumerate(zip(wv.weights, wv.ps)):
         if pi == 1.0:
-            factors.append((w.values, None if outer == 1.0 else outer))
+            factors.append((w.values, outer))
         else:
             ppi = conj_exponent(pi)
-            factors.append((_prefix(w, w.values ** ((shift - ppi) * r)), outer / (r * ppi)))
+            e = (shift - ppi) * r
+            factors.append((_prefix(w, w.values**e, f"w_{i}^{e:g}"), outer / (r * ppi)))
     return factors
 
 
@@ -186,11 +194,12 @@ def ap_constant(
     w: GridFunction, p: float, basis: Basis, return_witness: bool = False
 ):
     """[w]_{A_p,basis} = sup_R (avg_R w) (avg_R w^(1-p'))^(p/p')."""
-    if p <= 1:
-        raise WeightError("ap_constant needs p > 1")
+    if not 1 < p < math.inf:
+        raise WeightError(f"ap_constant needs a finite p > 1, got {p}")
     _require_positive(w)
     pp = conj_exponent(p)
-    factors = [(_prefix(w, w.values), None), (_prefix(w, w.values ** (1.0 - pp)), p / pp)]
+    dual = _prefix(w, w.values ** (1.0 - pp), f"w^{1.0 - pp:g}")
+    factors = [(_prefix(w, w.values, "w"), 1.0), (dual, p / pp)]
     best, witness = _sup_over_blocks(w, basis, factors)
     return (best, witness) if return_witness else best
 
@@ -201,14 +210,14 @@ def multi_weight_constant_apq(wv: WeightVector, basis: Basis) -> float:
     p_i = 1 slots use the infimum convention (inf_R w_i)^(-1).
     """
     g0 = wv.weights[0]
-    factors = [(_prefix(g0, wv.nu() ** wv.q), 1.0 / wv.q), *_slot_factors(wv, 0.0, 1.0)]
+    factors = [(_prefix(g0, wv.nu() ** wv.q, f"nu^{wv.q:g}"), 1.0 / wv.q), *_slot_factors(wv, 0.0, 1.0)]
     return _sup_over_blocks(g0, basis, factors)[0]
 
 
 def multi_weight_constant_ap(wv: WeightVector, basis: Basis) -> float:
     """[w]_{A_p(vec)} = sup_R (avg nu_hat) prod_i (avg w_i^(1-p_i'))^(p/p_i')."""
     g0 = wv.weights[0]
-    factors = [(_prefix(g0, wv.nu_hat()), None), *_slot_factors(wv, 1.0, wv.p)]
+    factors = [(_prefix(g0, wv.nu_hat(), "nu_hat"), 1.0), *_slot_factors(wv, 1.0, wv.p)]
     return _sup_over_blocks(g0, basis, factors)[0]
 
 
@@ -216,8 +225,8 @@ def power_bump_check(
     wv: WeightVector, v: GridFunction, r: float, basis: Basis
 ) -> dict:
     """sup_R |R|^(a/n+1/q-1/p) (avg v)^(1/q) prod (avg w_i^((1-p_i')r))^(1/(r p_i'))."""
-    if r <= 1:
-        raise WeightError("power bump needs r > 1")
+    if not 1 < r < math.inf:
+        raise WeightError(f"power bump needs a finite r > 1, got {r}")
     if min(wv.ps) <= 1:
         raise WeightError("power bump needs p_i > 1")
     g0 = wv.weights[0]
@@ -225,7 +234,7 @@ def power_bump_check(
         raise WeightError("v must share the weights' grid")
     _require_positive(v, "v")
     vol_exp = wv.alpha / g0.dims + 1.0 / wv.q - 1.0 / wv.p
-    factors = [(_prefix(g0, v.values), 1.0 / wv.q), *_slot_factors(wv, 1.0, 1.0, r)]
+    factors = [(_prefix(g0, v.values, "v"), 1.0 / wv.q), *_slot_factors(wv, 1.0, 1.0, r)]
     volpow = vol_pow_table(g0.shape, g0.cell_size, vol_exp)
     best, witness = _sup_over_blocks(g0, basis, factors, volpow)
     return {"constant": best, "witness": witness, "finite_under_cap": best < CAP}
@@ -250,15 +259,14 @@ class AInftyReport:
 
 
 def a_infty_classify(
-    w: GridFunction, slope_tol: float = 0.01,
-    rng: np.random.Generator | None = None, n_random_pairs: int = 50,
+    w: GridFunction, rng: np.random.Generator | None = None, n_random_pairs: int = 50
 ) -> AInftyReport:
     """Growth-profile test of the A_infty comparability w(E)/w(R) <= C (|E|/|R|)^d.
 
     Sweeps nested witness families (dyadic boxes anchored at the grid origin
     with one axis thinned to a single cell). A family witnesses failure when
     for every exponent d in the sweep the required constant grows without
-    bound along the family (positive fitted slope of log C against scale),
+    bound along the family (fitted slope of log C against scale above SLOPE_TOL),
     i.e. no (C, d) pair can control the whole family.
     """
     _require_positive(w)
@@ -295,7 +303,7 @@ def a_infty_classify(
             log_c = log_rw - delta * log_rl
             slopes[delta] = float(np.polyfit(ells, log_c, 1)[0])
         report.slopes[axis] = slopes
-        if min(slopes.values()) > slope_tol:
+        if min(slopes.values()) > SLOPE_TOL:
             report.passes = False
             if report.witness_axis is None:
                 report.witness_axis = axis
@@ -372,15 +380,14 @@ class TauberianReport:
 
 
 def tauberian_constant_estimate(
-    w: GridFunction, basis: Basis, gamma: float, trials: int = 20,
-    seed: int = 0, extra_sets: list[np.ndarray] | None = None,
+    w: GridFunction, basis: Basis, gamma: float, seed: int = 0
 ) -> TauberianReport:
     """Lower bound for sup_E w({M 1_E > gamma}) / w(E).
 
     The sup over all measurable E is not computable; this sweeps structured
-    families (single rectangles, unions of two rectangles), `trials` random
-    cell sets, and any caller-provided sets, and reports the best ratio
-    found as a certified lower bound with its witness.
+    families (single rectangles, unions of two rectangles) and
+    TAUBERIAN_TRIALS random cell sets, and reports the best ratio found as
+    a certified lower bound with its witness.
     """
     if not 0 < gamma < 1:
         raise WeightError("gamma must lie in (0,1)")
@@ -407,15 +414,13 @@ def tauberian_constant_estimate(
         mask[tuple(slice(l, h + 1) for l, h in zip(lo, hi))] = True
         return mask
 
-    for t in range(trials):
+    for t in range(TAUBERIAN_TRIALS):
         candidates.append((f"random rect #{t}", rand_rect_mask()))
         candidates.append((f"random 2-rect union #{t}", rand_rect_mask() | rand_rect_mask()))
         candidates.append(
             (f"random cell set #{t}", rng.random(w.shape) < rng.uniform(0.02, 0.5))
         )
     candidates.append(("whole grid", np.ones(w.shape, dtype=bool)))
-    for i, m in enumerate(extra_sets or []):
-        candidates.append((f"user set #{i}", np.asarray(m, dtype=bool)))
 
     best, witness = -math.inf, ""
     count = 0
@@ -455,8 +460,9 @@ def _gauss_cell_average(exponent: float, lo: np.ndarray, hi: np.ndarray, n: int)
 
 def power_weight_grid(exponent: float, n: int, cells: int, extent: float = 1.0) -> GridFunction:
     """|x|^exponent on [0, extent]^n, midpoint-sampled, origin cell by quadrature."""
-    if cells < 1:
-        raise WeightError(f"power weight grid needs at least one cell per axis, got {cells}")
+    if cells < 1 or n < 1 or not math.isfinite(exponent):
+        raise WeightError(f"power weight grid needs at least one cell per axis, n >= 1 and a finite "
+                          f"exponent, got cells={cells}, n={n}, exponent={exponent}")
     h = extent / cells
     axes = [(np.arange(cells) + 0.5) * h for _ in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")
@@ -503,30 +509,29 @@ def power_weight_profile(alpha: float, p: float, n: int, depth: int) -> list[flo
     Entry j is the max Ap product over all rectangles prod_k [0, 2^-a_k]
     (a_k <= j) on the grid of resolution 2^j over [0,1]^n.
     """
-    if p <= 1:
-        raise WeightError("p must exceed 1")
-    if alpha <= -n:
-        raise WeightError(f"alpha must exceed -n = {-n} (cellwise integrability)")
+    if not 1 < p < math.inf:
+        raise WeightError(f"p must be finite and exceed 1, got {p}")
+    if not -n < alpha < math.inf:
+        raise WeightError(f"alpha must be finite and exceed -n = {-n} (cellwise integrability), got {alpha}")
     pp = conj_exponent(p)
     dual = alpha * (1.0 - pp)
     profile = []
     for j in range(2, depth + 1):
-        factors = [(build_prefix_sum(power_weight_grid(alpha, n, 2**j)), None),
+        factors = [(build_prefix_sum(power_weight_grid(alpha, n, 2**j)), 1.0),
                    (build_prefix_sum(power_weight_grid(dual, n, 2**j)), p / pp)]
         profile.append(_anchored_max(j, n, factors))
     return profile
 
 
 def power_weight_classify(
-    alpha: float, p: float, n: int, depth: int | None = None,
-    ratio_threshold: float = 0.9,
+    alpha: float, p: float, n: int, depth: int | None = None
 ) -> PowerWeightReport:
     """Classify |x|^alpha against the rectangle A_p class.
 
     In-class profiles converge with geometrically shrinking log-increments;
     out-of-class profiles keep growing (power-like: constant increments of
     log, boundary: increments shrinking only harmonically). The tail ratio
-    of consecutive log-increments separates the two.
+    of consecutive log-increments, against RATIO_THRESHOLD, separates the two.
     """
     if depth is None:
         depth = {1: 12, 2: 10}.get(n, 8)
@@ -539,6 +544,6 @@ def power_weight_classify(
                                  profile=[], log_increment_ratio=math.inf)
     profile = power_weight_profile(alpha, p, n, depth)
     ratio = _increment_ratio(profile)
-    in_ap = ratio < ratio_threshold
+    in_ap = ratio < RATIO_THRESHOLD
     return PowerWeightReport(in_ap=in_ap, alpha=alpha, p=p, n=n,
                              profile=profile, log_increment_ratio=ratio)

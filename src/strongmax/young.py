@@ -23,12 +23,15 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 T_LARGE = 1e9  # cap used to detect unbounded conjugates / brackets
+REL_TOL = 1e-12  # relative bracket width at which every bisection stops
+ONEIL_SAMPLES = tuple(np.logspace(-6, 9, 61))  # the t of the O'Neil triple check
+BP_EPS = 0.05  # half-width of the borderline band of B*_p tail exponents
 
 
 class YoungFunctionError(ValueError):
@@ -66,9 +69,9 @@ def _logp(t: np.ndarray) -> np.ndarray:
 
 
 def power(s: float) -> YoungFunction:
-    """Phi(t) = t^s, s >= 1."""
-    if s < 1:
-        raise YoungFunctionError("power exponent must be >= 1 for convexity")
+    """Phi(t) = t^s, s >= 1 and finite."""
+    if not 1 <= s < math.inf:
+        raise YoungFunctionError(f"power exponent must be finite and >= 1 for convexity, got {s}")
 
     def conj(y):
         # sup_t {yt - t^s}, attained at t* = (y/s)^(1/(s-1)); 0 (at t = 0) for y <= 0
@@ -91,8 +94,8 @@ def power(s: float) -> YoungFunction:
 
 def l_log_l(k: int, outer: float = 1.0) -> YoungFunction:
     """[t(1+log+ t)^k]^outer."""
-    if k < 0 or outer < 1:
-        raise YoungFunctionError("need k >= 0 and outer >= 1")
+    if k < 0 or not 1 <= outer < math.inf:
+        raise YoungFunctionError(f"need k >= 0 and a finite outer >= 1, got k={k}, outer={outer}")
 
     def ev(t):
         t = np.asarray(t, dtype=np.float64)
@@ -113,10 +116,7 @@ def phi_n(n: int) -> YoungFunction:
     if n < 1:
         raise YoungFunctionError("n must be >= 1")
     if n == 1:
-        f = power(1.0)
-        return YoungFunction(f.eval, label="Phi_1", is_submultiplicative=True,
-                             closed_inverse=f.closed_inverse,
-                             closed_complementary=f.closed_complementary)
+        return replace(power(1.0), label="Phi_1")
 
     def ev(t):
         t = np.asarray(t, dtype=np.float64)
@@ -160,17 +160,9 @@ def phi_n_iter(n: int, m: int) -> YoungFunction:
 
 
 def psi_n(n: int) -> YoungFunction:
-    """Psi_n(t) = exp(t^(1/(n-1))) - 1 for n >= 2.
-
-    Psi_1 is taken as the limit convention exp-growth indicator; it is only
-    exercised for n >= 2.
-    """
+    """Psi_n(t) = exp(t^(1/(n-1))) - 1 for n >= 2."""
     if n < 2:
-        def ev1(t):
-            t = np.asarray(t, dtype=np.float64)
-            return np.where(t > 0, np.expm1(np.minimum(t, 700.0) * np.inf), 0.0)
-
-        return YoungFunction(ev1, label="Psi_1 (limit convention)")
+        raise YoungFunctionError(f"psi_n needs n >= 2, got {n}")
 
     e = 1.0 / (n - 1)
 
@@ -189,22 +181,26 @@ def identity() -> YoungFunction:
     return power(1.0)
 
 
+# family name -> (builder, the type of each parameter it takes)
 _FAMILIES = {
-    "power": lambda **kw: power(float(kw["s"])),
-    "phi_n": lambda **kw: phi_n(int(kw["n"])),
-    "phi_n_iter": lambda **kw: phi_n_iter(int(kw["n"]), int(kw["m"])),
-    "llogl": lambda **kw: l_log_l(int(kw["k"]), float(kw.get("outer", 1.0))),
-    "psi_n": lambda **kw: psi_n(int(kw["n"])),
-    "identity": lambda **kw: identity(),
+    "power": (power, {"s": float}),
+    "phi_n": (phi_n, {"n": int}),
+    "phi_n_iter": (phi_n_iter, {"n": int, "m": int}),
+    "llogl": (l_log_l, {"k": int, "outer": float}),
+    "psi_n": (psi_n, {"n": int}),
+    "identity": (identity, {}),
 }
 
 
 def from_config(name: str, **params) -> YoungFunction:
     """Build a canonical Young function from a family name + parameters."""
+    if name not in _FAMILIES:
+        raise YoungFunctionError(f"unknown Young family {name!r}")
+    build, types = _FAMILIES[name]
     try:
-        return _FAMILIES[name](**params)
-    except KeyError:
-        raise YoungFunctionError(f"unknown Young family {name!r}") from None
+        return build(**{k: types[k](v) for k, v in params.items()})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise YoungFunctionError(f"{name} takes {sorted(types)}, got {params}: {exc}") from None
 
 
 # --- conjugate, inverse -----------------------------------------------------
@@ -269,10 +265,10 @@ def complementary_value(phi: YoungFunction, s: float) -> float:
     return float(complementary(phi).eval(np.float64(s)))
 
 
-def inverse(phi: YoungFunction, y: float, rel_tol: float = 1e-12) -> float:
+def inverse(phi: YoungFunction, y: float) -> float:
     """Smallest t with phi(t) >= y, by bracketing bisection."""
-    if y < 0:
-        raise YoungFunctionError("inverse argument must be >= 0")
+    if not y >= 0:
+        raise YoungFunctionError(f"inverse argument must be >= 0, got {y}")
     if y == 0.0:
         return 0.0
     if phi.closed_inverse is not None:
@@ -283,7 +279,7 @@ def inverse(phi: YoungFunction, y: float, rel_tol: float = 1e-12) -> float:
         if hi > 1e300:
             raise YoungFunctionError(f"{phi.label}: inverse bracket unbounded at y={y}")
     lo = 0.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if float(phi.eval(np.float64(mid))) >= y:
             hi = mid
@@ -292,18 +288,13 @@ def inverse(phi: YoungFunction, y: float, rel_tol: float = 1e-12) -> float:
     return hi
 
 
-def oneil_triple_check(
-    a: YoungFunction, b: YoungFunction, c: YoungFunction,
-    t_samples: np.ndarray | None = None,
-) -> tuple[bool, float]:
-    """Check A^{-1}(t) C^{-1}(t) <= B^{-1}(t) on log-spaced samples.
+def oneil_triple_check(a: YoungFunction, b: YoungFunction, c: YoungFunction) -> tuple[bool, float]:
+    """Check A^{-1}(t) C^{-1}(t) <= B^{-1}(t) on the log-spaced ONEIL_SAMPLES.
 
     Returns (holds, worst margin) with margin = min_t B^{-1}/(A^{-1} C^{-1}).
     """
-    if t_samples is None:
-        t_samples = np.logspace(-6, 9, 61)
     worst = math.inf
-    for t in t_samples:
+    for t in ONEIL_SAMPLES:
         ia, ic, ib = inverse(a, float(t)), inverse(c, float(t)), inverse(b, float(t))
         prod = ia * ic
         if prod == 0.0:
@@ -319,17 +310,15 @@ DIVERGENT = "divergent"
 BORDERLINE = "borderline"
 
 
-def bp_star_classify(
-    phi: YoungFunction, p: float, n: int, eps: float = 0.05
-) -> tuple[str, float]:
+def bp_star_classify(phi: YoungFunction, p: float, n: int) -> tuple[str, float]:
     """Classify the tail of the B*_p integrand Phi_n(phi(t)) / t^(p+1).
 
     Fits the log-log slope over t in [1e2, 1e8]; convergent when the tail
-    exponent is <= -1 - eps, divergent when >= -1 + eps, otherwise
+    exponent is <= -1 - BP_EPS, divergent when >= -1 + BP_EPS, otherwise
     borderline (which gates as divergent). Returns (class, fitted exponent).
     """
-    if p <= 1:
-        raise YoungFunctionError("B*_p needs p > 1")
+    if not 1 < p < math.inf:
+        raise YoungFunctionError(f"B*_p needs a finite p > 1, got {p}")
     pn = phi_n(n)
     ts = np.logspace(2, 8, 49)
     with np.errstate(over="ignore"):
@@ -337,9 +326,9 @@ def bp_star_classify(
     if not np.all(np.isfinite(integrand)) or np.any(integrand <= 0):
         return DIVERGENT, math.inf
     slope = np.polyfit(np.log(ts), np.log(integrand), 1)[0]
-    if slope <= -1.0 - eps:
+    if slope <= -1.0 - BP_EPS:
         return CONVERGENT, float(slope)
-    if slope >= -1.0 + eps:
+    if slope >= -1.0 + BP_EPS:
         return DIVERGENT, float(slope)
     return BORDERLINE, float(slope)
 

@@ -13,8 +13,9 @@ from strongmax.grid import Basis, GridFunction, enumerate_basis
 from strongmax.orlicz import MeasureError
 
 
-def scalar_norm(vals, cell_measure, total_measure, phi, rel_tol=1e-12) -> float:
-    """Luxemburg norm of a 1-D array of cell values, one bisection step at a time."""
+def scalar_norm(vals, cell_measure, total_measure, phi) -> float:
+    """Luxemburg norm of a 1-D array of cell values, one bisection step at a
+    time, to a relative bracket width of 1e-12."""
     if total_measure <= 0:
         raise MeasureError("Luxemburg norm needs a set of positive measure")
     vals = np.asarray(vals, dtype=np.float64).ravel()
@@ -36,7 +37,7 @@ def scalar_norm(vals, cell_measure, total_measure, phi, rel_tol=1e-12) -> float:
     while lo > 1e-300 and mean_phi(lo * 0.5) <= 1.0:
         lo *= 0.5
     lo *= 0.5
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         if mean_phi(mid) <= 1.0:
             hi = mid
@@ -45,12 +46,12 @@ def scalar_norm(vals, cell_measure, total_measure, phi, rel_tol=1e-12) -> float:
     return hi
 
 
-def scalar_norms(vals, cell_measure, total_measure, phi, rel_tol=1e-12) -> np.ndarray:
+def scalar_norms(vals, cell_measure, total_measure, phi) -> np.ndarray:
     """scalar_norm of every row: a drop-in for orlicz.luxemburg_norms."""
     vals = np.asarray(vals, dtype=np.float64)
     totals = np.broadcast_to(np.asarray(total_measure, dtype=np.float64), vals.shape[:1])
     return np.array(
-        [scalar_norm(row, cell_measure, float(t), phi, rel_tol) for row, t in zip(vals, totals)]
+        [scalar_norm(row, cell_measure, float(t), phi) for row, t in zip(vals, totals)]
     )
 
 

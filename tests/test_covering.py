@@ -15,9 +15,9 @@ from strongmax.covering import (
 )
 
 
-def fam_of(shape, rects, h=None, payload=None):
+def fam_of(shape, rects, h=None):
     h = h or (1.0,) * len(shape)
-    return RectFamily(shape, h, tuple(rects), payload=payload)
+    return RectFamily(shape, h, tuple(rects))
 
 
 class TestRectFamily:
@@ -29,9 +29,9 @@ class TestRectFamily:
         with pytest.raises(GridError):
             fam_of((4,), [Rect((0,), (4,))])
 
-    def test_payload_length_checked(self):
-        with pytest.raises(SelectionError):
-            fam_of((4,), [Rect((0,), (1,))], payload=("a", "b"))
+    def test_has_no_payload_field(self):
+        with pytest.raises(TypeError):
+            RectFamily((4,), (1.0,), (Rect((0,), (1,)),), payload=("a",))
 
     def test_union_measure(self):
         f = fam_of((8,), [Rect((0,), (3,)), Rect((2,), (5,))], h=(0.5,))

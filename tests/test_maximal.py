@@ -354,6 +354,17 @@ class TestLpNorm:
         w = gf(np.full((4, 4), 4.0), h=(0.25, 0.25))
         assert lp_norm(f, 2.0, weight=w) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("p", [0.0, -1.0, math.nan, math.inf])
+    def test_p_outside_zero_to_inf_is_error(self, p):
+        with pytest.raises(GridError, match="0 < p < inf"):
+            lp_norm(gf(np.ones(4)), p)
+
+    @pytest.mark.parametrize("value", [1e306, 1e-306])
+    def test_integral_past_the_double_range_is_error(self, value):
+        # the norm is the value itself, but its square is no double
+        with pytest.raises(GridError, match="leaves the double range"):
+            lp_norm(gf(np.full(4, value)), 2.0)
+
     @pytest.mark.parametrize("shape,h", [((4, 1), (1.0, 1.0)), ((4, 4), (0.5, 1.0))])
     def test_weight_on_another_grid_is_error(self, shape, h):
         # a (4, 1) weight would broadcast against the (4, 4) function

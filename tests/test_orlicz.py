@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from luxemburg_oracle import scalar_norm
 from strongmax.grid import GridFunction, Rect
 from strongmax.orlicz import (
     CellSet,
@@ -12,6 +14,7 @@ from strongmax.orlicz import (
     generalized_holder_check,
     luxemburg_norm,
     luxemburg_norm_values,
+    luxemburg_norms,
     mean_phi_over,
     norm_le_one_equivalence_check,
     product_norm_lemma_check,
@@ -45,6 +48,14 @@ class TestLuxemburg:
         empty = CellSet(f.shape, f.cell_size, np.zeros(2, dtype=bool))
         with pytest.raises(MeasureError):
             luxemburg_norm(f, empty, identity())
+
+    def test_one_stopping_rule(self):
+        # the bracket width is a constant, far above the double spacing, so
+        # no caller can ask for a bisection that never ends
+        for fn in (luxemburg_norms, luxemburg_norm_values, luxemburg_norm):
+            assert "rel_tol" not in inspect.signature(fn).parameters
+        got = luxemburg_norm_values([1.0, 2.0], 1.0, 2.0, phi_n(2))
+        assert got == scalar_norm(np.array([1.0, 2.0]), 1.0, 2.0, phi_n(2))
 
     def test_nan_cell_raises(self):
         with pytest.raises(MeasureError, match="NaN"):

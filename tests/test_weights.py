@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strongmax._kernels import libm_pow
 from strongmax.grid import Basis, GridError, GridFunction, enumerate_basis
 from strongmax.weights import (
     WeightError,
@@ -64,6 +65,20 @@ class TestApConstant:
     def test_rejects_nonpositive(self):
         with pytest.raises(WeightError):
             ap_constant(gf([1.0, 0.0]), 2.0, ALL)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_p_must_be_finite(self, p):
+        with pytest.raises(WeightError, match="finite p > 1"):
+            ap_constant(gf(np.ones(4)), p, ALL)
+
+    def test_power_past_the_double_range_is_named(self):
+        # [w]_{A_p} = 1 for a constant w, but w^(1-p') = 1e400 is no double
+        w = gf(np.full((2, 2), 1e-200))
+        with pytest.raises(WeightError, match=r"w\^-2 leaves the double range"):
+            ap_constant(w, 1.5, ALL)
+        with pytest.raises(WeightError, match=r"w_0\^-3 leaves the double range"):
+            multi_weight_constant_apq(WeightVector((w,), (1.5,)), ALL)
+        assert ap_constant(gf(np.full((2, 2), 1e-100)), 1.5, ALL) == pytest.approx(1.0, rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31), st.floats(1.2, 3.0))
@@ -275,6 +290,11 @@ class TestPowerWeights:
         with pytest.raises(WeightError, match="at least one cell"):
             power_weight_grid(0.5, 1, cells)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_grid_needs_a_dimension(self, n):
+        with pytest.raises(WeightError, match="n >= 1"):
+            power_weight_grid(0.5, n, 4)
+
     def test_alpha_zero_in_class_flat_profile(self):
         rep = power_weight_classify(0.0, 2.0, 1)
         assert rep.in_ap
@@ -328,3 +348,14 @@ def test_weight_vector_validation():
         WeightVector((w,), (0.5,), q=2.0, alpha=0.0)
     with pytest.raises(WeightError):
         WeightVector((w, gf(np.ones(5))), (2.0, 2.0), q=2.0, alpha=0.0)
+
+
+def test_libm_pow_to_the_first_is_the_identity():
+    # _row_values applies no pow for an exponent of 1.0, which keeps every
+    # bit only because libm pow(x, 1.0) is x
+    rng = np.random.default_rng(12)
+    x = np.abs(rng.standard_normal(20_000) * 10.0 ** rng.integers(-300, 300, 20_000))
+    bits = np.frombuffer(rng.bytes(8 * 20_000), dtype=np.float64)
+    x = np.concatenate([x, np.abs(bits[np.isfinite(bits)]),
+                        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf]])
+    assert np.array_equal(libm_pow(x, 1.0), x)

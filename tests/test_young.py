@@ -56,6 +56,16 @@ class TestFamilies:
         ts = np.logspace(-3, 6, 40)
         assert np.allclose(phi_n_iter(2, 1).eval(ts), phi_n(2).eval(ts))
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, 0.5])
+    def test_power_needs_a_finite_exponent_of_at_least_one(self, s):
+        with pytest.raises(YoungFunctionError, match="finite and >= 1"):
+            power(s)
+
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_psi_n_needs_n_of_at_least_two(self, n):
+        with pytest.raises(YoungFunctionError, match="n >= 2"):
+            psi_n(n)
+
     def test_psi_n(self):
         assert psi_n(2).eval(1.0) == pytest.approx(math.e - 1)
         assert psi_n(3).eval(4.0) == pytest.approx(math.exp(2.0) - 1)

@@ -1,0 +1,54 @@
+"""Count the code lines of a Python package directory.
+
+A code line holds at least one token that is not a comment and not part of
+a docstring (the leading string of a module, class or function body), so
+blank lines, comment lines and every docstring line are skipped. Standard
+library only:
+
+    python3 tools/codelines.py src/strongmax
+"""
+
+from __future__ import annotations
+
+import ast
+import sys
+import tokenize
+from pathlib import Path
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree: ast.AST) -> set[int]:
+    """The line numbers spanned by every docstring in tree."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(path: Path) -> int:
+    source = path.read_text(encoding="utf-8")
+    skip = docstring_lines(ast.parse(source, str(path)))
+    lines: set[int] = set()
+    with path.open("rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type not in _LAYOUT:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - skip)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: codelines.py PACKAGE_DIR", file=sys.stderr)
+        return 2
+    print(sum(code_lines(p) for p in sorted(Path(argv[0]).rglob("*.py"))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

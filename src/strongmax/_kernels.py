@@ -4,13 +4,15 @@ engine on it, and the libm volume powers it reads.
 ``fold_sizes`` walks the (counts, step) pairs of a basis
 (``grid.basis_sizes``): it narrows a stack of arrays over the grid to the
 rects of each size, one axis at a time, asks a leaf for one value per rect,
-and folds the values into each cell's maximum by ``fold_max``. Each axis is
-folded in one pass from its largest count down: on an axis whose rects
-start at every cell, a rect of count c' >= c anchored at l covers the cells
+and folds the values into each cell's maximum. Each axis is folded in one
+pass from its largest count down. On an axis whose rects start at every
+cell (step 1), a rect of count c' >= c anchored at l covers the cells
 l .. l + c - 1 of the count-c rect anchored there, so a running maximum
 over the larger counts joins each count's values, and each count then folds
-only the window of anchors that the next smaller count does not reach (one
-anchor wide on the all basis). Every maximum over a basis runs on this walk:
+by ``fold_max`` only the window of anchors that the next smaller count does
+not reach (one anchor wide on the all basis). On a dyadic axis the step
+equals the count, so the rects of each count tile the axis and each value
+is repeated over its own cells. Every maximum over a basis runs on this walk:
 ``sweep`` narrows the stacked prefix sums P of the m input functions by
 shifted differences, and its leaf is |R|^e * prod_i integral_R f_i with
 e = alpha/n - m; the Orlicz maximal operator and the Young condition of the
@@ -84,27 +86,24 @@ def _c_pow(v: float, e: float) -> float:
         return math.inf if v == 0 else math.nan
 
 
-def fold_max(out: np.ndarray, vals: np.ndarray, counts: tuple[int, ...], step: tuple[int, ...]) -> None:
-    """out[x] = max(out[x], vals[a] over anchors a whose rect holds cell x).
+def fold_max(out: np.ndarray, vals: np.ndarray, axis: int, w: int) -> None:
+    """out[x] = max(out[x], vals[a] over a = x - w + 1 .. x) along ``axis``.
 
-    vals[a] belongs to the rect of the given cell counts whose lowest cell
-    is step * a. The rects holding x have lowest cells in the box
-    x - counts + 1 .. x, so the fold is a box maximum over lowest cells, one
-    axis at a time, by doubling windows.
+    vals has out.shape[axis] - w + 1 entries along the axis, one per lowest
+    cell, and an a outside them adds nothing; the box maximum of width w is
+    taken by doubling windows.
     """
-    for axis, (c, s) in enumerate(zip(counts, step)):
-        if c == 1:
-            continue  # then s == 1 too: one rect per lowest cell, no window
+    if w > 1:
         n, pre = out.shape[axis], (slice(None),) * axis
-        # lowest cell l sits at l + c - 1, with -inf where no rect starts
-        win = np.full(vals.shape[:axis] + (n + c - 1,) + vals.shape[axis + 1 :], -np.inf)
-        win[pre + (slice(c - 1, n, s),)] = vals
-        w = 1
-        while 2 * w <= c:
-            # now win[i] = max over i .. i + 2w - 1 along axis
-            win = np.maximum(win[pre + (slice(None, -w),)], win[pre + (slice(w, None),)])
-            w *= 2
-        vals = np.maximum(win[pre + (slice(None, n),)], win[pre + (slice(c - w, c - w + n),)])
+        # lowest cell l sits at l + w - 1, with -inf where no rect starts
+        win = np.full(vals.shape[:axis] + (n + w - 1,) + vals.shape[axis + 1 :], -np.inf)
+        win[pre + (slice(w - 1, n),)] = vals
+        k = 1
+        while 2 * k <= w:
+            # now win[i] = max over i .. i + 2k - 1 along axis
+            win = np.maximum(win[pre + (slice(None, -k),)], win[pre + (slice(k, None),)])
+            k *= 2
+        vals = np.maximum(win[pre + (slice(None, n),)], win[pre + (slice(w - k, w - k + n),)])
     np.maximum(out, vals, out=out)
 
 
@@ -119,12 +118,13 @@ def fold_sizes(shape: tuple[int, ...], sizes, src: np.ndarray, narrow, leaf) -> 
     anchor, shaped by the anchors.
 
     Sizes sharing a count prefix (one run in the lexicographic order of
-    ``grid.basis_sizes``) share that prefix's narrowing and folds. Each axis
-    is walked from its largest count down, with a running maximum where
-    every step on the axis is 1 (see the module docstring).
+    ``grid.basis_sizes``) share that prefix's narrowing and folds. On each
+    axis the steps are all 1, or each equals its count and the count divides
+    the axis (the dyadic basis). Each axis is walked from its largest count
+    down, with a running maximum where the steps are 1 and a tiling where
+    they equal the counts (see the module docstring).
     """
     n = len(shape)
-    ones = (1,) * n
 
     def fold_axis(out: np.ndarray, src: np.ndarray, sizes, prefix: tuple[int, ...]) -> None:
         # sizes all start with prefix; on the axes before axis = len(prefix)
@@ -133,7 +133,6 @@ def fold_sizes(shape: tuple[int, ...], sizes, src: np.ndarray, narrow, leaf) -> 
         lead = (slice(None),) * axis
         groups = [(c, s, list(g)) for (c, s), g in
                   itertools.groupby(sizes, key=lambda cs: (cs[0][axis], cs[1][axis]))]
-        unit = all(s == 1 for _, s, _ in groups)
         run = None  # on a step-1 axis: max over the larger counts, per anchor
         for j in reversed(range(len(groups))):
             c, s, group = groups[j]
@@ -143,19 +142,20 @@ def fold_sizes(shape: tuple[int, ...], sizes, src: np.ndarray, narrow, leaf) -> 
                 fold_axis(vals, sub, group, prefix + (c,))
             else:
                 vals = leaf(prefix + (c,), sub)
-            c_prev = 0
-            if unit:
-                # a rect of a larger count anchored at l covers the cells
-                # l .. l + c - 1 too, so its value joins vals[l]; then cell x
-                # needs only the anchors x - c + 1 .. x - c_prev, the smaller
-                # counts reaching the rest
-                if run is not None:
-                    head = lead + (slice(0, run.shape[axis]),)
-                    np.maximum(vals[head], run, out=vals[head])
-                run = vals
-                c_prev = groups[j - 1][0] if j else 0
-            fold_max(out[lead + (slice(c_prev, None),)], vals,
-                     ones[:axis] + (c - c_prev,) + ones[axis + 1 :], ones[:axis] + (s,) + ones[axis + 1 :])
+            if s > 1:
+                # step s = count c: the rects of count c tile the axis
+                np.maximum(out, np.repeat(vals, s, axis=axis), out=out)
+                continue
+            # a rect of a larger count anchored at l covers the cells
+            # l .. l + c - 1 too, so its value joins vals[l]; then cell x
+            # needs only the anchors x - c + 1 .. x - c_prev, the smaller
+            # counts reaching the rest
+            if run is not None:
+                head = lead + (slice(0, run.shape[axis]),)
+                np.maximum(vals[head], run, out=vals[head])
+            run = vals
+            c_prev = groups[j - 1][0] if j else 0
+            fold_max(out[lead + (slice(c_prev, None),)], vals, axis, c - c_prev)
 
     out = np.zeros(shape)
     fold_axis(out, src, sizes, ())

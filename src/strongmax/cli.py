@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -21,9 +20,9 @@ import numpy as np
 
 from . import verify as verify_mod
 from .covering import RectFamily, cf_select, scattered_select
-from .grid import Basis, GridFunction, Rect, read_grid, write_grid
+from .grid import Basis, GridFunction, Rect, random_rect, read_grid, write_grid
 from .maximal import MaximalQuery, multilinear_fractional_maximal
-from .verify import VerificationReport, _jsonify
+from .verify import _jsonify
 from .weights import (
     WeightVector,
     a_infty_classify,
@@ -48,22 +47,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, grids: bool = True):
-        if grids:
-            p.add_argument("--grid", action="append", default=[],
-                           help="input grid file (repeatable)")
-        p.add_argument("--basis", choices=["all", "dyadic", "cubes"], default="all")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
+    shared = {
+        "grid": dict(action="append", default=[], help="input grid file (repeatable)"),
+        "basis": dict(choices=["all", "dyadic", "cubes"], default="all"),
+        "seed": dict(type=int, default=0),
+        "out": dict(default=None, help="output file path"),
+        "format": dict(choices=["json", "csv"], default="json"),
+    }
+
+    def common(p: argparse.ArgumentParser, *names: str):
+        # each subcommand takes only the shared flags it reads
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
 
     p = sub.add_parser("maximal", help="evaluate the multilinear fractional maximal")
-    common(p)
+    common(p, "grid", "basis", "out")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--alpha", type=float, default=0.0)
 
     p = sub.add_parser("weights", help="weight-class constants and classifications")
-    common(p)
+    common(p, "grid", "basis", "seed", "out", "format")
     p.add_argument("--class", dest="klass", required=True,
                    choices=["ap", "apq", "apvec", "ainfty", "rd", "tauberian", "bump"])
     p.add_argument("--p", type=float, action="append", default=[],
@@ -74,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.5)
 
     p = sub.add_parser("cover", help="rectangle selection algorithms")
-    common(p)
+    common(p, "grid", "seed", "out", "format")
     p.add_argument("--rects", default=None,
                    help="JSON file with [{'lo': [...], 'hi': [...]}, ...]; "
                         "omitted: random rectangles from the seed")
@@ -84,12 +87,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
 
     p = sub.add_parser("verify", help="run theorem verification checks")
-    common(p, grids=False)
+    common(p, "seed", "out", "format")
     p.add_argument("--theorem", action="append", default=None,
                    help=f"selector (repeatable); available: {', '.join(verify_mod.JOBS)}")
 
     p = sub.add_parser("demo", help="counterexample + endpoint walkthrough")
-    common(p, grids=False)
+    common(p, "out", "format")
     return top
 
 
@@ -207,11 +210,8 @@ def _cmd_cover(args) -> int:
         rects = _parse_rects(args.rects)
     else:
         rng = np.random.default_rng(args.seed)
-        rects = []
-        for _ in range(args.count):
-            lo = [int(rng.integers(0, s)) for s in w.shape]
-            hi = [int(rng.integers(l, s)) for l, s in zip(lo, w.shape)]
-            rects.append(Rect(tuple(lo), tuple(hi)))
+        top = tuple(s - 1 for s in w.shape)
+        rects = [random_rect(rng, (0,) * w.dims, top) for _ in range(args.count)]
     fam = RectFamily(w.shape, w.cell_size, tuple(rects))
     sel = cf_select(fam, args.theta)
     sc = scattered_select(fam, args.lam, w)

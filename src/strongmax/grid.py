@@ -142,6 +142,14 @@ class Rect:
         return all(h < nk for h, nk in zip(self.hi, shape))
 
 
+def random_rect(rng: np.random.Generator, lo: Sequence[int], hi: Sequence[int]) -> Rect:
+    """A random rect inside the box of cells lo .. hi (inclusive): its lowest
+    cell uniform in the box, one axis after another, then its highest cell
+    uniform between that and the box top, one axis after another."""
+    low = [int(rng.integers(a, b + 1)) for a, b in zip(lo, hi)]
+    return Rect(tuple(low), tuple(int(rng.integers(a, b + 1)) for a, b in zip(low, hi)))
+
+
 ALL_RECTS = "all"
 DYADIC_RECTS = "dyadic"
 CUBES = "cubes"

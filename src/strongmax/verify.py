@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .grid import (
     GridFunction,
     Rect,
     basis_sizes,
-    build_prefix_sum,
+    random_rect,
     window,
 )
 from .maximal import (
@@ -45,8 +45,8 @@ from .weights import (
     CAP,
     RATIO_THRESHOLD,
     WeightVector,
-    _anchored_max,
     _increment_ratio,
+    anchored_profile,
     a_infty_classify,
     ap_constant,
     multi_weight_constant_ap,
@@ -83,17 +83,7 @@ class VerificationReport:
         return 0.0 if self.lhs == 0 else math.inf  # 0/0: vacuously holds
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "config": self.config,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "witness": self.witness,
-            "stats": self.stats,
-        }
+        return {**asdict(self), "ratio": self.ratio}
 
 
 def _jsonify(obj):
@@ -465,6 +455,8 @@ def weight_theory_suite(
     Separation witnesses come from 1D power weights via the interval
     classifier.
     """
+    if len(set(shape)) != 1:  # the power weights are |x|^a on a square grid
+        raise GridError(f"weight_theory_suite needs a square grid, got shape {tuple(shape)}")
     basis = basis or Basis("all")
     cell_size = tuple(1.0 / s for s in shape)
     pairs = _sample_weight_pairs(seed, samples, shape, cell_size)
@@ -480,11 +472,11 @@ def weight_theory_suite(
         if c1 < CAP and not c2 < CAP:
             violations.append((idx, "scaling-monotonicity"))
         # factorization, at q = 1
+        nu = ws[0].with_values(wv.nu())
         capq = multi_weight_constant_apq(wv, basis)
         if capq < CAP:
             m = len(ws)
-            nu_q = ws[0].with_values(ws[0].values * ws[1].values)
-            if not ap_constant(nu_q, m, basis) < CAP:
+            if not ap_constant(nu, m, basis) < CAP:
                 violations.append((idx, "factorization-nu"))
             for w, pi in zip(ws, ps):
                 ppi = pi / (pi - 1.0)
@@ -498,9 +490,8 @@ def weight_theory_suite(
         if b2 < CAP and not b1 < CAP:
             violations.append((idx, "bump-monotonicity"))
         # RD inclusion (product weight), grids are power-of-two sided
-        prod = ws[0].with_values(ws[0].values * ws[1].values)
-        if a_infty_classify(prod, n_random_pairs=0).passes:
-            if not reverse_doubling_constant(prod) > 1.0:
+        if a_infty_classify(nu, n_random_pairs=0).passes:
+            if not reverse_doubling_constant(nu) > 1.0:
                 violations.append((idx, "rd-inclusion"))
 
     # separation witnesses via 1D power weights: a in (r1*p - 1, r2*p - 1)
@@ -531,13 +522,7 @@ def _bump_profile(a: float, c: float, p: float, q: float, r: float,
     intervals [0, 2^-k] at rising 1D resolution (where any divergence of
     the singular average x^((1-p')ra) lives)."""
     pp = p / (p - 1.0)
-    prof = []
-    for j in range(3, depth + 1):
-        factors = [(build_prefix_sum(power_weight_grid(c, 1, 2**j)), 1.0 / q),
-                   (build_prefix_sum(power_weight_grid(a * (1.0 - pp) * r, 1, 2**j)),
-                    1.0 / (r * pp))]
-        prof.append(_anchored_max(j, 1, factors))
-    return prof
+    return anchored_profile(1, range(3, depth + 1), [(c, 1.0 / q), (a * (1.0 - pp) * r, 1.0 / (r * pp))])
 
 
 def _bump_separation_witness(basis: Basis) -> bool:
@@ -602,13 +587,8 @@ def _job_vector_valued(seed: int, cells: int, count: int, a_young) -> Verificati
 
 def _job_covering(seed: int) -> VerificationReport:
     rng = np.random.default_rng(seed + 3)
-    shape = (32, 32)
-    rects = []
-    for _ in range(60):
-        lo = [int(rng.integers(0, s)) for s in shape]
-        hi = [int(rng.integers(l, s)) for l, s in zip(lo, shape)]
-        rects.append(Rect(tuple(lo), tuple(hi)))
-    fam = RectFamily(shape, (1.0 / 32, 1.0 / 32), tuple(rects))
+    rects = tuple(random_rect(rng, (0, 0), (31, 31)) for _ in range(60))
+    fam = RectFamily((32, 32), (1.0 / 32, 1.0 / 32), rects)
     sel = cf_select(fam)
     sc = scattered_select(fam, 0.5)
     return VerificationReport(

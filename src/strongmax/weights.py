@@ -39,6 +39,7 @@ from .grid import (
     block_cell_mins,
     block_cell_sums,
     build_prefix_sum,
+    random_rect,
     rect_cell_sum,
 )
 from .maximal import strong_maximal
@@ -310,12 +311,8 @@ def a_infty_classify(
     # raw random pairs for the record
     rng = rng or np.random.default_rng(0)
     for _ in range(n_random_pairs):
-        lo = tuple(int(rng.integers(0, s)) for s in w.shape)
-        hi = tuple(int(rng.integers(l, s)) for l, s in zip(lo, w.shape))
-        big = Rect(lo, hi)
-        elo = tuple(int(rng.integers(l, h + 1)) for l, h in zip(lo, hi))
-        ehi = tuple(int(rng.integers(e, h + 1)) for e, h in zip(elo, hi))
-        sub = Rect(elo, ehi)
+        big = random_rect(rng, (0,) * n, tuple(s - 1 for s in w.shape))
+        sub = random_rect(rng, big.lo, big.hi)
         report.pairs.append(
             (big, sub, w_of(sub) / w_of(big),
              sub.volume(w.cell_size) / big.volume(w.cell_size))
@@ -341,11 +338,9 @@ def reverse_doubling_constant(w: GridFunction) -> float:
     # block sums at every per-axis dyadic scale combo, built by pair-summing
     levels = [int(math.log2(s)) for s in w.shape]
     d = math.inf
-    for combo in np.ndindex(*[lv for lv in levels]):
-        # combo[k] = log2 of parent block length along axis k, >= 1
+    for combo in np.ndindex(*levels):
+        # combo[k] < levels[k], so every parent block length is at least 2
         lengths = tuple(2 ** (levels[k] - combo[k]) for k in range(n))
-        if min(lengths) < 2:
-            continue
         parent = _block_reduce(w.values, lengths, np.add)
         # a positive parent over its largest child: rounded division is
         # monotone in the divisor, so this is the smallest ratio's double
@@ -409,9 +404,7 @@ def tauberian_constant_estimate(
     # random rectangles and 2-rect unions
     def rand_rect_mask():
         mask = np.zeros(w.shape, dtype=bool)
-        lo = [int(rng.integers(0, s)) for s in w.shape]
-        hi = [int(rng.integers(l, s)) for l, s in zip(lo, w.shape)]
-        mask[tuple(slice(l, h + 1) for l, h in zip(lo, hi))] = True
+        mask[random_rect(rng, (0,) * w.dims, tuple(s - 1 for s in w.shape)).slices()] = True
         return mask
 
     for t in range(TAUBERIAN_TRIALS):
@@ -458,12 +451,12 @@ def _gauss_cell_average(exponent: float, lo: np.ndarray, hi: np.ndarray, n: int)
     return float(np.sum(vals * wgt))
 
 
-def power_weight_grid(exponent: float, n: int, cells: int, extent: float = 1.0) -> GridFunction:
-    """|x|^exponent on [0, extent]^n, midpoint-sampled, origin cell by quadrature."""
+def power_weight_grid(exponent: float, n: int, cells: int) -> GridFunction:
+    """|x|^exponent on [0, 1]^n, midpoint-sampled, origin cell by quadrature."""
     if cells < 1 or n < 1 or not math.isfinite(exponent):
         raise WeightError(f"power weight grid needs at least one cell per axis, n >= 1 and a finite "
                           f"exponent, got cells={cells}, n={n}, exponent={exponent}")
-    h = extent / cells
+    h = 1.0 / cells
     axes = [(np.arange(cells) + 0.5) * h for _ in range(n)]
     grids = np.meshgrid(*axes, indexing="ij")
     r2 = sum(g**2 for g in grids)
@@ -484,14 +477,21 @@ class PowerWeightReport:
     log_increment_ratio: float
 
 
-def _anchored_max(j: int, n: int, factors) -> float:
-    """Largest _row_values entry, and at least 0.0, over the origin-anchored
-    dyadic rectangles prod_k [0, 2^-a_k] (a_k <= j) of the grid with 2^j
-    cells per axis over [0,1]^n, in np.ndindex order of (a_1, ..., a_n).
+def anchored_profile(n: int, js, terms) -> list[float]:
+    """Growth profile of power weights on origin-anchored dyadic rectangles.
+
+    Entry j (for each j in js) is the largest product, left to right, over
+    the terms (exponent, outer) of (avg_R |x|^exponent)^outer, and at least
+    0.0, over the rectangles prod_k [0, 2^-a_k] (a_k <= j) of the grid with
+    2^j cells per axis over [0,1]^n, in np.ndindex order of (a_1, ..., a_n).
     """
-    a = np.arange(j + 1)
-    vals = _row_values([(np.zeros_like(a), 2 ** (j - a) - 1)] * n, factors)
-    return float(np.fmax.reduce(vals, initial=0.0))
+    profile = []
+    for j in js:
+        a = np.arange(j + 1)
+        factors = [(build_prefix_sum(power_weight_grid(e, n, 2**j)), outer) for e, outer in terms]
+        vals = _row_values([(np.zeros_like(a), 2 ** (j - a) - 1)] * n, factors)
+        profile.append(float(np.fmax.reduce(vals, initial=0.0)))
+    return profile
 
 
 def _increment_ratio(profile) -> float:
@@ -514,13 +514,7 @@ def power_weight_profile(alpha: float, p: float, n: int, depth: int) -> list[flo
     if not -n < alpha < math.inf:
         raise WeightError(f"alpha must be finite and exceed -n = {-n} (cellwise integrability), got {alpha}")
     pp = conj_exponent(p)
-    dual = alpha * (1.0 - pp)
-    profile = []
-    for j in range(2, depth + 1):
-        factors = [(build_prefix_sum(power_weight_grid(alpha, n, 2**j)), 1.0),
-                   (build_prefix_sum(power_weight_grid(dual, n, 2**j)), p / pp)]
-        profile.append(_anchored_max(j, n, factors))
-    return profile
+    return anchored_profile(n, range(2, depth + 1), [(alpha, 1.0), (alpha * (1.0 - pp), p / pp)])
 
 
 def power_weight_classify(

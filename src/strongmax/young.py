@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -266,22 +267,34 @@ def complementary_value(phi: YoungFunction, s: float) -> float:
 
 
 def inverse(phi: YoungFunction, y: float) -> float:
-    """Smallest t with phi(t) >= y, by bracketing bisection."""
+    """Smallest t with phi(t) >= y, by bracketing bisection; +inf at y = +inf.
+
+    hi doubles from 1 up to the largest double, and the midpoint is formed
+    as 0.5 * lo + 0.5 * hi, which equals 0.5 * (lo + hi) on normal doubles
+    and cannot overflow.
+    """
     if not y >= 0:
         raise YoungFunctionError(f"inverse argument must be >= 0, got {y}")
     if y == 0.0:
         return 0.0
     if phi.closed_inverse is not None:
         return float(phi.closed_inverse(np.float64(y)))
+    if y == math.inf:
+        return math.inf
+
+    def reaches(t: float) -> bool:
+        with np.errstate(over="ignore"):
+            return float(phi.eval(np.float64(t))) >= y
+
     hi = 1.0
-    while float(phi.eval(np.float64(hi))) < y:
-        hi *= 2.0
-        if hi > 1e300:
+    while not reaches(hi):
+        if hi == sys.float_info.max:
             raise YoungFunctionError(f"{phi.label}: inverse bracket unbounded at y={y}")
+        hi = min(2.0 * hi, sys.float_info.max)
     lo = 0.0
     while hi - lo > REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if float(phi.eval(np.float64(mid))) >= y:
+        mid = 0.5 * lo + 0.5 * hi
+        if reaches(mid):
             hi = mid
         else:
             lo = mid

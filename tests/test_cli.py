@@ -1,10 +1,18 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from strongmax.cli import main
-from strongmax.grid import GridFunction, read_grid, write_grid
+from strongmax.grid import Basis, GridFunction, read_grid, write_grid
+from strongmax.weights import (
+    WeightVector,
+    a_infty_classify,
+    multi_weight_constant_ap,
+    multi_weight_constant_apq,
+    power_bump_check,
+)
 
 
 @pytest.fixture
@@ -33,6 +41,12 @@ class TestMaximal:
         assert main(["maximal", "--grid", demo_grid, "--out", out]) == 0
         g = read_grid(out)
         assert np.allclose(g.values, [1.0, 0.5, 1 / 3, 0.25])
+
+    def test_bilinear_of_one_grid(self, demo_grid, capsys):
+        # one --grid with --m 2 is the pair (f, f): M(f, f) = sup (avg f)^2
+        assert main(["maximal", "--grid", demo_grid, "--m", "2"]) == 0
+        out = capsys.readouterr().out.split()
+        assert [float(v) for v in out] == pytest.approx([1.0, 0.25, 1 / 9, 1 / 16])
 
     def test_missing_grid_is_error(self, capsys):
         assert main(["maximal"]) == 2
@@ -70,6 +84,34 @@ class TestWeights:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "name,lhs,rhs,ratio,passed"
         assert len(lines) > 1
+
+    def test_ainfty(self, weight_grid, capsys):
+        assert main(["weights", "--class", "ainfty", "--grid", weight_grid]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rep = a_infty_classify(read_grid(weight_grid))
+        assert payload["passes"] is rep.passes
+        assert payload["classification"] == rep.classification
+        assert [fam["axis"] for fam in payload["scale_profile"]] == [0]
+
+    @pytest.mark.parametrize("klass,fn", [("apq", multi_weight_constant_apq),
+                                          ("apvec", multi_weight_constant_ap)])
+    def test_multi_weight_constants(self, klass, fn, weight_grid, capsys):
+        assert main(["weights", "--class", klass, "--grid", weight_grid, "--grid", weight_grid,
+                     "--p", "2", "--p", "3", "--q", "0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        w = read_grid(weight_grid)
+        wv = WeightVector((w, w), (2.0, 3.0), q=0.5)
+        assert payload["constant_or_bound"] == fn(wv, Basis("all"))
+        assert payload["ps"] == [2.0, 3.0]
+
+    def test_bump(self, weight_grid, capsys):
+        assert main(["weights", "--class", "bump", "--grid", weight_grid, "--grid", weight_grid,
+                     "--p", "2", "--q", "2", "--basis", "dyadic"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        w = read_grid(weight_grid)
+        rep = power_bump_check(WeightVector((w,), (2.0,), q=2.0), w, 1.5, Basis("dyadic"))
+        assert payload["constant_or_bound"] == rep["constant"]
+        assert payload["witness_rect"] == {"lo": list(rep["witness"].lo), "hi": list(rep["witness"].hi)}
 
     def test_bump_needs_two_grids(self, weight_grid, capsys):
         assert main(["weights", "--class", "bump", "--grid", weight_grid]) == 2
@@ -155,3 +197,31 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "endpoint" in out
+
+    def test_out_file(self, tmp_path):
+        out = str(tmp_path / "demo.json")
+        assert main(["demo", "--out", out]) == 0
+        payload = json.loads(open(out).read())
+        assert payload["counterexample"]["passed"] is True
+        assert payload["endpoint"]["ratio"] == payload["endpoint"]["lhs"] / payload["endpoint"]["rhs"]
+        assert "written_at_unix" in json.loads(open(out + ".meta.json").read())
+
+    def test_csv_rows_carry_lhs_and_rhs(self, tmp_path):
+        out = str(tmp_path / "demo.csv")
+        assert main(["demo", "--out", out, "--format", "csv"]) == 0
+        rows = {row[0]: row[1:] for row in csv.reader(open(out))}
+        assert rows["counterexample"] == ["", "", "", "True"]
+        lhs, rhs, ratio, passed = rows["endpoint"]
+        assert float(ratio) == float(lhs) / float(rhs) and passed == "True"
+
+
+UNREAD_FLAGS = [["maximal", "--seed", "1"], ["maximal", "--format", "csv"], ["cover", "--basis", "dyadic"],
+                ["verify", "--basis", "cubes"], ["demo", "--basis", "dyadic"], ["demo", "--seed", "1"]]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=[" ".join(argv[:2]) for argv in UNREAD_FLAGS])
+def test_flags_that_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

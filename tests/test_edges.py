@@ -177,6 +177,9 @@ TABLE = [
      lambda: sm.generalized_holder_check(ONES, OTHER, sm.CellSet.full(ONES), PHI2), MeasureError),
     ("generalized_holder_check", "one cell",
      lambda: sm.generalized_holder_check(ONE, ONE, sm.CellSet.full(ONE), PHI2), holds),
+    # mean |fg| = 1e612 and both norms near 1e306: neither side is a double
+    ("generalized_holder_check", "1e306 values",
+     lambda: sm.generalized_holder_check(BIG, BIG, sm.CellSet.full(BIG), PHI2), MeasureError),
     # the empty product of norms is 1, so the lemma's hypothesis (> 1) fails
     ("product_norm_lemma_check", "empty list",
      lambda: sm.product_norm_lemma_check([], sm.CellSet.full(ONES), PHI2),
@@ -204,6 +207,9 @@ TABLE = [
      lambda v: np.array_equal(v, [0.0, INF])),
     ("inverse", "NaN", lambda: sm.inverse(PHI2, NAN), YoungFunctionError),
     ("inverse", "inf under t^2", lambda: sm.inverse(sm.power(2.0), INF), lambda v: v == INF),
+    ("inverse", "inf under Phi_2", lambda: sm.inverse(PHI2, INF), lambda v: v == INF),
+    # the root of t (1 + log t) = 1e306, about 1.43e303
+    ("inverse", "1e306 under Phi_2", lambda: float(PHI2(sm.inverse(PHI2, 1e306))), close(1e306, rel=1e-11)),
     ("inverse", "1e-306 under Phi_3", lambda: sm.inverse(sm.phi_n(3), 1e-306), close(1e-306, rel=1e-11)),
     ("oneil_triple_check", "t^2, t, t^2",
      lambda: sm.oneil_triple_check(sm.power(2.0), sm.identity(), sm.power(2.0)),
@@ -322,6 +328,7 @@ TABLE = [
      lambda: vector_valued([ONE], w=ONE), holds),
     ("prop35_counterexample", "lmax = 1", lambda: sm.prop35_counterexample(1), GridError),
     ("weight_theory_suite", "no samples", lambda: sm.weight_theory_suite(0, shape=(4, 4)), holds),
+    ("weight_theory_suite", "grid that is not square", lambda: sm.weight_theory_suite(2, shape=(4, 8)), GridError),
     ("run_all", "empty list", lambda: sm.run_all(0, []), lambda r: r == {}),
     ("run_all", "unknown job", lambda: sm.run_all(0, ["rings"]), GridError),
 ]

@@ -14,6 +14,7 @@ from strongmax.grid import (
     Rect,
     build_prefix_sum,
     enumerate_basis,
+    random_rect,
     read_grid,
     rect_average,
     rect_cell_sum,
@@ -195,3 +196,17 @@ class TestRect:
     def test_invalid_bounds(self):
         with pytest.raises(GridError):
             Rect((2,), (1,))
+
+    @pytest.mark.parametrize("lo,hi", [((0,), (0,)), ((2, 3), (5, 3)), ((1, 0, 4), (6, 2, 7))])
+    def test_random_rect_stays_in_its_box(self, lo, hi):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            r = random_rect(rng, lo, hi)
+            assert all(a <= l <= h <= b for a, l, h, b in zip(lo, r.lo, r.hi, hi))
+
+    def test_random_rect_draw_order(self):
+        # every lowest cell first, then every highest cell, axis by axis
+        r = random_rect(np.random.default_rng(9), (1, 2), (6, 9))
+        rng = np.random.default_rng(9)
+        lo = (int(rng.integers(1, 7)), int(rng.integers(2, 10)))
+        assert r == Rect(lo, (int(rng.integers(lo[0], 7)), int(rng.integers(lo[1], 10))))

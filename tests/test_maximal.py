@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongmax import _kernels
-from strongmax.grid import Basis, GridError, GridFunction, Rect, build_prefix_sum, rect_cell_sum
+from strongmax.grid import Basis, GridError, GridFunction, Rect, basis_sizes, build_prefix_sum, rect_cell_sum
 from strongmax.maximal import (
     MaximalQuery,
     level_set_measure,
@@ -247,8 +247,10 @@ class TestFold:
                       ((2, 3, 2), (1, 1, 1)), ((4, 1, 1), (1, 1, 1))]),
          # steps above 1 on an axis: no running maximum there
          ((8,), [((1,), (1,)), ((2,), (2,)), ((4,), (4,))]),
-         ((4, 8), [((1, 2), (1, 2)), ((1, 4), (1, 4)), ((2, 2), (1, 2)), ((4, 1), (1, 1))])],
-        ids=["1d-1-3-6", "1d-3-8", "2d-gaps", "3d-gaps", "1d-steps", "2d-mixed-steps"],
+         ((4, 8), [((1, 2), (1, 2)), ((1, 4), (1, 4)), ((2, 2), (1, 2)), ((4, 1), (1, 1))]),
+         # every axis dyadic: the rects of each count tile their axis
+         ((4, 8, 2), list(basis_sizes(Basis("dyadic"), (4, 8, 2))))],
+        ids=["1d-1-3-6", "1d-3-8", "2d-gaps", "3d-gaps", "1d-steps", "2d-mixed-steps", "3d-dyadic"],
     )
     @pytest.mark.parametrize("m,alpha", [(1, 0.0), (1, 0.5), (2, 1.0)])
     def test_sweep_matches_brute_force(self, shape, sizes, m, alpha):

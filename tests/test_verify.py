@@ -130,6 +130,18 @@ class TestTwoWeight:
         assert rep.passed
         assert rep.skipped is None
 
+    def test_skip_when_v_fails_a_infty(self):
+        # v decays 16-fold per column: nearly all of a box's mass sits in
+        # its first column, so the bump constant is small but v is not A_infty
+        shape, h = (8, 8), (0.125, 0.125)
+        ones = gf(np.ones(shape), h=h)
+        wv = WeightVector((ones, ones), (2.0, 2.0), q=1.0, alpha=0.0)
+        v = gf(np.broadcast_to(16.0 ** -np.arange(8), shape).copy(), h=h)
+        rep = two_weight_power_bump_check(wv, v, 1.5, [], Basis("dyadic"))
+        assert rep.stats["bump_constant"] < 1e6
+        assert rep.skipped == "hypothesis-skipped: v fails A_infty"
+        assert rep.passed is None
+
 
 class TestVectorValued:
     def test_hypothesis_violation_skips(self):
@@ -142,6 +154,30 @@ class TestVectorValued:
                                   r=1.5, basis=Basis("dyadic"))
         assert rep.skipped is not None
         assert "hypothesis-skipped" in rep.skipped
+        assert rep.passed is None
+
+    def test_conj_b_outside_b_star_q_skips(self):
+        shape, h = (8, 8), (0.125, 0.125)
+        ones = gf(np.ones(shape), h=h)
+        fns = make_corpus(shape, h, seed=3, count=2)
+        # conj of t^1.3 grows ~ t^4.3, outside B*_q for q = 2
+        rep = vector_valued_check(fns, ones, ones, p=3.0, q=2.0,
+                                  a_young=power(2.5), b_young=power(1.3),
+                                  r=1.5, basis=Basis("dyadic"))
+        assert rep.skipped == "hypothesis-skipped: conj(B) not in B*_q"
+        assert rep.passed is None
+
+    def test_young_condition_past_cap_skips(self):
+        shape, h = (8, 8), (0.125, 0.125)
+        ones = gf(np.ones(shape), h=h)
+        fns = make_corpus(shape, h, seed=3, count=2)
+        v = np.ones(shape)
+        v[0, 0] = 1e-8  # ||1/v|| on that one cell is 1e8
+        rep = vector_valued_check(fns, ones, gf(v, h=h), p=3.0, q=2.0,
+                                  a_young=power(2.5), b_young=power(3.0),
+                                  r=1.5, basis=Basis("dyadic"))
+        assert rep.stats["young_condition_sup"] >= 1e6
+        assert rep.skipped == "hypothesis-skipped: Young-function condition exceeds cap"
         assert rep.passed is None
 
     def test_admissible_config_passes(self):

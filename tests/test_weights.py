@@ -278,6 +278,17 @@ class TestTauberian:
         # every reported ratio is realized by an explicit (R, E) pair
         assert rep.max_ratio >= 1.0
 
+    @pytest.mark.parametrize("kind,gamma,ratio,witness", [
+        ("all", 0.5, "0x1.6a9eb97e14340p+2", "random 2-rect union #6"),
+        ("dyadic", 0.7, "0x1.0fb11acbdfe71p+1", "random 2-rect union #14"),
+    ])
+    def test_pinned_result(self, kind, gamma, ratio, witness):
+        # pins the random candidate sets, so a change in the order of the
+        # draws shows here
+        w = gf(np.arange(1.0, 65.0).reshape(8, 8) ** 2, h=(0.125, 0.125))
+        rep = tauberian_constant_estimate(w, Basis(kind), gamma, seed=0)
+        assert (rep.max_ratio.hex(), rep.witness, rep.samples) == (ratio, witness, 64)
+
 
 class TestPowerWeights:
     def test_grid_positive_and_monotone_radial(self):
@@ -294,6 +305,11 @@ class TestPowerWeights:
     def test_grid_needs_a_dimension(self, n):
         with pytest.raises(WeightError, match="n >= 1"):
             power_weight_grid(0.5, n, 4)
+
+    def test_grid_is_on_the_unit_cube(self):
+        assert power_weight_grid(0.5, 2, 4).cell_size == (0.25, 0.25)
+        with pytest.raises(TypeError):
+            power_weight_grid(0.5, 1, 4, extent=2.0)
 
     def test_alpha_zero_in_class_flat_profile(self):
         rep = power_weight_classify(0.0, 2.0, 1)

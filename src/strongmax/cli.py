@@ -67,14 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("weights", help="weight-class constants and classifications")
     common(p, "grid", "basis", "seed", "out", "format")
-    p.add_argument("--class", dest="klass", required=True,
-                   choices=["ap", "apq", "apvec", "ainfty", "rd", "tauberian", "bump"])
-    p.add_argument("--p", type=float, action="append", default=[],
-                   help="exponent p_i (repeatable for multi-weight classes)")
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=1.5)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--class", dest="klass", required=True, choices=list(_CLASS_FLAGS))
+    p.add_argument("--p", type=float, action="append",
+                   help="exponent p_i, one per weight (default 2 each)")
+    for name in ("q", "alpha", "r", "gamma"):
+        p.add_argument(f"--{name}", type=float)
+    # a class's defaults are set once it is known to read the flag
+    p.set_defaults(basis=None, seed=None)
 
     p = sub.add_parser("cover", help="rectangle selection algorithms")
     common(p, "grid", "seed", "out", "format")
@@ -96,9 +95,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_grids(paths: list[str]) -> list[GridFunction]:
+def _load_grids(paths: list[str], count: int | None = None) -> list[GridFunction]:
+    """The grids of the --grid flags: at least one, or exactly count."""
     if not paths:
         raise CliError("at least one --grid is required")
+    if count is not None and len(paths) != count:
+        raise CliError(f"expected {count} grid(s), got {len(paths)}")
     return [read_grid(p) for p in paths]
 
 
@@ -152,22 +154,44 @@ def _cmd_maximal(args) -> int:
     return 0
 
 
+# the flags each weight class reads, with their defaults; --p defaults to 2
+# per weight, and a flag that a class does not read is an error
+_CLASS_FLAGS = {
+    "ap": ("basis", "p"),
+    "apq": ("basis", "p", "q", "alpha"),
+    "apvec": ("basis", "p"),
+    "ainfty": ("seed",),
+    "rd": (),
+    "tauberian": ("basis", "seed", "gamma"),
+    "bump": ("basis", "p", "q", "alpha", "r"),
+}
+_FLAG_DEFAULTS = {"basis": "all", "seed": 0, "q": 1.0, "alpha": 0.0, "r": 1.5, "gamma": 0.5}
+
+
 def _cmd_weights(args) -> int:
-    grids = _load_grids(args.grid)
+    reads = _CLASS_FLAGS[args.klass]
+    unread = [f"--{k}" for k in ("p", *_FLAG_DEFAULTS) if k not in reads and getattr(args, k) is not None]
+    if unread:
+        raise CliError(f"--class {args.klass} does not read {', '.join(unread)}")
+    vars(args).update({k: d for k, d in _FLAG_DEFAULTS.items() if getattr(args, k) is None})
+    grids = _load_grids(args.grid, None if args.klass in ("apq", "apvec", "bump") else 1)
+    if args.klass == "bump" and len(grids) < 2:
+        raise CliError("bump needs m weight grids plus v as the last --grid")
+    ws = grids[:-1] if args.klass == "bump" else grids
+    if args.p and len(args.p) != len(ws):
+        raise CliError(f"expected one --p per weight ({len(ws)}), got {len(args.p)}")
+    ps = args.p or [2.0] * len(ws)
     basis = Basis(args.basis)
-    ps = args.p or [2.0] * len(grids)
-    payload: dict = {"class": args.klass, "basis": args.basis}
-    if args.klass in ("ap", "ainfty", "rd", "tauberian") and len(grids) != 1:
-        raise CliError(f"expected 1 grid(s), got {len(grids)}")
+    payload: dict = {"class": args.klass, **({"basis": args.basis} if "basis" in reads else {})}
     w = grids[0]
     if args.klass == "ap":
         c, witness = ap_constant(w, ps[0], basis, return_witness=True)
         payload.update({"constant_or_bound": c, "witness_rect": witness, "p": ps[0]})
     elif args.klass in ("apq", "apvec"):
-        wv = WeightVector(tuple(grids), tuple(ps), q=args.q, alpha=args.alpha)
+        wv = WeightVector(tuple(ws), tuple(ps), q=args.q, alpha=args.alpha)
         fn = multi_weight_constant_apq if args.klass == "apq" else multi_weight_constant_ap
-        payload.update({"constant_or_bound": fn(wv, basis),
-                        "ps": ps, "q": args.q, "alpha": args.alpha})
+        payload.update({"constant_or_bound": fn(wv, basis), "ps": ps,
+                        **{k: getattr(args, k) for k in ("q", "alpha") if k in reads}})
     elif args.klass == "ainfty":
         rep = a_infty_classify(w, rng=np.random.default_rng(args.seed))
         payload.update({
@@ -186,11 +210,8 @@ def _cmd_weights(args) -> int:
                         "witness_rect": rep.witness, "gamma": args.gamma,
                         "note": "certified lower bound over structured + random sets"})
     elif args.klass == "bump":
-        if len(grids) < 2:
-            raise CliError("bump needs m weight grids plus v as the last --grid")
-        *ws, v = grids
-        wv = WeightVector(tuple(ws), tuple(ps[: len(ws)]), q=args.q, alpha=args.alpha)
-        rep = power_bump_check(wv, v, args.r, basis)
+        wv = WeightVector(tuple(ws), tuple(ps), q=args.q, alpha=args.alpha)
+        rep = power_bump_check(wv, grids[-1], args.r, basis)
         payload.update({"constant_or_bound": rep["constant"],
                         "witness_rect": rep["witness"], "r": args.r})
     _emit(payload, args, "weights")
@@ -204,8 +225,7 @@ def _parse_rects(path: str) -> list[Rect]:
 
 
 def _cmd_cover(args) -> int:
-    grids = _load_grids(args.grid)
-    w = grids[0]
+    (w,) = _load_grids(args.grid, 1)
     if args.rects:
         rects = _parse_rects(args.rects)
     else:

@@ -5,12 +5,14 @@ A rectangle is a union of whole cells, given by inclusive per-axis cell
 index ranges, so every integral over a rectangle is a finite sum and every
 supremum over a basis is a finite maximum.
 
-A basis is enumerated one Rect at a time (enumerate_basis, the reference),
-by cell-count tuple (basis_sizes, walked by _kernels.fold_sizes for the
-maximal operators and the Young condition; window narrows cell values), or in
-enumeration order as blocks of per-axis interval lists whose product is the
-block's rects (basis_blocks, for the weight constants); block_cell_sums and
-block_cell_mins reduce a block one axis at a time.
+A basis is written once, as the cell counts it offers each axis
+(_axis_lengths), and read three ways: one Rect at a time (enumerate_basis,
+the reference); by cell-count tuple (basis_sizes, walked by
+_kernels.fold_sizes for the maximal operators and the Young condition;
+window narrows cell values); or in enumeration order as blocks of per-axis
+interval lists whose product is the block's rects (basis_blocks, for the
+weight constants), which block_cell_sums and block_cell_mins reduce one
+axis at a time.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ class Basis:
     kind: "all" (every index range), "dyadic" (per-axis dyadic intervals,
     grid sides must be powers of two), or "cubes" (equal physical side
     lengths, within one cell).
-    scale_bounds: optional (min_side, max_side) filter on physical side
-    lengths.
+    scale_bounds: optional (min_side, max_side); a rect of the basis has
+    every physical side within them.
     """
 
     kind: str = ALL_RECTS
@@ -178,66 +180,65 @@ class Basis:
             raise GridError(f"scale_bounds must be (min_side, max_side) with 0 <= min_side <= max_side, got {b}")
 
 
-def _axis_ranges_all(n_cells: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(n_cells) for b in range(a, n_cells)]
+def _axis_lengths(basis: Basis, nk: int, hk: float) -> list[int]:
+    """The cell counts, ascending, of the basis's intervals on an axis of nk
+    cells of side hk: every count for all and cubes, the powers of two for
+    dyadic. Scale bounds keep the counts whose physical side lies within
+    them, so a rect of the basis has every side within them."""
+    if basis.kind == DYADIC_RECTS:
+        if nk & (nk - 1):
+            raise GridError(f"dyadic basis needs power-of-two sides, got {nk}")
+        lengths = [1 << j for j in range(nk.bit_length())]
+    else:
+        lengths = range(1, nk + 1)
+    lo_s, hi_s = basis.scale_bounds or (0.0, math.inf)
+    return [c for c in lengths if lo_s <= c * hk <= hi_s]
 
 
-def _axis_ranges_dyadic(n_cells: int) -> list[tuple[int, int]]:
-    if n_cells & (n_cells - 1):
-        raise GridError(f"dyadic basis needs power-of-two sides, got {n_cells}")
-    out = []
-    length = n_cells
-    while length >= 1:
-        for start in range(0, n_cells, length):
-            out.append((start, start + length - 1))
-        length //= 2
-    return out
+def _count_tuples(basis: Basis, shape: tuple[int, ...], h: tuple[float, ...]) -> Iterator[tuple[int, ...]]:
+    """The cell-count tuples of the basis, in lexicographic order: the
+    product of the per-axis lengths. A cube keeps its other sides strictly
+    closer than one cell width to its first, so uniform grids give exact
+    cubes only."""
+    first, *rest = [_axis_lengths(basis, nk, hk) for nk, hk in zip(shape, h)]
+    if basis.kind != CUBES:
+        yield from itertools.product(first, *rest)
+        return
+    tol = max(h) * (1 - 1e-12)
+    for c0 in first:
+        side0 = c0 * h[0]
+        others = [[c for c in lengths if abs(c * hk - side0) < tol] for lengths, hk in zip(rest, h[1:])]
+        yield from itertools.product([c0], *others)
+
+
+def _axis_intervals(basis: Basis, nk: int, hk: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), the inclusive cell-index ranges of the basis's intervals on
+    one axis (all or dyadic), in enumeration order: all by lowest cell, then
+    by length; dyadic from the longest length down, each length tiling the
+    axis."""
+    lengths = _axis_lengths(basis, nk, hk)
+    if basis.kind == DYADIC_RECTS:
+        pairs = [(s, s + c - 1) for c in reversed(lengths) for s in range(0, nk, c)]
+        return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
+    lo, hi = np.triu_indices(nk)
+    # the kept lengths are one run, so two comparisons select them
+    first, last = (lengths[0], lengths[-1]) if lengths else (1, 0)
+    span = hi - lo + 1
+    keep = (span >= first) & (span <= last)
+    return lo[keep], hi[keep]
 
 
 def enumerate_basis(basis: Basis, shape: Sequence[int], cell_size: Sequence[float] | None = None) -> Iterator[Rect]:
     """Yield every rectangle of the basis exactly once."""
     shape, h = grid_axes(shape, cell_size)
-
-    if basis.kind == ALL_RECTS:
-        per_axis = [_axis_ranges_all(nk) for nk in shape]
-    elif basis.kind == DYADIC_RECTS:
-        per_axis = [_axis_ranges_dyadic(nk) for nk in shape]
-    else:  # cubes: equal physical sides within one cell width
-        yield from _enumerate_cubes(shape, h, basis.scale_bounds)
+    if basis.kind == CUBES:
+        for counts in _count_tuples(basis, shape, h):
+            for lo in itertools.product(*[range(nk - c + 1) for nk, c in zip(shape, counts)]):
+                yield Rect(lo, tuple(l + c - 1 for l, c in zip(lo, counts)))
         return
-
-    lo_s, hi_s = basis.scale_bounds if basis.scale_bounds else (0.0, np.inf)
-    for combo in itertools.product(*per_axis):
-        sides = [(b - a + 1) * hk for (a, b), hk in zip(combo, h)]
-        if min(sides) < lo_s or max(sides) > hi_s:
-            continue
+    per_axis = [_axis_intervals(basis, nk, hk) for nk, hk in zip(shape, h)]
+    for combo in itertools.product(*[zip(lo.tolist(), hi.tolist()) for lo, hi in per_axis]):
         yield Rect(tuple(a for a, _ in combo), tuple(b for _, b in combo))
-
-
-def _cube_counts(shape, h, scale_bounds) -> Iterator[tuple[int, ...]]:
-    """Per-axis cell counts of the cubes basis, in enumeration order."""
-    tol = max(h)
-    lo_s, hi_s = scale_bounds if scale_bounds else (0.0, np.inf)
-    for c0 in range(1, shape[0] + 1):
-        side0 = c0 * h[0]
-        if not (lo_s <= side0 <= hi_s):
-            continue
-        counts_per_axis = []
-        for k in range(1, len(shape)):
-            # equal physical sides "within one cell": strictly closer than
-            # one cell width, so uniform grids yield exact cubes only
-            opts = [c for c in range(1, shape[k] + 1) if abs(c * h[k] - side0) < tol * (1 - 1e-12)]
-            counts_per_axis.append(opts)
-        for rest in itertools.product(*counts_per_axis):
-            yield (c0,) + rest
-
-
-def _enumerate_cubes(shape, h, scale_bounds):
-    n = len(shape)
-    for counts in _cube_counts(shape, h, scale_bounds):
-        anchors = [range(shape[k] - counts[k] + 1) for k in range(n)]
-        for lo in itertools.product(*anchors):
-            yield Rect(lo, tuple(l + c - 1 for l, c in zip(lo, counts)))
 
 
 @dataclass(frozen=True)
@@ -322,21 +323,9 @@ def basis_sizes(
     Each count tuple comes once, in lexicographic order.
     """
     shape, h = grid_axes(shape, cell_size)
-    n = len(shape)
-    if basis.kind == CUBES:
-        for counts in _cube_counts(shape, h, basis.scale_bounds):
-            yield counts, (1,) * n
-        return
-    lo_s, hi_s = basis.scale_bounds if basis.scale_bounds else (0.0, np.inf)
-    per_axis = []
-    for nk, hk in zip(shape, h):
-        if basis.kind == ALL_RECTS:
-            lengths = range(1, nk + 1)
-        else:
-            lengths = sorted({b - a + 1 for a, b in _axis_ranges_dyadic(nk)})
-        per_axis.append([c for c in lengths if lo_s <= c * hk <= hi_s])
-    for counts in itertools.product(*per_axis):
-        yield counts, counts if basis.kind == DYADIC_RECTS else (1,) * n
+    ones = (1,) * len(shape)
+    for counts in _count_tuples(basis, shape, h):
+        yield counts, counts if basis.kind == DYADIC_RECTS else ones
 
 
 def window(stack: np.ndarray, axis: int, c: int, s: int) -> np.ndarray:
@@ -365,23 +354,11 @@ def basis_blocks(
     """
     shape, h = grid_axes(shape, cell_size)
     if basis.kind == CUBES:
-        for counts in _cube_counts(shape, h, basis.scale_bounds):
+        for counts in _count_tuples(basis, shape, h):
             starts = [np.arange(nk - c + 1) for nk, c in zip(shape, counts)]
             yield [(a, a + (c - 1)) for a, c in zip(starts, counts)]
         return
-    lo_s, hi_s = basis.scale_bounds if basis.scale_bounds else (0.0, np.inf)
-    per_axis = []
-    for nk, hk in zip(shape, h):
-        if basis.kind == ALL_RECTS:
-            a, b = np.triu_indices(nk)
-        else:
-            a, b = np.array(_axis_ranges_dyadic(nk)).T
-        # a rect is skipped when any side leaves the bounds, so filtering
-        # each axis first keeps the product's order
-        side = (b - a + 1) * hk
-        keep = (side >= lo_s) & (side <= hi_s)
-        per_axis.append((a[keep], b[keep]))
-    (a, b), rest = per_axis[0], per_axis[1:]
+    (a, b), *rest = [_axis_intervals(basis, nk, hk) for nk, hk in zip(shape, h)]
     inner = math.prod(len(lo) for lo, _ in rest)
     if inner:  # else some axis keeps no interval and the basis is empty
         run = max(1, RECT_BLOCK // inner)

@@ -334,9 +334,8 @@ def vector_valued_check(
         return report
 
     def lq_stack(gs: list[GridFunction], weight: GridFunction) -> float:
-        stack = np.stack([g.values for g in gs])
-        ell_q = np.sum(stack**q, axis=0) ** (1.0 / q)
-        return float(np.sum(ell_q**p * weight.values) * f0.cell_volume) ** (1.0 / p)
+        ell_q = np.sum(np.stack([g.values for g in gs]) ** q, axis=0) ** (1.0 / q)
+        return lp_norm(f0.with_values(ell_q), p, weight)
 
     mfs = [strong_maximal(f, basis) for f in fjs]
     lhs = lq_stack(mfs, f0.with_values(w.values**p))

@@ -1,8 +1,10 @@
-"""Basis blocks against per-rectangle scalar oracles, compared with ==.
+"""Bases and basis blocks against per-rectangle oracles, compared with ==.
 
-The oracles walk enumerate_basis one Rect at a time with rect_cell_sum and
-Python's scalar ``**``; the block code must give the same bits, including
-the witness rectangle (the first strict maximum in enumeration order).
+enumerate_basis must hold exactly the index ranges that the definition of
+its basis admits, found here by brute force. The weight-constant oracles
+walk enumerate_basis one Rect at a time with rect_cell_sum and Python's
+scalar ``**``; the block code must give the same bits, including the
+witness rectangle (the first strict maximum in enumeration order).
 """
 
 import itertools
@@ -18,6 +20,7 @@ from strongmax.grid import (
     GridFunction,
     Rect,
     basis_blocks,
+    basis_sizes,
     block_cell_mins,
     block_cell_sums,
     build_prefix_sum,
@@ -70,6 +73,60 @@ def _weights(shape, h, seed):
     w2 = GridFunction(shape, h, rng.uniform(0.1, 5.0, shape) ** 3)
     v = GridFunction(shape, h, np.exp(rng.uniform(-1.0, 1.0, shape)))
     return w1, w2, v
+
+
+# --- the bases themselves ------------------------------------------------------
+
+# cubes on cells of unequal sides, where a side other than the first can leave
+# the scale bounds while the first stays within them
+UNEQUAL_CUBES = [
+    ((4, 4), (1.0, 0.6), Basis("cubes")),
+    ((4, 4), (1.0, 0.6), Basis("cubes", (0.0, 2.0))),
+    ((8, 4), (1.0, 0.6), Basis("cubes", (0.3, 1.0))),
+    ((2, 2, 4), (0.5, 0.5, 0.25), Basis("cubes", (0.3, 1.0))),
+    ((2, 4, 8), (0.5, 0.3, 0.2), Basis("cubes", (0.3, 1.0))),
+]
+
+
+def _unequal_ids(case):
+    return _ids(case) + ("-unequal" if len(set(case[1])) > 1 else "")
+
+
+def _in_basis(basis, h, lo, hi):
+    """The definition of the basis, one index range at a time."""
+    counts = [b - a + 1 for a, b in zip(lo, hi)]
+    sides = [c * hk for c, hk in zip(counts, h)]
+    low, high = basis.scale_bounds or (0.0, math.inf)
+    if not all(low <= s <= high for s in sides):
+        return False
+    if basis.kind == "dyadic":
+        return all(c & (c - 1) == 0 and a % c == 0 for a, c in zip(lo, counts))
+    if basis.kind == "cubes":
+        return all(abs(s - sides[0]) < max(h) * (1 - 1e-12) for s in sides)
+    return True
+
+
+@pytest.mark.parametrize("case", CASES + UNEQUAL_CUBES, ids=_unequal_ids)
+def test_basis_is_its_definition(case):
+    shape, h, basis = case
+    ranges = [[(a, b) for a in range(n) for b in range(a, n)] for n in shape]
+    want = set()
+    for combo in itertools.product(*ranges):
+        lo, hi = tuple(a for a, _ in combo), tuple(b for _, b in combo)
+        if _in_basis(basis, h, lo, hi):
+            want.add(Rect(lo, hi))
+    rects = list(enumerate_basis(basis, shape, h))
+    assert len(rects) == len(set(rects))
+    assert set(rects) == want
+
+
+@pytest.mark.parametrize("case", CASES + UNEQUAL_CUBES, ids=_unequal_ids)
+def test_basis_sizes_are_the_cell_counts_of_its_rects(case):
+    shape, h, basis = case
+    counts = sorted({r.cell_counts() for r in enumerate_basis(basis, shape, h)})
+    sizes = list(basis_sizes(basis, shape, h))
+    assert [c for c, _ in sizes] == counts
+    assert [s for _, s in sizes] == [c if basis.kind == "dyadic" else (1,) * len(shape) for c in counts]
 
 
 # --- scalar oracles ------------------------------------------------------------

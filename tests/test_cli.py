@@ -77,6 +77,7 @@ class TestWeights:
         assert main(["weights", "--class", "rd", "--grid", weight_grid]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 1.0 < payload["constant_or_bound"] <= 2.0
+        assert "basis" not in payload  # rd reads no basis
 
     def test_tauberian_csv(self, weight_grid, capsys):
         assert main(["weights", "--class", "tauberian", "--grid", weight_grid,
@@ -93,11 +94,11 @@ class TestWeights:
         assert payload["classification"] == rep.classification
         assert [fam["axis"] for fam in payload["scale_profile"]] == [0]
 
-    @pytest.mark.parametrize("klass,fn", [("apq", multi_weight_constant_apq),
-                                          ("apvec", multi_weight_constant_ap)])
-    def test_multi_weight_constants(self, klass, fn, weight_grid, capsys):
+    @pytest.mark.parametrize("klass,fn,extra", [("apq", multi_weight_constant_apq, ["--q", "0.5"]),
+                                                ("apvec", multi_weight_constant_ap, [])])
+    def test_multi_weight_constants(self, klass, fn, extra, weight_grid, capsys):
         assert main(["weights", "--class", klass, "--grid", weight_grid, "--grid", weight_grid,
-                     "--p", "2", "--p", "3", "--q", "0.5"]) == 0
+                     "--p", "2", "--p", "3", *extra]) == 0
         payload = json.loads(capsys.readouterr().out)
         w = read_grid(weight_grid)
         wv = WeightVector((w, w), (2.0, 3.0), q=0.5)
@@ -152,7 +153,37 @@ class TestWeights:
         assert "expected 1 grid(s), got 2" in err["message"]
 
 
+    @pytest.mark.parametrize("klass,grids,ps", [("ap", 1, 2), ("apq", 2, 1), ("apvec", 2, 3), ("bump", 2, 2)])
+    def test_one_p_per_weight(self, klass, grids, ps, weight_grid, capsys):
+        argv = ["weights", "--class", klass, *["--grid", weight_grid] * grids, *["--p", "2"] * ps]
+        assert main(argv) == 2
+        weights = grids - (klass == "bump")
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "CliError", "message": f"expected one --p per weight ({weights}), got {ps}"}
+
+    @pytest.mark.parametrize("klass,flags", [
+        ("rd", ["--basis", "cubes", "--seed", "4", "--q", "5", "--r", "3", "--gamma", "0.9"]),
+        ("ap", ["--q", "5"]),
+        ("apq", ["--r", "3"]),
+        ("apvec", ["--alpha", "0.5"]),
+        ("ainfty", ["--p", "2", "--basis", "dyadic"]),
+        ("tauberian", ["--alpha", "0.5"]),
+        ("bump", ["--gamma", "0.9"]),
+    ])
+    def test_flags_a_class_does_not_read_are_errors(self, klass, flags, weight_grid, capsys):
+        grids = ["--grid", weight_grid] * (2 if klass in ("apq", "apvec", "bump") else 1)
+        assert main(["weights", "--class", klass, *grids, *flags]) == 2
+        named = ", ".join(flags[::2])
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "CliError", "message": f"--class {klass} does not read {named}"}
+
+
 class TestCover:
+    def test_needs_one_grid(self, weight_grid, capsys):
+        assert main(["cover", "--grid", weight_grid, "--grid", weight_grid]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "CliError", "message": "expected 1 grid(s), got 2"}
+
     def test_random_family_json(self, weight_grid, capsys):
         assert main(["cover", "--grid", weight_grid, "--count", "20",
                      "--seed", "3"]) == 0

@@ -326,6 +326,10 @@ TABLE = [
      lambda: vector_valued([OTHER]), GridError),
     ("vector_valued_check", "one cell",
      lambda: vector_valued([ONE], w=ONE), holds),
+    ("vector_valued_check", "1e150 values: the L^p integral overflows",
+     lambda: vector_valued([gf(np.full((8, 8), 1e150))], w=gf(np.ones((8, 8)))), GridError),
+    ("vector_valued_check", "1e-150 values: the L^p integral underflows",
+     lambda: vector_valued([gf(np.full((8, 8), 1e-150))], w=gf(np.ones((8, 8)))), GridError),
     ("prop35_counterexample", "lmax = 1", lambda: sm.prop35_counterexample(1), GridError),
     ("weight_theory_suite", "no samples", lambda: sm.weight_theory_suite(0, shape=(4, 4)), holds),
     ("weight_theory_suite", "grid that is not square", lambda: sm.weight_theory_suite(2, shape=(4, 8)), GridError),

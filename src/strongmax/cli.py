@@ -160,7 +160,7 @@ _CLASS_FLAGS = {
     "ap": ("basis", "p"),
     "apq": ("basis", "p", "q", "alpha"),
     "apvec": ("basis", "p"),
-    "ainfty": ("seed",),
+    "ainfty": (),
     "rd": (),
     "tauberian": ("basis", "seed", "gamma"),
     "bump": ("basis", "p", "q", "alpha", "r"),
@@ -193,7 +193,7 @@ def _cmd_weights(args) -> int:
         payload.update({"constant_or_bound": fn(wv, basis), "ps": ps,
                         **{k: getattr(args, k) for k in ("q", "alpha") if k in reads}})
     elif args.klass == "ainfty":
-        rep = a_infty_classify(w, rng=np.random.default_rng(args.seed))
+        rep = a_infty_classify(w, n_random_pairs=0)
         payload.update({
             "classification": rep.classification,
             "passes": rep.passes,

@@ -10,11 +10,15 @@ Two selection passes over an ordered rectangle family:
   with the union of previously kept sets is at most a lambda fraction,
   with the chain comparability constant (minimal C over all index pairs).
 
-Both are deterministic given the input order and threshold.
+Both keep rects in one greedy walk (_greedy_keep), whose per-cell count of
+kept rects is also their union; the chain constant reads its prefix and
+window unions from one mass walk (_union_masses). Both are deterministic
+given the input order and threshold.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -90,20 +94,30 @@ def _rect_cells(r: Rect) -> int:
     return int(np.prod(r.cell_counts()))
 
 
-def _greedy_keep(fam: RectFamily, order, frac: float) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _greedy_keep(fam: RectFamily, order, frac: float) -> tuple[list[int], np.ndarray]:
     """Walk the rects in the given order and keep each one that the union of
     those kept before covers in at most frac of its cells; returns the kept
-    indices, the union mask and the per-cell count of kept rects."""
-    union = np.zeros(fam.shape, dtype=bool)
+    indices and the per-cell count of kept rects (their union is count > 0)."""
     overlap = np.zeros(fam.shape, dtype=np.int64)
     kept: list[int] = []
     for i in order:
         sl = fam.rects[i].slices()
-        if int(np.count_nonzero(union[sl])) <= frac * _rect_cells(fam.rects[i]):
+        if int(np.count_nonzero(overlap[sl])) <= frac * _rect_cells(fam.rects[i]):
             kept.append(i)
-            union[sl] = True
             overlap[sl] += 1
-    return kept, union, overlap
+    return kept, overlap
+
+
+def _union_masses(fam: RectFamily, idx, wv: np.ndarray) -> list[float]:
+    """w(union of the first k rects of idx) for k = 0..len(idx), grown one
+    rect at a time: each adds the w-mass of the cells it newly covers."""
+    mask = np.zeros(fam.shape, dtype=bool)
+    masses = [0.0]
+    for i in idx:
+        sl = fam.rects[i].slices()
+        masses.append(masses[-1] + float(np.sum(wv[sl][~mask[sl]])) * fam.cell_volume)
+        mask[sl] = True
+    return masses
 
 
 def cf_select(fam: RectFamily, theta: float = 0.5) -> SelectionResult:
@@ -121,10 +135,10 @@ def cf_select(fam: RectFamily, theta: float = 0.5) -> SelectionResult:
     n = len(fam.shape)
     cellvol = fam.cell_volume
     order = sorted(range(len(fam)), key=lambda i: (-_rect_cells(fam.rects[i]), i))
-    kept, union, overlap = _greedy_keep(fam, order, theta)
+    kept, overlap = _greedy_keep(fam, order, theta)
     # kept stays in selection (volume-descending) order: that is the order
     # in which the scattered property holds by construction
-    union_after = float(np.count_nonzero(union)) * cellvol
+    union_after = float(np.count_nonzero(overlap)) * cellvol
 
     packing: dict = {}
     if n == 1:
@@ -132,18 +146,14 @@ def cf_select(fam: RectFamily, theta: float = 0.5) -> SelectionResult:
         packing["max_feasible_delta"] = None
     else:
         ex = 1.0 / (n - 1)
-        ov = overlap[union].astype(np.float64)
-        feasible = []
+        ov = overlap[overlap > 0].astype(np.float64)
         rows = []
         for delta in PACKING_DELTAS:
             integral = float(np.sum(np.exp((delta * ov) ** ex))) * cellvol
-            ok = integral <= 2.0 * union_after
             rows.append({"delta": delta, "integral": integral,
-                         "bound": 2.0 * union_after, "ok": ok})
-            if ok:
-                feasible.append(delta)
+                         "bound": 2.0 * union_after, "ok": integral <= 2.0 * union_after})
         packing["deltas"] = rows
-        packing["max_feasible_delta"] = max(feasible) if feasible else None
+        packing["max_feasible_delta"] = max((r["delta"] for r in rows if r["ok"]), default=None)
 
     return SelectionResult(
         kept=kept,
@@ -181,44 +191,22 @@ def scattered_select(
     """
     if not 0 < lam < 1:
         raise SelectionError("lambda must lie in (0,1)")
-    if w is not None:
-        if tuple(w.shape) != fam.shape:
-            raise GridError("weight grid mismatch")
-        if np.any(w.values < 0):
-            raise SelectionError("w must be nonnegative")
+    if w is not None and (w.shape, w.cell_size) != (fam.shape, fam.cell_size):
+        raise GridError("weight grid mismatch")
     wv = w.values if w is not None else np.ones(fam.shape)
-    cellvol = fam.cell_volume
-
-    kept, _, overlap = _greedy_keep(fam, range(len(fam)), lam)
     n_fam = len(fam)
-    kept_set = set(kept)
+    kept, overlap = _greedy_keep(fam, range(n_fam), lam)
 
-    # cumulative w-masses of the full-family prefix unions, w(U_{s<j} A_s),
-    # maintained incrementally (only newly covered cells contribute)
-    prefix_w = [0.0]
-    mask = np.zeros(fam.shape, dtype=bool)
-    acc = 0.0
-    for i in range(n_fam):
-        sl = fam.rects[i].slices()
-        new = ~mask[sl]
-        acc += float(np.sum(wv[sl][new])) * cellvol
-        mask[sl] = True
-        prefix_w.append(acc)
-    # minimal C over all pairs: per window start i, grow the kept-set window
-    # union w(U_{i<=s<j} kept) incrementally over j
+    # 0-based: prefix_w[j] = w(U_{s<j} A_s); per window start i, win[k] is the mass of
+    # the first k kept sets from i on, so U_{i<=s<j} kept is win[#(ks < j)]
+    prefix_w = _union_masses(fam, range(n_fam), wv)
     chain_c = 0.0
-    for i in range(1, n_fam + 1):
-        wmask = np.zeros(fam.shape, dtype=bool)
-        win = 0.0
-        for j in range(i + 1, n_fam + 2):
-            ridx = j - 2  # 0-based index of the set added at window end
-            if ridx in kept_set:
-                sl = fam.rects[ridx].slices()
-                new = ~wmask[sl]
-                win += float(np.sum(wv[sl][new])) * cellvol
-                wmask[sl] = True
-            lhs = prefix_w[j - 1]
-            rhs = prefix_w[i - 1] + win
+    for i in range(n_fam):
+        ks = kept[bisect.bisect_left(kept, i):]
+        win = _union_masses(fam, ks, wv)
+        for j in range(i + 1, n_fam + 1):
+            lhs = prefix_w[j]
+            rhs = prefix_w[i] + win[bisect.bisect_left(ks, j)]
             if lhs > 0:
                 if rhs == 0:
                     chain_c = math.inf
@@ -228,7 +216,7 @@ def scattered_select(
     return SelectionResult(
         kept=kept,
         union_before=fam.union_measure(),
-        union_after=fam.union_measure(kept),
+        union_after=float(np.count_nonzero(overlap)) * fam.cell_volume,
         overlap=GridFunction(fam.shape, fam.cell_size, overlap.astype(np.float64)),
         scattered_check=is_scattered(fam, kept, lam),
         chain_constant=chain_c,

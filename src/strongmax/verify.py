@@ -58,6 +58,7 @@ from .weights import (
 )
 from .young import complementary, in_bp_star, phi_n, phi_n_iter, power
 
+ALL = Basis("all")  # the endpoint and weight-theory checks' basis; the others' default
 ORLICZ_KS = (0, 1)  # k of the Orlicz majorants Phi_(k+1) in the one-weight circle
 RD_GRID = 32  # cells per axis of the reverse-doubling grid in prop35_counterexample
 QUAD_TOL = 5e-3  # relative error allowed of the counterexample's masses and ratios
@@ -101,10 +102,7 @@ def _jsonify(obj):
 # --- endpoint weak-type estimate ---------------------------------------------
 
 
-def endpoint_check(
-    fs: list[GridFunction], lam: float, alpha: float = 0.0,
-    basis: Basis | None = None,
-) -> VerificationReport:
+def endpoint_check(fs: list[GridFunction], lam: float, alpha: float = 0.0) -> VerificationReport:
     """Endpoint distributional inequality for the fractional strong maximal.
 
     lhs = |{M_alpha(f) > lam^m}|^(m - alpha/n);
@@ -117,8 +115,7 @@ def endpoint_check(
     if not 0 < lam < math.inf:
         raise GridError(f"lambda must be positive and finite, got {lam}")
     m = len(fs)
-    basis = basis or Basis("all")
-    q = MaximalQuery(basis=basis, alpha=alpha, m=m)
+    q = MaximalQuery(basis=ALL, alpha=alpha, m=m)
     mf = multilinear_fractional_maximal(fs, q)
     n = mf.dims
     lhs = level_set_measure(mf, lam**m) ** (m - alpha / n)
@@ -140,7 +137,7 @@ def endpoint_check(
         rhs *= bracket**m * v
     report = VerificationReport(
         theorem="endpoint-weak-type",
-        config={"m": m, "n": n, "alpha": alpha, "lambda": lam, "basis": basis.kind},
+        config={"m": m, "n": n, "alpha": alpha, "lambda": lam, "basis": ALL.kind},
         lhs=lhs,
         rhs=rhs,
     )
@@ -149,8 +146,7 @@ def endpoint_check(
 
 
 def endpoint_corpus_max(
-    shape, cell_size, seed: int, m: int, alpha: float, lam: float,
-    count: int = 50, basis: Basis | None = None,
+    shape, cell_size, seed: int, m: int, alpha: float, lam: float, count: int = 50
 ) -> float:
     """Max endpoint lhs/rhs ratio over m-tuples drawn from the corpus."""
     fns = make_corpus(shape, cell_size, seed, count)
@@ -159,7 +155,7 @@ def endpoint_corpus_max(
         fs = fns[i : i + m]
         if any(f.values.max() == 0 for f in fs):
             continue
-        rep = endpoint_check(fs, lam, alpha, basis)
+        rep = endpoint_check(fs, lam, alpha)
         if rep.rhs > 0:
             best = max(best, rep.ratio)
     return best
@@ -200,8 +196,7 @@ def operator_ratio(
 
 
 def one_weight_equivalence_check(
-    wv: WeightVector, fs_tuples: list[list[GridFunction]],
-    basis: Basis | None = None,
+    wv: WeightVector, fs_tuples: list[list[GridFunction]], basis: Basis = ALL,
 ) -> VerificationReport:
     """Equivalence circle for the one-weight fractional estimate.
 
@@ -215,7 +210,6 @@ def one_weight_equivalence_check(
     n = wv.weights[0].dims
     if abs(1.0 / wv.q - (1.0 / wv.p - wv.alpha / n)) > 1e-9:
         raise GridError("one-weight check needs 1/q = 1/p - alpha/n")
-    basis = basis or Basis("all")
     c_i = multi_weight_constant_apq(wv, basis)
     c_ii = math.inf
     for r in (1.01, 1.05, 1.1, 1.25):
@@ -246,11 +240,10 @@ def one_weight_equivalence_check(
 
 def two_weight_power_bump_check(
     wv: WeightVector, v: GridFunction, r: float,
-    fs_tuples: list[list[GridFunction]], basis: Basis | None = None,
+    fs_tuples: list[list[GridFunction]], basis: Basis = ALL,
 ) -> VerificationReport:
     """Power-bump sufficiency: bump constant finite and v in A_infty imply
     the two-weight operator ratio is bounded over the corpus."""
-    basis = basis or Basis("all")
     report = VerificationReport(
         theorem="two-weight-power-bump",
         config={"ps": list(wv.ps), "q": wv.q, "alpha": wv.alpha, "r": r,
@@ -285,8 +278,7 @@ def two_weight_power_bump_check(
 
 def vector_valued_check(
     fjs: list[GridFunction], w: GridFunction, v: GridFunction,
-    p: float, q: float, a_young, b_young, r: float,
-    basis: Basis | None = None,
+    p: float, q: float, a_young, b_young, r: float, basis: Basis = ALL,
 ) -> VerificationReport:
     """Two-weight vector-valued bound for the strong maximal operator.
 
@@ -296,7 +288,6 @@ def vector_valued_check(
     ||(sum_j (M f_j)^q)^{1/q}||_{L^p(w^p)} over the same norm of (f_j)
     against v^p is finite.
     """
-    basis = basis or Basis("all")
     if not fjs:
         raise GridError("need at least one function")
     f0 = _check_common_grid([*fjs, w, v])
@@ -437,9 +428,7 @@ def _sample_weight_pairs(seed: int, count: int, shape, cell_size):
     return out
 
 
-def weight_theory_suite(
-    samples: int = 200, seed: int = 0, shape=(16, 16), basis: Basis | None = None
-) -> VerificationReport:
+def weight_theory_suite(samples: int = 200, seed: int = 0, shape=(16, 16)) -> VerificationReport:
     """Implication checks over sampled weight tuples plus separation witnesses.
 
     Implications (cap = 1e6 as the finiteness proxy):
@@ -456,7 +445,6 @@ def weight_theory_suite(
     """
     if len(set(shape)) != 1:  # the power weights are |x|^a on a square grid
         raise GridError(f"weight_theory_suite needs a square grid, got shape {tuple(shape)}")
-    basis = basis or Basis("all")
     cell_size = tuple(1.0 / s for s in shape)
     pairs = _sample_weight_pairs(seed, samples, shape, cell_size)
     ps = (2.0, 2.0)
@@ -464,28 +452,28 @@ def weight_theory_suite(
     for idx, ws in enumerate(pairs):
         wv = WeightVector(ws, ps, q=1.0)
         # scaling monotonicity at r1=1 < r2=1.2
-        c1 = multi_weight_constant_ap(wv, basis)
+        c1 = multi_weight_constant_ap(wv, ALL)
         c2 = multi_weight_constant_ap(
-            WeightVector(ws, tuple(1.2 * p for p in ps), q=1.0), basis
+            WeightVector(ws, tuple(1.2 * p for p in ps), q=1.0), ALL
         )
         if c1 < CAP and not c2 < CAP:
             violations.append((idx, "scaling-monotonicity"))
         # factorization, at q = 1
         nu = ws[0].with_values(wv.nu())
-        capq = multi_weight_constant_apq(wv, basis)
+        capq = multi_weight_constant_apq(wv, ALL)
         if capq < CAP:
             m = len(ws)
-            if not ap_constant(nu, m, basis) < CAP:
+            if not ap_constant(nu, m, ALL) < CAP:
                 violations.append((idx, "factorization-nu"))
             for w, pi in zip(ws, ps):
                 ppi = pi / (pi - 1.0)
                 wi = w.with_values(w.values**-ppi)
-                if not ap_constant(wi, m * ppi, basis) < CAP:
+                if not ap_constant(wi, m * ppi, ALL) < CAP:
                     violations.append((idx, "factorization-wi"))
         # bump monotonicity r1=1.1 < r2=1.5 (exact by power-mean monotonicity)
         wv_b = WeightVector(ws, ps, q=2.0, alpha=0.0)
-        b2 = power_bump_check(wv_b, ws[0], 1.5, basis)["constant"]
-        b1 = power_bump_check(wv_b, ws[0], 1.1, basis)["constant"]
+        b2 = power_bump_check(wv_b, ws[0], 1.5, ALL)["constant"]
+        b1 = power_bump_check(wv_b, ws[0], 1.1, ALL)["constant"]
         if b2 < CAP and not b1 < CAP:
             violations.append((idx, "bump-monotonicity"))
         # RD inclusion (product weight), grids are power-of-two sided
@@ -501,7 +489,7 @@ def weight_theory_suite(
         and power_weight_classify(a_sep, r2 * p0, 1).in_ap
     )
     # bump separation: bump(r1) stable across depth, bump(r2) growing > 10x
-    sep_bump = _bump_separation_witness(basis)
+    sep_bump = _bump_separation_witness()
     report = VerificationReport(
         theorem="weight-theory-suite",
         config={"samples": samples, "seed": seed, "shape": list(shape)},
@@ -524,7 +512,7 @@ def _bump_profile(a: float, c: float, p: float, q: float, r: float,
     return anchored_profile(1, range(3, depth + 1), [(c, 1.0 / q), (a * (1.0 - pp) * r, 1.0 / (r * pp))])
 
 
-def _bump_separation_witness(basis: Basis) -> bool:
+def _bump_separation_witness() -> bool:
     """1D power weights separating the two bump classes: the small-r bump
     profile converges across depth (geometric log-increments) while the
     large-r profile keeps growing (increment ratio near 1)."""

@@ -398,7 +398,7 @@ def tauberian_constant_estimate(
     for k in range(1, int(math.log2(min(w.shape))) + 1):
         side = 2**k
         mask = np.zeros(w.shape, dtype=bool)
-        sl = tuple(slice((s - min(side, s)) // 2, (s - min(side, s)) // 2 + min(side, s)) for s in w.shape)
+        sl = tuple(slice((s - side) // 2, (s - side) // 2 + side) for s in w.shape)
         mask[sl] = True
         candidates.append((f"centered rect side {side}", mask))
     # random rectangles and 2-rect unions
@@ -433,21 +433,16 @@ def tauberian_constant_estimate(
 # --- power weights ------------------------------------------------------------
 
 
-def _gauss_cell_average(exponent: float, lo: np.ndarray, hi: np.ndarray, n: int) -> float:
-    """Cell average of |x|^exponent over the box [lo, hi] by 16-pt Gauss/axis."""
+def _gauss_cell_average(exponent: float, h: float, n: int) -> float:
+    """Cell average of |x|^exponent over the cube [0, h]^n by 16-pt Gauss/axis."""
     nodes, wts = np.polynomial.legendre.leggauss(16)
-    axes_pts, axes_wts = [], []
-    for k in range(n):
-        mid = 0.5 * (lo[k] + hi[k])
-        half = 0.5 * (hi[k] - lo[k])
-        axes_pts.append(mid + half * nodes)
-        axes_wts.append(wts * 0.5)  # normalized to the cell
-    grids = np.meshgrid(*axes_pts, indexing="ij")
+    pts = 0.5 * h + 0.5 * h * nodes
+    grids = np.meshgrid(*[pts] * n, indexing="ij")
     r2 = sum(g**2 for g in grids)
     vals = r2 ** (exponent / 2.0)
-    wgt = axes_wts[0]
-    for k in range(1, n):
-        wgt = np.multiply.outer(wgt, axes_wts[k])
+    wgt = cell_wts = wts * 0.5  # normalized to the cell
+    for _ in range(1, n):
+        wgt = np.multiply.outer(wgt, cell_wts)
     return float(np.sum(vals * wgt))
 
 
@@ -461,9 +456,7 @@ def power_weight_grid(exponent: float, n: int, cells: int) -> GridFunction:
     grids = np.meshgrid(*axes, indexing="ij")
     r2 = sum(g**2 for g in grids)
     vals = r2 ** (exponent / 2.0)
-    vals[(0,) * n] = _gauss_cell_average(
-        exponent, np.zeros(n), np.full(n, h), n
-    )
+    vals[(0,) * n] = _gauss_cell_average(exponent, h, n)
     return GridFunction((cells,) * n, (h,) * n, vals)
 
 

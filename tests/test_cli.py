@@ -94,6 +94,12 @@ class TestWeights:
         assert payload["classification"] == rep.classification
         assert [fam["axis"] for fam in payload["scale_profile"]] == [0]
 
+    def test_ainfty_reads_no_seed(self, weight_grid, capsys):
+        # the seed drew only the random pairs of the report, which no payload prints
+        assert main(["weights", "--class", "ainfty", "--grid", weight_grid, "--seed", "7"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "CliError", "message": "--class ainfty does not read --seed"}
+
     @pytest.mark.parametrize("klass,fn,extra", [("apq", multi_weight_constant_apq, ["--q", "0.5"]),
                                                 ("apvec", multi_weight_constant_ap, [])])
     def test_multi_weight_constants(self, klass, fn, extra, weight_grid, capsys):

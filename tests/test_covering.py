@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from strongmax.grid import GridError, GridFunction, Rect
+from strongmax.grid import GridError, GridFunction, Rect, random_rect
 from strongmax.covering import (
     PACKING_DELTAS,
     RectFamily,
@@ -162,6 +162,72 @@ class TestScattered:
         f = fam_of((10,), rects)
         assert cf_select(f).c_emp >= 1.0 - 1e-12
         assert scattered_select(f).c_emp >= 1.0 - 1e-12
+
+
+def random_family(seed, shape, h, count):
+    """count random rects on the grid and a weight in [0.5, 2) on it."""
+    rng = np.random.default_rng(seed)
+    rects = [random_rect(rng, (0,) * len(shape), tuple(s - 1 for s in shape)) for _ in range(count)]
+    w = GridFunction(shape, h, rng.uniform(0.5, 2.0, shape))
+    return fam_of(shape, rects, h=(h,) * len(shape)), w
+
+
+def chain_constant_oracle(fam, kept, w):
+    """The minimal C of the chain over every pair, each union from fresh masks."""
+    wv = np.ones(fam.shape) if w is None else w.values
+
+    def mass(indices):
+        mask = np.zeros(fam.shape, dtype=bool)
+        for s in indices:
+            mask[fam.rects[s].slices()] = True
+        return float(np.sum(wv[mask])) * fam.cell_volume
+
+    c = 0.0
+    for i in range(len(fam)):
+        for j in range(i + 1, len(fam) + 1):
+            lhs = mass(range(j))
+            rhs = mass(range(i)) + mass([s for s in kept if i <= s < j])
+            if lhs > 0:
+                c = math.inf if rhs == 0 else max(c, lhs / rhs)
+    return c
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("weighted", [False, True])
+def test_chain_constant_matches_oracle(seed, weighted):
+    shape = ((9,), (6, 5), (3, 4, 3))[seed % 3]
+    fam, w = random_family(seed, shape, (0.3, 0.25, 1.0, 0.7)[seed % 4], 4 + seed)
+    w = w if weighted else None
+    for lam in (0.3, 0.5, 0.7):
+        sel = scattered_select(fam, lam, w)
+        want = chain_constant_oracle(fam, sel.kept, w)
+        assert sel.chain_constant == pytest.approx(want, rel=1e-12)
+
+
+# float.hex of the chain constant and of both unions, pinned so that a
+# change in the order the masses are summed in shows
+PINNED_CHAINS = [
+    ((6, (12,), 0.3, 15), False, [0, 2, 8, 12],
+     "0x1.ccccccccccccdp+0", "0x1.8000000000000p+1", "0x1.0cccccccccccdp+1"),
+    ((6, (12,), 0.3, 15), True, [0, 2, 8, 12],
+     "0x1.d23c3caceb18cp+0", "0x1.8000000000000p+1", "0x1.0cccccccccccdp+1"),
+    ((2, (8, 8), 0.25, 20), False, [0, 1, 2, 3, 4, 5, 6, 7, 10, 15],
+     "0x1.0b60b60b60b61p+0", "0x1.8800000000000p+1", "0x1.7800000000000p+1"),
+    ((2, (8, 8), 0.25, 20), True, [0, 1, 2, 3, 4, 5, 6, 7, 10, 15],
+     "0x1.0a28b6a9d7ce7p+0", "0x1.8800000000000p+1", "0x1.7800000000000p+1"),
+    ((3, (4, 5, 6), 0.7, 12), False, [0, 1, 2, 3, 4, 5, 8, 9],
+     "0x1.1111111111111p+0", "0x1.909fbe76c8b42p+4", "0x1.8b22d0e560417p+4"),
+    ((3, (4, 5, 6), 0.7, 12), True, [0, 1, 2, 3, 4, 5, 8, 9],
+     "0x1.110e3944abab8p+0", "0x1.909fbe76c8b42p+4", "0x1.8b22d0e560417p+4"),
+]
+
+
+@pytest.mark.parametrize("args,weighted,kept,chain,before,after", PINNED_CHAINS)
+def test_chain_constant_bits_are_pinned(args, weighted, kept, chain, before, after):
+    fam, w = random_family(*args)
+    sel = scattered_select(fam, 0.5, w if weighted else None)
+    assert sel.kept == kept
+    assert [sel.chain_constant.hex(), sel.union_before.hex(), sel.union_after.hex()] == [chain, before, after]
 
 
 def test_packing_deltas_constant():

@@ -290,8 +290,10 @@ TABLE = [
     ("scattered_select", "NaN lambda", lambda: sm.scattered_select(FAMILY, NAN), SelectionError),
     ("scattered_select", "grids that do not match",
      lambda: sm.scattered_select(FAMILY, 0.5, w=OTHER), GridError),
+    ("scattered_select", "weight on another grid", lambda: sm.scattered_select(FAMILY, 0.5, w=BIG), GridError),
     ("scattered_select", "1e306 weight",
-     lambda: sm.scattered_select(FAMILY, 0.5, w=BIG).chain_constant, close(1.0)),
+     lambda: sm.scattered_select(FAMILY, 0.5, w=gf(np.full((4, 4), 1e306), h=(1.0, 1.0))).chain_constant,
+     close(1.0)),
     # --- verification checks
     ("endpoint_check", "empty list", lambda: sm.endpoint_check([], 1.0), GridError),
     ("endpoint_check", "NaN lambda", lambda: sm.endpoint_check([ONES], NAN), GridError),

@@ -25,7 +25,8 @@ sums and the product of the factors with the same floating-point
 expressions in the same order: the engine differences the prefix sums axis
 by axis, leading axis first, the order of ``grid.rect_cell_sum``. The volume power
 |R|^e comes from one libm ``pow`` call per side-count tuple (L_1, ..., L_n):
-``vol_pow_table`` calls ``math.pow``, and the reference scan's scalar
+``vol_pow_table`` goes through ``libm_pow``, whose ``np.float_power``
+calls the C ``pow`` on each element, and the reference scan's scalar
 ``vol**e`` calls the same C ``pow`` on the same double (numpy's SIMD
 ``power`` may differ from libm in the last bit). And a maximum rounds
 nothing, so any grouping of the maxima gives the same value. Only the sign
@@ -60,30 +61,22 @@ def volume_table(shape: tuple[int, ...], h: tuple[float, ...]) -> np.ndarray:
 
 
 def vol_pow_table(shape: tuple[int, ...], h: tuple[float, ...], e: float) -> np.ndarray:
-    """T[L_1-1, ..., L_n-1] = |R|**e, one ``math.pow`` call per entry of
+    """T[L_1-1, ..., L_n-1] = |R|**e, one libm ``pow`` per entry of
     ``volume_table`` (+inf where it overflows)."""
     return libm_pow(volume_table(shape, h), e)
 
 
-def libm_pow(x: np.ndarray, e: float) -> np.ndarray:
-    """x**e elementwise, one libm ``pow`` call per element.
+def libm_pow(x, e: float):
+    """x**e elementwise, one C library ``pow`` call per element.
 
-    Bit-equal to the scalar ``float ** float`` on every element where that
-    returns a float; numpy's own ``power`` may differ in the last bit.
+    numpy's float64 ``float_power`` loop calls the C ``pow``, as ``math.pow``
+    and the scalar ``float ** float`` do, so each element is bit-equal to
+    theirs wherever they return a float; past the double range, and for +0.0
+    to a negative power, it is +inf. numpy's ``power`` may differ in the
+    last bit: it dispatches to a SIMD ``pow``.
     """
-    return np.array([_c_pow(v, e) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
-
-
-def _c_pow(v: float, e: float) -> float:
-    try:
-        return math.pow(v, e)
-    except OverflowError:
-        # past the double range: C pow returns +inf (bases here are >= 0)
-        return math.inf
-    except ValueError:
-        # C pow returns +inf for 0 to a negative power and NaN for a
-        # negative base to a non-integer power; math.pow raises for both
-        return math.inf if v == 0 else math.nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.float_power(x, e)
 
 
 def fold_max(out: np.ndarray, vals: np.ndarray, axis: int, w: int) -> None:
@@ -187,8 +180,8 @@ def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
                 vals = vals * (diff[i] * cellvol)
         redo = ~np.isfinite(vals) | (cellvol < np.finfo(float).smallest_normal)
         if redo.any():
-            fix = _c_pow(float(math.prod(counts)), e)
-            for x in [_c_pow(hk, e + m) for hk in h] + [diff[i][redo] for i in range(m)]:
+            fix = libm_pow(float(math.prod(counts)), e)
+            for x in [libm_pow(hk, e + m) for hk in h] + [diff[i][redo] for i in range(m)]:
                 fix = fix * x
             vals[redo] = fix
         return vals

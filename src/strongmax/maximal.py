@@ -126,7 +126,8 @@ def _maximal_rect_scan(fs: list[GridFunction], basis: Basis, e: float) -> GridFu
         # volume is the same left-associated product of per-axis physical
         # spans (and the cell volume the same math.prod, a left fold), the
         # cell sums difference the prefix sums in the same order, and the
-        # scalar vol**e is one libm pow call, as is each entry of
+        # scalar vol**e is one C library pow call, the function that
+        # _kernels.libm_pow's np.float_power calls for each entry of
         # _kernels.vol_pow_table.
         vol = r.volume(f0.cell_size)
         try:

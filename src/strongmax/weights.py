@@ -11,12 +11,12 @@ of grid.basis_blocks at a time: a product of per-axis interval lists, in
 enumeration order. Every constant and every origin-anchored growth profile
 forms the values of a block through one function, _row_values: a
 left-to-right product of factors, each a rectangle average or an inverse
-minimum, with one libm ``pow`` per element for each powered factor
-(_kernels.libm_pow). Each rect's value is therefore the same floating-point
-expression as the scalar per-rectangle formula, so the constants and their
-witnesses (the first strict maximum in enumeration order) match a per-Rect
-scan bit for bit. A power that leaves the double range gives
-+inf, so such a constant counts as >= CAP.
+minimum raised by one libm ``pow`` per element (_kernels.libm_pow). Each
+rect's value is therefore the same floating-point expression as the scalar
+per-rectangle formula, so the constants and their witnesses (the first
+strict maximum in enumeration order) match a per-Rect scan bit for bit. A
+power that leaves the double range gives +inf, so such a constant counts
+as >= CAP.
 """
 
 from __future__ import annotations
@@ -141,8 +141,7 @@ def _row_values(block: Block, factors, volpow=None) -> np.ndarray:
 
     A factor is (source, exponent). A PrefixSum source gives avg_R g, the
     cell sum over the cell count; an array of cell values w gives
-    1 / min_R w. An exponent of 1.0 takes that value as is (libm pow(x, 1)
-    is x); any other applies one libm pow. volpow, a
+    1 / min_R w. Each value takes one libm pow to the exponent. volpow, a
     _kernels.vol_pow_table, puts a leading factor |R|^e first.
     """
     counts = [hi - lo + 1 for lo, hi in block]
@@ -153,8 +152,7 @@ def _row_values(block: Block, factors, volpow=None) -> np.ndarray:
             x = block_cell_sums(source, block) / n
         else:
             x = 1.0 / block_cell_mins(source, block)
-        if e != 1.0:
-            x = libm_pow(x, e)
+        x = libm_pow(x, e)
         out = x if out is None else out * x
     return out.ravel()
 

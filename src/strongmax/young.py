@@ -140,14 +140,14 @@ def _conj_phi2(y):
 
 def iterate(phi: YoungFunction, m: int) -> YoungFunction:
     """m-fold composition of phi with itself; m = 1 gives phi."""
-    if m < 1:
-        raise YoungFunctionError("m must be >= 1")
+    if not (m >= 1 and float(m).is_integer()):
+        raise YoungFunctionError(f"m must be an integer >= 1, got {m}")
     if m == 1:
         return phi
 
     def ev(t):
         out = np.asarray(t, dtype=np.float64)
-        for _ in range(m):
+        for _ in range(int(m)):
             out = phi.eval(out)
         return out
 
@@ -182,13 +182,21 @@ def identity() -> YoungFunction:
     return power(1.0)
 
 
+def _integer(v) -> int:
+    """v as an int; a value with a fractional part raises ValueError
+    instead of being truncated."""
+    if not float(v).is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 # family name -> (builder, the type of each parameter it takes)
 _FAMILIES = {
     "power": (power, {"s": float}),
-    "phi_n": (phi_n, {"n": int}),
-    "phi_n_iter": (phi_n_iter, {"n": int, "m": int}),
-    "llogl": (l_log_l, {"k": int, "outer": float}),
-    "psi_n": (psi_n, {"n": int}),
+    "phi_n": (phi_n, {"n": _integer}),
+    "phi_n_iter": (phi_n_iter, {"n": _integer, "m": _integer}),
+    "llogl": (l_log_l, {"k": _integer, "outer": float}),
+    "psi_n": (psi_n, {"n": _integer}),
     "identity": (identity, {}),
 }
 
@@ -271,7 +279,8 @@ def inverse(phi: YoungFunction, y: float) -> float:
 
     hi doubles from 1 up to the largest double, and the midpoint is formed
     as 0.5 * lo + 0.5 * hi, which equals 0.5 * (lo + hi) on normal doubles
-    and cannot overflow.
+    and cannot overflow. Below about 5e-312, REL_TOL * hi rounds to 0, so
+    the bisection also stops once lo and hi are adjacent doubles.
     """
     if not y >= 0:
         raise YoungFunctionError(f"inverse argument must be >= 0, got {y}")
@@ -294,6 +303,8 @@ def inverse(phi: YoungFunction, y: float) -> float:
     lo = 0.0
     while hi - lo > REL_TOL * hi:
         mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
         if reaches(mid):
             hi = mid
         else:

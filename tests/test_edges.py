@@ -196,6 +196,7 @@ TABLE = [
     ("l_log_l", "inf outer exponent", lambda: sm.l_log_l(1, INF), YoungFunctionError),
     ("phi_n", "n = 0", lambda: sm.phi_n(0), YoungFunctionError),
     ("phi_n_iter", "m = 0", lambda: sm.phi_n_iter(2, 0), YoungFunctionError),
+    ("phi_n_iter", "m = 1.5", lambda: sm.phi_n_iter(2, 1.5), YoungFunctionError),
     ("psi_n", "n = 1", lambda: sm.psi_n(1), YoungFunctionError),
     ("identity", "at 1e306", lambda: float(sm.identity()(1e306)), lambda v: v == 1e306),
     ("from_config", "unknown family", lambda: sm.from_config("rings"), YoungFunctionError),
@@ -203,6 +204,9 @@ TABLE = [
     ("from_config", "unreadable parameter", lambda: sm.from_config("power", s="x"), YoungFunctionError),
     ("from_config", "unknown parameter", lambda: sm.from_config("identity", s=2.0), YoungFunctionError),
     ("from_config", "NaN parameter", lambda: sm.from_config("power", s=NAN), YoungFunctionError),
+    ("from_config", "n = 2.7", lambda: sm.from_config("phi_n", n=2.7), YoungFunctionError),
+    ("from_config", "m = 1.5", lambda: sm.from_config("phi_n_iter", n=2, m=1.5), YoungFunctionError),
+    ("from_config", "inf integer parameter", lambda: sm.from_config("phi_n", n=INF), YoungFunctionError),
     ("complementary", "t^1 at 0.5 and 2", lambda: sm.complementary(sm.identity())(np.array([0.5, 2.0])),
      lambda v: np.array_equal(v, [0.0, INF])),
     ("inverse", "NaN", lambda: sm.inverse(PHI2, NAN), YoungFunctionError),
@@ -211,6 +215,9 @@ TABLE = [
     # the root of t (1 + log t) = 1e306, about 1.43e303
     ("inverse", "1e306 under Phi_2", lambda: float(PHI2(sm.inverse(PHI2, 1e306))), close(1e306, rel=1e-11)),
     ("inverse", "1e-306 under Phi_3", lambda: sm.inverse(sm.phi_n(3), 1e-306), close(1e-306, rel=1e-11)),
+    # Phi_2(t) = t below 1; REL_TOL * hi rounds to 0 at these targets
+    ("inverse", "1e-320 under Phi_2", lambda: sm.inverse(PHI2, 1e-320), lambda v: v == 1e-320),
+    ("inverse", "5e-324 under Phi_2", lambda: sm.inverse(PHI2, 5e-324), lambda v: v == 5e-324),
     ("oneil_triple_check", "t^2, t, t^2",
      lambda: sm.oneil_triple_check(sm.power(2.0), sm.identity(), sm.power(2.0)),
      lambda r: r[0] is True),
@@ -305,6 +312,9 @@ TABLE = [
      lambda: sm.endpoint_check([BIG], 1.0), lambda r: r.passed and r.ratio == 0.0),
     ("endpoint_check", "1e-306 lambda",
      lambda: sm.endpoint_check([ONES], 1e-306), lambda r: r.passed and r.ratio == 0.0),
+    # lambda^2 is past the largest double, so {M > lambda^2} is empty
+    ("endpoint_check", "1e200 lambda, m = 2",
+     lambda: sm.endpoint_check([ONES, ONES], 1e200), lambda r: r.passed and r.lhs == 0.0),
     ("one_weight_equivalence_check", "grids that do not match",
      lambda: sm.one_weight_equivalence_check(UNIT, [[OTHER]]), GridError),
     # a supremum over no test functions is 0

@@ -367,11 +367,39 @@ def test_weight_vector_validation():
 
 
 def test_libm_pow_to_the_first_is_the_identity():
-    # _row_values applies no pow for an exponent of 1.0, which keeps every
-    # bit only because libm pow(x, 1.0) is x
+    # _row_values powers every factor, those with exponent 1.0 too; a plain
+    # average keeps its bits only because libm pow(x, 1.0) is x
     rng = np.random.default_rng(12)
     x = np.abs(rng.standard_normal(20_000) * 10.0 ** rng.integers(-300, 300, 20_000))
     bits = np.frombuffer(rng.bytes(8 * 20_000), dtype=np.float64)
     x = np.concatenate([x, np.abs(bits[np.isfinite(bits)]),
                         [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf]])
     assert np.array_equal(libm_pow(x, 1.0), x)
+
+
+# 1.0 and the 20 exponents that verify.run_all(0) hands to libm_pow
+RUN_ALL_EXPONENTS = [1.0, 0.5, 1 / 3, 0.7, 3.0, 5 / 11, -1.0, -0.5, 0.0, -2.0, 0.495,
+                     0.4749999999999999, 0.44999999999999996, 0.375, 1.01, 1.05, 1.1,
+                     1.25, 2.0, 10 / 21, 0.2]
+
+
+def _math_pow(v: float, e: float) -> float:
+    try:
+        return math.pow(v, e)
+    except (OverflowError, ValueError):
+        # past the double range, or 0 to a negative power: C pow gives +inf
+        return math.inf
+
+
+@pytest.mark.parametrize("e", RUN_ALL_EXPONENTS)
+def test_libm_pow_is_math_pow_bit_for_bit(e):
+    # the weight constants and the engine's volume powers are bit-equal to
+    # their scalar oracles only while libm_pow is the C library pow; a numpy
+    # whose float_power went to a SIMD pow would fail here
+    rng = np.random.default_rng(13)
+    x = np.exp(rng.uniform(-50.0, 50.0, 20_000))
+    x = np.concatenate([x, [0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                            1.7976931348623157e308, math.inf, math.nan]])
+    want = np.array([_math_pow(v, e) for v in x.tolist()])
+    got = libm_pow(x, e)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -170,6 +170,7 @@ def lp_norm(f: GridFunction, p: float, weight: GridFunction | None = None) -> fl
         raise GridError("weight must live on the function's grid")
     w = weight.values if weight is not None else 1.0
     total = float(np.sum(f.values**p * w) * f.cell_volume)
-    if total == math.inf or (total == 0.0 and np.any((f.values > 0) & (w > 0))):
-        raise GridError(f"the L^{p:g} integral leaves the double range")
-    return total ** (1.0 / p)
+    norm = float(_kernels.libm_pow(total, 1.0 / p))
+    if norm == math.inf or (total == 0.0 and np.any((f.values > 0) & (w > 0))):
+        raise GridError(f"the L^{p:g} integral or its root leaves the double range")
+    return norm

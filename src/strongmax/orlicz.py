@@ -75,6 +75,8 @@ class CellSet:
 def _member_values(f: GridFunction, e: CellSet) -> np.ndarray:
     if (f.shape, f.cell_size) != (e.shape, e.cell_size):
         raise MeasureError("grid/cell-set mismatch")
+    if not e.mask.any():
+        raise MeasureError("empty cell set")
     return np.abs(f.values[e.mask])
 
 
@@ -91,8 +93,8 @@ def luxemburg_norms(
     """
     vals = np.asarray(vals, dtype=np.float64)
     total = np.broadcast_to(np.asarray(total_measure, dtype=np.float64), vals.shape[:1])
-    if np.any(total <= 0):
-        raise MeasureError("Luxemburg norm needs a set of positive measure")
+    if not (0 < cell_measure < math.inf and np.all((0 < total) & (total < math.inf))):
+        raise MeasureError("Luxemburg norm needs cells and sets of finite positive measure")
     if np.isnan(vals).any():
         raise MeasureError("Luxemburg norm of a NaN cell value")
     weight = cell_measure / total
@@ -145,18 +147,12 @@ def luxemburg_norm_values(
 
 def luxemburg_norm(f: GridFunction, e: CellSet, phi: YoungFunction) -> float:
     """||f||_{Phi,E}: inf{lam > 0 : mean_E Phi(|f|/lam) <= 1}."""
-    vals = _member_values(f, e)
-    if vals.size == 0:
-        raise MeasureError("empty cell set")
-    return luxemburg_norm_values(vals, f.cell_volume, e.measure, phi)
+    return luxemburg_norm_values(_member_values(f, e), f.cell_volume, e.measure, phi)
 
 
 def mean_phi_over(f: GridFunction, e: CellSet, phi: YoungFunction) -> float:
     """(1/|E|) integral over E of Phi(|f|)."""
-    vals = _member_values(f, e)
-    if vals.size == 0:
-        raise MeasureError("empty cell set")
-    return float(np.sum(phi.eval(vals))) * f.cell_volume / e.measure
+    return float(np.sum(phi.eval(_member_values(f, e)))) * f.cell_volume / e.measure
 
 
 def norm_le_one_equivalence_check(f: GridFunction, e: CellSet, phi: YoungFunction) -> bool:

@@ -241,7 +241,7 @@ def power_bump_check(
 
 # --- A_infty growth classification ------------------------------------------
 
-DELTAS = tuple(round(0.05 * k, 2) for k in range(1, 21))  # 0.05 .. 1.0
+DELTA = 0.05  # comparability exponent d of the fitted constant
 
 
 @dataclass
@@ -249,7 +249,7 @@ class AInftyReport:
     passes: bool
     witness_axis: int | None
     families: list = field(default_factory=list)  # per-family raw data
-    slopes: dict = field(default_factory=dict)
+    slopes: dict = field(default_factory=dict)  # axis -> fitted slope at DELTA
     pairs: list = field(default_factory=list)  # random (R, E) raw samples
 
     @property
@@ -264,9 +264,12 @@ def a_infty_classify(
 
     Sweeps nested witness families (dyadic boxes anchored at the grid origin
     with one axis thinned to a single cell). A family witnesses failure when
-    for every exponent d in the sweep the required constant grows without
-    bound along the family (fitted slope of log C against scale above SLOPE_TOL),
-    i.e. no (C, d) pair can control the whole family.
+    the required constant at d = DELTA grows without bound along the family
+    (fitted slope of log C against scale above SLOPE_TOL). One d decides:
+    the thin box of side 2^l has |E|/|R| = 2^-l whatever the weight, so the
+    slope of log C = log(w(E)/w(R)) - d log(|E|/|R|) is the weight's slope
+    plus d ln 2, and a larger d only asks for more. If d = DELTA cannot
+    control a family, no (C, d) pair with d >= DELTA can.
     """
     _require_positive(w)
     if min(w.shape) < 4:  # the tail fit needs two scales, sides 2 and 4
@@ -293,16 +296,9 @@ def a_infty_classify(
         report.families.append({"axis": axis, "points": data})
         # fit the tail only: small-scale transients would otherwise mask
         # the asymptotic growth of the required constant
-        tail = min(len(data), 3)
-        ells = np.array([d[0] for d in data[-tail:]], dtype=float)
-        log_rw = np.log([d[1] for d in data[-tail:]])
-        log_rl = np.log([d[2] for d in data[-tail:]])
-        slopes = {}
-        for delta in DELTAS:
-            log_c = log_rw - delta * log_rl
-            slopes[delta] = float(np.polyfit(ells, log_c, 1)[0])
-        report.slopes[axis] = slopes
-        if min(slopes.values()) > SLOPE_TOL:
+        ells, rws, rls = (np.array(c, dtype=float) for c in zip(*data[-3:]))
+        report.slopes[axis] = float(np.polyfit(ells, np.log(rws) - DELTA * np.log(rls), 1)[0])
+        if report.slopes[axis] > SLOPE_TOL:
             report.passes = False
             if report.witness_axis is None:
                 report.witness_axis = axis
@@ -332,20 +328,30 @@ def reverse_doubling_constant(w: GridFunction) -> float:
     for s in w.shape:
         if s & (s - 1):
             raise GridError("reverse doubling needs power-of-two grid sides")
+    if min(w.shape) < 2:
+        raise GridError("grid too small for reverse doubling (needs >= 2 cells/axis)")
     n = w.dims
+
+    def ratios(values: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
+        # a positive parent over its largest child: rounded division is
+        # monotone in the divisor, so this is the smallest ratio's double
+        parent = _block_reduce(values, lengths, np.add)
+        child = _block_reduce(_block_reduce(values, tuple(l // 2 for l in lengths), np.add), (2,) * n, np.maximum)
+        return parent / child
+
     # block sums at every per-axis dyadic scale combo, built by pair-summing
     levels = [int(math.log2(s)) for s in w.shape]
     d = math.inf
-    for combo in np.ndindex(*levels):
-        # combo[k] < levels[k], so every parent block length is at least 2
-        lengths = tuple(2 ** (levels[k] - combo[k]) for k in range(n))
-        parent = _block_reduce(w.values, lengths, np.add)
-        # a positive parent over its largest child: rounded division is
-        # monotone in the divisor, so this is the smallest ratio's double
-        child = _block_reduce(_block_reduce(w.values, tuple(l // 2 for l in lengths), np.add), (2,) * n, np.maximum)
-        d = min(d, float(np.min(parent / child)))
-    if not math.isfinite(d):
-        raise GridError("grid too small for reverse doubling (needs >= 2 cells/axis)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for combo in np.ndindex(*levels):
+            # combo[k] < levels[k], so every parent block length is at least 2
+            lengths = tuple(2 ** (levels[k] - combo[k]) for k in range(n))
+            r = ratios(w.values, lengths)
+            if not np.isfinite(r).all():
+                # a block sum overflowed: a power-of-two scale that puts the
+                # largest value in [0.5, 1) leaves every ratio of sums unchanged
+                r = ratios(np.ldexp(w.values, -np.frexp(w.values.max())[1]), lengths)
+            d = min(d, float(np.min(r)))
     return d
 
 
@@ -384,6 +390,7 @@ def tauberian_constant_estimate(
     """
     if not 0 < gamma < 1:
         raise WeightError("gamma must lie in (0,1)")
+    _require_positive(w)
     rng = np.random.default_rng(seed)
     cum = build_prefix_sum(w)
     cellvol = w.cell_volume

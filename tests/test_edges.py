@@ -155,6 +155,8 @@ TABLE = [
     ("lp_norm", "1e-306 values", lambda: sm.lp_norm(TINY, 2.0), GridError),
     ("lp_norm", "grids that do not match", lambda: sm.lp_norm(ONES, 2.0, weight=OTHER), GridError),
     ("lp_norm", "one cell", lambda: sm.lp_norm(ONE, 2.0), close(2.0)),
+    # the integral is 16 on unit cells, and the norm 16^1000 is past the largest double
+    ("lp_norm", "p = 0.001, unit cells", lambda: sm.lp_norm(gf(np.ones((4, 4)), h=(1.0, 1.0)), 0.001), GridError),
     # --- Luxemburg norms and the Orlicz lemmas
     ("CellSet", "mask of another size", lambda: sm.CellSet((4, 4), (1.0, 1.0), np.ones(3)), MeasureError),
     ("CellSet", "NaN cell side", lambda: sm.CellSet((4,), (NAN,), np.ones(4)), GridError),
@@ -175,6 +177,9 @@ TABLE = [
      lambda: sm.mean_phi_over(BIG, sm.CellSet.full(BIG), PHI2), lambda m: m == INF),
     ("generalized_holder_check", "grids that do not match",
      lambda: sm.generalized_holder_check(ONES, OTHER, sm.CellSet.full(ONES), PHI2), MeasureError),
+    ("generalized_holder_check", "empty set",
+     lambda: sm.generalized_holder_check(ONES, ONES, sm.CellSet((4, 4), (0.25, 0.25), np.zeros(16)), PHI2),
+     MeasureError),
     ("generalized_holder_check", "one cell",
      lambda: sm.generalized_holder_check(ONE, ONE, sm.CellSet.full(ONE), PHI2), holds),
     # mean |fg| = 1e612 and both norms near 1e306: neither side is a double
@@ -270,8 +275,18 @@ TABLE = [
     ("reverse_doubling_constant", "one cell", lambda: sm.reverse_doubling_constant(ONE), GridError),
     ("reverse_doubling_constant", "odd sides", lambda: sm.reverse_doubling_constant(ODD), GridError),
     ("reverse_doubling_constant", "1e306 values", lambda: sm.reverse_doubling_constant(BIG), close(4.0)),
+    # every block sum of two or more cells is past the largest double
+    ("reverse_doubling_constant", "1e308 values, 2x2",
+     lambda: sm.reverse_doubling_constant(gf(np.full((2, 2), 1e308))), close(4.0)),
+    ("reverse_doubling_constant", "1e308 values, 4x4",
+     lambda: sm.reverse_doubling_constant(gf(np.full((4, 4), 1e308))), close(4.0)),
     ("tauberian_constant_estimate", "NaN gamma",
      lambda: sm.tauberian_constant_estimate(ONES, ALL, NAN), WeightError),
+    ("tauberian_constant_estimate", "zero weight",
+     lambda: sm.tauberian_constant_estimate(gf(np.zeros((8, 8))), ALL, 0.5), WeightError),
+    ("tauberian_constant_estimate", "half the cells zero",
+     lambda: sm.tauberian_constant_estimate(gf(np.repeat([0.0, 1.0], 32).reshape(8, 8)), ALL, 0.5),
+     WeightError),
     ("tauberian_constant_estimate", "one cell",
      lambda: sm.tauberian_constant_estimate(ONE, ALL, 0.5).max_ratio, close(1.0)),
     ("power_weight_classify", "NaN alpha",

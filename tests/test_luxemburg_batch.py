@@ -4,6 +4,8 @@ Every comparison is np.array_equal (or ==): each row of the batch runs the
 scalar control flow on the same sums, so the two agree bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,22 @@ def test_unbounded_bracket_raises():
     assert luxemburg_norms(vals[:1], 1.0, 2.0, jump)[0] == 0.0
 
 
-def test_nonpositive_measure_raises():
+MEASURES = {
+    "zero total": (1.0, np.array([3.0, 0.0])),
+    "NaN total": (1.0, np.array([3.0, math.nan])),
+    "inf total": (1.0, math.inf),
+    "NaN cell": (math.nan, 3.0),
+    "zero cell": (0.0, 3.0),
+    "negative cell": (-1.0, 3.0),
+    "inf cell": (math.inf, 3.0),
+}
+
+
+@pytest.mark.parametrize("cell_measure,total", MEASURES.values(), ids=MEASURES)
+def test_nonpositive_measure_raises(cell_measure, total):
+    # each measure must be positive and finite
     with pytest.raises(MeasureError, match="positive measure"):
-        luxemburg_norms(np.ones((2, 3)), 1.0, np.array([3.0, 0.0]), phi_n(2))
+        luxemburg_norms(np.ones((2, 3)), cell_measure, total, phi_n(2))
 
 
 @pytest.mark.parametrize("phi", PHIS, ids=lambda p: p.label)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from strongmax._kernels import libm_pow
 from strongmax.grid import Basis, GridError, GridFunction, enumerate_basis
+from strongmax.verify import _decay_column
 from strongmax.weights import (
+    SLOPE_TOL,
     WeightError,
     WeightVector,
     a_infty_classify,
@@ -226,7 +228,48 @@ class TestReverseDoubling:
         assert 1.0 < d <= 2.0
 
 
+def column_weight(col, n):
+    """col along the last axis of an n-D grid of unit cells."""
+    return gf(np.broadcast_to(col, (len(col),) * n).copy())
+
+
+def lognormal(shape, seed):
+    return gf(np.exp(np.random.default_rng(seed).normal(0.0, 3.0, shape)))
+
+
+# (label, weight, verdict): the decay columns and two of the log-normal
+# weights fail A_infty
+AINFTY_CASES = [
+    ("constant 1-D", gf(np.full(64, 2.5)), True),
+    ("constant 3-D", gf(np.ones((8, 8, 8))), True),
+    ("log-normal 1-D", lognormal(256, 1), True),
+    ("log-normal 2-D", lognormal((32, 32), 2), False),
+    ("log-normal 3-D", lognormal((8, 8, 8), 3), False),
+    ("|x|^-0.5 2-D", power_weight_grid(-0.5, 2, 32), True),
+    ("|x|^2 1-D", power_weight_grid(2.0, 1, 128), True),
+    ("|x|^3 3-D", power_weight_grid(3.0, 3, 8), True),
+    ("decay column 2-D", column_weight(_decay_column(256), 2), False),
+    ("decay column 3-D", column_weight(_decay_column(64), 3), False),
+]
+
+
 class TestAInfty:
+    @pytest.mark.parametrize("w,verdict", [c[1:] for c in AINFTY_CASES], ids=[c[0] for c in AINFTY_CASES])
+    def test_one_fit_is_the_minimum_of_the_exponent_sweep(self, w, verdict):
+        # the constant C of w(E)/w(R) <= C (|E|/|R|)^d needs the least
+        # growth at the smallest d, so the one fit at d = 0.05 is the
+        # minimum of the sweep over d = 0.05, 0.10, ..., 1.0, bit for bit
+        rep = a_infty_classify(w, n_random_pairs=0)
+        for fam in rep.families:
+            ells, rw, rl = (np.array(c, dtype=float) for c in zip(*fam["points"][-3:]))
+            sweep = [float(np.polyfit(ells, np.log(rw) - round(0.05 * k, 2) * np.log(rl), 1)[0])
+                     for k in range(1, 21)]
+            assert rep.slopes[fam["axis"]].hex() == min(sweep).hex()
+        failing = [axis for axis, slope in rep.slopes.items() if slope > SLOPE_TOL]
+        assert rep.passes is (not failing)
+        assert rep.passes is verdict
+        assert rep.witness_axis == (failing[0] if failing else None)
+
     def test_constant_passes(self):
         rep = a_infty_classify(gf(np.ones((64, 64))), rng=np.random.default_rng(0))
         assert rep.passes

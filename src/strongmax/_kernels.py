@@ -15,9 +15,9 @@ equals the count, so the rects of each count tile the axis and each value
 is repeated over its own cells. Every maximum over a basis runs on this walk:
 ``sweep`` narrows the stacked prefix sums P of the m input functions by
 shifted differences, and its leaf is |R|^e * prod_i integral_R f_i with
-e = alpha/n - m; the Orlicz maximal operator and the Young condition of the
-vector-valued check narrow the stacked cell values by ``grid.window``, and
-their leaves take Luxemburg norms.
+e = alpha/n - m; the Orlicz maximal operator computes the value of every
+rect first (its Luxemburg norms come from ``orlicz.size_norms``), so its
+narrowing returns its source and its leaf looks the values up.
 
 On a normal cell volume the engine and the per-rectangle reference scan in
 ``maximal`` agree bit for bit, for three reasons. They form |R|, the cell

@@ -8,11 +8,11 @@ supremum over a basis is a finite maximum.
 A basis is written once, as the cell counts it offers each axis
 (_axis_lengths), and read three ways: one Rect at a time (enumerate_basis,
 the reference); by cell-count tuple (basis_sizes, walked by
-_kernels.fold_sizes for the maximal operators and the Young condition;
-window narrows cell values); or in enumeration order as blocks of per-axis
-interval lists whose product is the block's rects (basis_blocks, for the
-weight constants), which block_cell_sums and block_cell_mins reduce one
-axis at a time.
+_kernels.fold_sizes for the maximal operators; window narrows cell values
+for the Luxemburg norms of orlicz.size_norms); or in enumeration order as
+blocks of per-axis interval lists whose product is the block's rects
+(basis_blocks, for the weight constants), which block_cell_sums and
+block_cell_mins reduce one axis at a time.
 """
 
 from __future__ import annotations

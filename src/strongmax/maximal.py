@@ -5,8 +5,10 @@ basis (_kernels.fold_sizes over grid.basis_sizes): the rects of one
 cell-count tuple are evaluated at once, each as the per-rectangle
 expression, and folded into the output; a maximum rounds nothing, so the
 bits are those of a per-rectangle loop. The multilinear operator walks the
-prefix sums (_kernels.sweep); the Orlicz operator walks the cell values,
-with one batched Luxemburg bisection per size and slot.
+prefix sums (_kernels.sweep). The Orlicz operator first takes the
+Luxemburg norms of every rect of every size, one lockstep bisection per
+Young function (orlicz.size_norms), forms each rect's value from them, and
+then walks with a leaf that looks the values up.
 
 One body serves both operators. It checks the inputs (one grid, m
 functions, 0 <= alpha < m*n, m Young functions for the Orlicz operator),
@@ -36,9 +38,8 @@ from .grid import (
     build_prefix_sum,
     enumerate_basis,
     rect_cell_sum,
-    window,
 )
-from .orlicz import luxemburg_norms
+from .orlicz import size_norms
 from .young import YoungFunction
 
 
@@ -79,21 +80,21 @@ def _maximal(fs: list[GridFunction], query: MaximalQuery, orlicz: bool) -> GridF
     n = f0.dims
     ks = [int(np.frexp(np.max(f.values))[1]) for f in fs]
     fs = [f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, ks)]
-    sizes = basis_sizes(query.basis, f0.shape, f0.cell_size)
+    sizes = list(basis_sizes(query.basis, f0.shape, f0.cell_size))
     if orlicz:
-        cellvol = f0.cell_volume
         vols = _kernels.volume_table(f0.shape, f0.cell_size)
         scales = _kernels.vol_pow_table(f0.shape, f0.cell_size, query.alpha / n)
-
-        def leaf(counts: tuple[int, ...], cells: np.ndarray) -> np.ndarray:
-            # cells (m, anchors, counts): phi(|R|) * prod_i ||f_i||_{Psi_i,R}
-            size = tuple(c - 1 for c in counts)
-            val = scales[size]
-            for v, psi in zip(cells, query.orlicz):
-                val = val * luxemburg_norms(v.reshape(-1, math.prod(counts)), cellvol, vols[size], psi)
-            return val.reshape(cells.shape[1 : n + 1])
-
-        out = _kernels.fold_sizes(f0.shape, sizes, np.stack([f.values for f in fs]), window, leaf)
+        at = [tuple(c - 1 for c in counts) for counts, _ in sizes]
+        norms = size_norms(np.stack([f.values for f in fs]), sizes, f0.cell_volume,
+                           [vols[i] for i in at], query.orlicz)
+        # phi(|R|) * prod_i ||f_i||_{Psi_i,R}, the product in slot order
+        leaves = {}
+        for s, ((counts, _), i) in enumerate(zip(sizes, at)):
+            val = scales[i]
+            for slot in norms:
+                val = val * slot[s]
+            leaves[counts] = val
+        out = _kernels.fold_sizes(f0.shape, sizes, None, lambda src, *_: src, lambda counts, _: leaves[counts])
     else:
         P = np.stack([build_prefix_sum(f).cum for f in fs])
         out = _kernels.sweep(P, f0.cell_size, query.alpha / n - query.m, sizes)

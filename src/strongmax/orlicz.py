@@ -7,13 +7,21 @@ relative tolerance young.REL_TOL. That tolerance is a fixed constant far
 above the double spacing (2^-52), so the bracket always narrows below it
 and every bisection ends.
 
-There is one bisection, ``luxemburg_norms``, batched over the rows of an
-(R, k) array, one set of k cells per row; a single norm is a one-row call.
-Each row runs the scalar control flow on its own bracket, and its mean is
-the pairwise sum of its k values along the contiguous last axis, the sum a
-1-D array of those values gets. So every row sees the same sequence of
-lambdas and the same means as a bisection run on that row alone, and gives
-the same bits. Each row is first scaled by a power of two so that its
+There is one bisection, ``luxemburg_blocks``, run in lockstep over the rows
+of a list of blocks, one set of k cells per row, with k free to differ
+between blocks. ``luxemburg_norms`` (the rows of one (R, k) array) and a
+single norm are one-block calls, and ``size_norms`` gives the callers,
+the Orlicz maximal operator and the Young condition of the vector-valued
+check, the norms of every rect of a basis with one call per Young
+function. The rows are taken in chunks of at most CELL_BLOCK cells, in
+order of k, and each bisection step makes one Phi call on the chunk's flat
+cells. Each row runs the scalar control flow on its own bracket: a row
+that a phase no longer steps is evaluated at a lambda it has already seen,
+and that mean is dropped. Its mean is the pairwise sum of its k values
+along the contiguous last axis of its run of equal k, the sum a 1-D array
+of those values gets. So every row sees the same sequence of lambdas and
+the same means as a bisection run on that row alone, and gives the same
+bits. Each row is first scaled by a power of two so that its
 maximum lies in [0.5, 1), and its norm scaled back. A power of two scales
 every lambda, mean argument and bracket without rounding, so this changes
 no bit where the unscaled bisection stays within its fixed floor (1e-300)
@@ -28,11 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, Rect, grid_axes
+from .grid import GridFunction, Rect, grid_axes, window
 from .young import REL_TOL, YoungFunction, complementary, iterate
 
 
 TOL = 1e-9  # slack of the norm-vs-mean and Hoelder comparisons
+CELL_BLOCK = 1 << 14  # cells per lockstep bisection chunk, so its temporaries stay in cache
 
 
 class MeasureError(ValueError):
@@ -80,67 +89,161 @@ def _member_values(f: GridFunction, e: CellSet) -> np.ndarray:
     return np.abs(f.values[e.mask])
 
 
-def luxemburg_norms(
-    vals: np.ndarray, cell_measure: float, total_measure, phi: YoungFunction
-) -> np.ndarray:
-    """Luxemburg norms of the rows of vals (R, k), one set of k cells per row.
+def luxemburg_blocks(blocks, lead: int, cell_measure: float, phi: YoungFunction) -> list[np.ndarray]:
+    """Luxemburg norms of the rows of every block, by one lockstep bisection.
 
-    Every cell has measure cell_measure; total_measure is the measure of each
-    row's set (a scalar or R values). Each row runs the scalar bracketing
-    bisection: double hi from the row's max while the mean exceeds one, halve
-    lo while half of it still satisfies, then bisect to REL_TOL. Rows that
-    have finished drop out of the active index arrays.
+    A block is (cells, total): the first ``lead`` axes of cells index its
+    rows, and the other axes hold the k cells of each row's set, in C order;
+    total is the measure of each row's set (a scalar or one value per row),
+    and every cell has measure cell_measure. A norm is taken of |cells|, and
+    a non-finite cell is a MeasureError. Returns one array of norms per
+    block, shaped cells.shape[:lead].
+
+    The blocks are taken in order of k, and a block's cells are gathered
+    only when its first row enters a chunk. A chunk holds at most CELL_BLOCK
+    cells (or one row) and runs ``_bisect``. A row of zeros has norm +0.0
+    and is not bisected.
     """
-    vals = np.asarray(vals, dtype=np.float64)
-    total = np.broadcast_to(np.asarray(total_measure, dtype=np.float64), vals.shape[:1])
-    if not (0 < cell_measure < math.inf and np.all((0 < total) & (total < math.inf))):
+    shapes = [np.shape(cells) for cells, _ in blocks]
+    counts = [math.prod(s[lead:]) for s in shapes]
+    totals = [np.broadcast_to(np.asarray(t, dtype=np.float64), (math.prod(s[:lead]),))
+              for (_, t), s in zip(blocks, shapes)]
+    if not (0 < cell_measure < math.inf and all(np.all((0 < t) & (t < math.inf)) for t in totals)):
         raise MeasureError("Luxemburg norm needs cells and sets of finite positive measure")
-    if np.isnan(vals).any():
-        raise MeasureError("Luxemburg norm of a NaN cell value")
-    weight = cell_measure / total
+    norms = [np.zeros(t.shape) for t in totals]
+    buf = np.empty(max([CELL_BLOCK, *counts]))
+    chunk: list[tuple[int, np.ndarray, np.ndarray]] = []  # (block, rows, row maxima) in buf order
 
-    def mean_phi(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        # Phi sees a 1-D array, as in a one-set call; the sum runs along the
+    def flush(used: int) -> None:
+        groups: list[list[int]] = []  # [k, rows] for each run of equal k
+        for j, rows, _ in chunk:
+            if groups and groups[-1][0] == counts[j]:
+                groups[-1][1] += rows.size
+            else:
+                groups.append([counts[j], rows.size])
+        weight = np.concatenate([cell_measure / totals[j][rows] for j, rows, _ in chunk])
+        got = _bisect(buf[:used], groups, np.concatenate([top for *_, top in chunk]), weight, phi)
+        for j, rows, _ in chunk:
+            norms[j][rows], got = got[: rows.size], got[rows.size :]
+        chunk.clear()
+
+    used = 0
+    for j in sorted(range(len(blocks)), key=counts.__getitem__):
+        k = counts[j]
+        cells = np.abs(blocks[j][0], out=np.empty(shapes[j])).reshape(totals[j].size, k)
+        top = cells.max(axis=1, initial=0.0)
+        if not np.all(np.isfinite(top)):
+            raise MeasureError("Luxemburg norm of a non-finite (NaN or infinite) cell value")
+        live = np.flatnonzero(top)
+        while live.size:
+            take = min(live.size, max((CELL_BLOCK - used) // k, 0 if used else 1))
+            if take == 0:
+                flush(used)
+                used = 0
+                continue
+            rows, live = live[:take], live[take:]
+            np.take(cells, rows, axis=0, out=buf[used : used + take * k].reshape(take, k))
+            chunk.append((j, rows, top[rows]))
+            used += take * k
+    if chunk:
+        flush(used)
+    return [v.reshape(s[:lead]) for v, s in zip(norms, shapes)]
+
+
+def _bisect(cells: np.ndarray, groups, hi: np.ndarray, weight: np.ndarray,
+            phi: YoungFunction) -> np.ndarray:
+    """Norms of the rows of cells, a flat array of runs of rows with equal
+    cell counts ([k, rows] in groups); hi holds each row's maximum, all > 0,
+    and weight each row's cell measure over its set's measure. Scales cells
+    in place.
+
+    Each row runs the scalar bracketing bisection: double hi from the row's
+    max while the mean exceeds one, halve lo while half of it still
+    satisfies, then bisect to REL_TOL. Each phase steps every row and
+    updates the rows its mask keeps; a row outside the mask is evaluated at
+    its hi, a lambda it has seen before, and that mean is dropped.
+    """
+    reps = np.repeat([k for k, _ in groups], [r for _, r in groups])
+    # each row runs on its values times 2^-e, e the exponent of its max
+    e = np.frexp(hi)[1]
+    np.ldexp(cells, -np.repeat(e, reps), out=cells)
+    hi = np.ldexp(hi, -e)
+
+    def mean_phi(lam: np.ndarray) -> np.ndarray:
+        # one Phi call on the flat cells; each run of rows is summed along its
         # contiguous last axis, so each row gets the pairwise sum of its k
         # values that a 1-D array of them gets
         with np.errstate(over="ignore"):
-            phis = phi.eval((vals[rows] / lam[:, None]).ravel()).reshape(len(rows), -1)
-            return np.sum(phis, axis=1) * weight[rows]
+            phis = phi.eval(cells / np.repeat(lam, reps))
+        sums, c0 = [], 0
+        for k, r in groups:
+            sums.append(np.add.reduce(phis[c0 : c0 + k * r].reshape(r, k), axis=1))
+            c0 += k * r
+        return np.concatenate(sums) * weight
 
-    hi = vals.max(axis=1, initial=0.0)
-    hi[hi == 0.0] = 0.0  # a row of zeros, of either sign, has norm +0.0
-    # each row runs on its values times 2^-k, k the exponent of its max
-    ks = np.frexp(hi)[1]
-    vals, hi = np.ldexp(vals, -ks[:, None]), np.ldexp(hi, -ks)
-    live = np.flatnonzero(hi)
-    rows = live
-    while rows.size:
-        rows = rows[mean_phi(rows, hi[rows]) > 1.0]
-        hi[rows] *= 2.0
-        if np.any(hi[rows] > 1e300):
+    act = np.ones(hi.size, dtype=bool)
+    while True:
+        act &= mean_phi(hi) > 1.0
+        if not act.any():
+            break
+        hi = np.where(act, hi * 2.0, hi)
+        if np.any(hi > 1e300):
             raise MeasureError(f"{phi.label}: Luxemburg bracket unbounded")
     lo = hi.copy()
-    rows = live[lo[live] > 1e-300]
-    while rows.size:
-        rows = rows[mean_phi(rows, lo[rows] * 0.5) <= 1.0]
-        lo[rows] *= 0.5
-        rows = rows[lo[rows] > 1e-300]
+    act[:] = True
+    while act.any():
+        act &= mean_phi(np.where(act, lo * 0.5, hi)) <= 1.0
+        lo = np.where(act, lo * 0.5, lo)
+        act &= lo > 1e-300
     lo *= 0.5
     # lo violates (or hit underflow floor), hi satisfies
-    rows = live[hi[live] - lo[live] > REL_TOL * hi[live]]
-    while rows.size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        ok = mean_phi(rows, mid) <= 1.0
-        hi[rows[ok]] = mid[ok]
-        lo[rows[~ok]] = mid[~ok]
-        rows = rows[hi[rows] - lo[rows] > REL_TOL * hi[rows]]
-    return np.ldexp(hi, ks)
+    act = hi - lo > REL_TOL * hi
+    while act.any():
+        mid = 0.5 * (lo + hi)
+        ok = mean_phi(np.where(act, mid, hi)) <= 1.0
+        hi = np.where(act & ok, mid, hi)
+        lo = np.where(act & ~ok, mid, lo)
+        act &= hi - lo > REL_TOL * hi
+    return np.ldexp(hi, e)
+
+
+def luxemburg_norms(
+    vals: np.ndarray, cell_measure: float, total_measure, phi: YoungFunction
+) -> np.ndarray:
+    """Luxemburg norms of the rows of vals (R, k), one set of k cells per row
+    (a one-block ``luxemburg_blocks`` call); total_measure is the measure of
+    each row's set (a scalar or R values)."""
+    return luxemburg_blocks([(vals, total_measure)], 1, cell_measure, phi)[0]
+
+
+def size_norms(stack: np.ndarray, sizes, cell_measure: float, totals, phis) -> list[list[np.ndarray]]:
+    """norms[i][s]: the Luxemburg norms under phis[i] of slot i of a stack of
+    functions over the grid (m, N_1, ..., N_n), over the rects of the s-th
+    (counts, step) pair in sizes (``grid.basis_sizes``), shaped by their
+    anchors; every rect of that size has measure totals[s]. Slots whose Young
+    functions are one object share one ``luxemburg_blocks`` call."""
+    views = []
+    for counts, step in sizes:
+        view = stack
+        for axis, (c, s) in enumerate(zip(counts, step)):
+            view = window(view, axis, c, s)
+        views.append(view)
+    norms: list = [None] * len(phis)
+    for i, phi in enumerate(phis):
+        if norms[i] is None:
+            slots = [j for j, p in enumerate(phis) if p is phi]
+            got = luxemburg_blocks([(v[j], t) for j in slots for v, t in zip(views, totals)],
+                                   stack.ndim - 1, cell_measure, phi)
+            for a, j in enumerate(slots):
+                norms[j] = got[a * len(views) : (a + 1) * len(views)]
+    return norms
 
 
 def luxemburg_norm_values(
     vals: np.ndarray, cell_measure: float, total_measure: float, phi: YoungFunction
 ) -> float:
-    """Luxemburg norm of raw member-cell values (uniform cell measure)."""
+    """Luxemburg norm of |vals|, the values of a set's member cells (uniform
+    cell measure)."""
     row = np.reshape(vals, (1, -1))
     return float(luxemburg_norms(row, cell_measure, total_measure, phi)[0])
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import make_corpus
 from .covering import RectFamily, cf_select, scattered_select
-from ._kernels import fold_sizes, libm_pow
+from ._kernels import libm_pow
 from .grid import (
     Basis,
     GridError,
@@ -29,7 +29,6 @@ from .grid import (
     Rect,
     basis_sizes,
     random_rect,
-    window,
 )
 from .maximal import (
     MaximalQuery,
@@ -40,7 +39,7 @@ from .maximal import (
     orlicz_maximal,
     strong_maximal,
 )
-from .orlicz import luxemburg_norms
+from .orlicz import size_norms
 from .weights import (
     CAP,
     RATIO_THRESHOLD,
@@ -310,20 +309,15 @@ def vector_valued_check(
     if not in_bp_star(complementary(b_young), q, n):
         report.skipped = "hypothesis-skipped: conj(B) not in B*_q"
         return report
-    # checked as grid values, then taken in absolute value as luxemburg_norm does
-    vals = np.abs(np.stack([f0.with_values(w.values**q).values, f0.with_values(1.0 / v.values).values]))
+    # checked as grid values
+    vals = np.stack([f0.with_values(w.values**q).values, f0.with_values(1.0 / v.values).values])
     cellvol = f0.cell_volume
-
-    def leaf(counts: tuple[int, ...], cells: np.ndarray) -> np.ndarray:
-        # cells (2, anchors, counts); each rect's measure as CellSet.measure forms it
-        k = math.prod(counts)
-        na, nb = (luxemburg_norms(c.reshape(-1, k), cellvol, float(k) * cellvol, young)
-                  for c, young in zip(cells, (a_young, b_young)))
-        return (libm_pow(na, 1.0 / q) * nb).reshape(cells.shape[1 : n + 1])
-
-    # every rect holds a cell, and a maximum rounds nothing
-    sizes = basis_sizes(basis, f0.shape, f0.cell_size)
-    cond = float(np.max(fold_sizes(f0.shape, sizes, vals, window, leaf)))
+    # each rect's measure as CellSet.measure forms it
+    sizes = list(basis_sizes(basis, f0.shape, f0.cell_size))
+    na, nb = size_norms(vals, sizes, cellvol, [float(math.prod(c)) * cellvol for c, _ in sizes],
+                        (a_young, b_young))
+    # every rect holds a cell, so the sup is the largest rect value
+    cond = max((float(np.max(libm_pow(a, 1.0 / q) * b)) for a, b in zip(na, nb)), default=0.0)
     report.stats["young_condition_sup"] = cond
     if cond >= CAP:
         report.skipped = "hypothesis-skipped: Young-function condition exceeds cap"

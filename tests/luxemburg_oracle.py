@@ -7,6 +7,8 @@ the batched kernel cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from strongmax.grid import Basis, GridFunction, enumerate_basis
@@ -14,11 +16,11 @@ from strongmax.orlicz import MeasureError
 
 
 def scalar_norm(vals, cell_measure, total_measure, phi) -> float:
-    """Luxemburg norm of a 1-D array of cell values, one bisection step at a
-    time, to a relative bracket width of 1e-12."""
+    """Luxemburg norm of |vals| for a 1-D array of cell values, one bisection
+    step at a time, to a relative bracket width of 1e-12."""
     if total_measure <= 0:
         raise MeasureError("Luxemburg norm needs a set of positive measure")
-    vals = np.asarray(vals, dtype=np.float64).ravel()
+    vals = np.abs(np.asarray(vals, dtype=np.float64).ravel())
     vmax = float(vals.max(initial=0.0))
     if vmax == 0.0:
         return 0.0
@@ -53,6 +55,17 @@ def scalar_norms(vals, cell_measure, total_measure, phi) -> np.ndarray:
     return np.array(
         [scalar_norm(row, cell_measure, float(t), phi) for row, t in zip(vals, totals)]
     )
+
+
+def scalar_blocks(blocks, lead, cell_measure, phi) -> list[np.ndarray]:
+    """scalar_norms of the rows of every block: a drop-in for
+    orlicz.luxemburg_blocks."""
+    out = []
+    for cells, total in blocks:
+        shape = np.shape(cells)
+        rows = np.reshape(cells, (math.prod(shape[:lead]), math.prod(shape[lead:])))
+        out.append(scalar_norms(rows, cell_measure, total, phi).reshape(shape[:lead]))
+    return out
 
 
 def orlicz_maximal_oracle(fs: list[GridFunction], query) -> GridFunction:

@@ -5,14 +5,16 @@ scalar control flow on the same sums, so the two agree bit for bit.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from luxemburg_oracle import orlicz_maximal_oracle, scalar_norm, scalar_norms, young_sup_oracle
+from strongmax import orlicz
 from strongmax.grid import Basis, GridFunction
 from strongmax.maximal import MaximalQuery, orlicz_maximal
-from strongmax.orlicz import MeasureError, luxemburg_norm_values, luxemburg_norms
+from strongmax.orlicz import MeasureError, luxemburg_blocks, luxemburg_norm_values, luxemburg_norms
 from strongmax.verify import vector_valued_check
 from strongmax.young import YoungFunction, complementary, l_log_l, phi_n, power
 
@@ -84,6 +86,67 @@ def test_unbounded_bracket_raises():
     assert luxemburg_norms(vals[:1], 1.0, 2.0, jump)[0] == 0.0
 
 
+def _ragged_blocks():
+    # blocks of k = 0, 1, 4, 9 and 64 cells, two of k = 1 and of k = 4, each
+    # with a row of zeros, a row of -0.0 and rows of 1e6, 1e-6, 1 and 3 with
+    # some zero cells; each row has its own total measure
+    rng = np.random.default_rng(19)
+    blocks = []
+    for k in (4, 64, 0, 1, 9, 4, 1):
+        vals = _rows(rng, 6, k, 1.0) * np.array([0.0, 1.0, 1e6, 1e-6, 1.0, 3.0])[:, None]
+        vals[1] = -0.0
+        blocks.append((vals, rng.choice([0.5, 4.0, 400.0], 6) * max(k, 1)))
+    return blocks
+
+
+@pytest.mark.parametrize("cell_block", [7, 64, orlicz.CELL_BLOCK])
+@pytest.mark.parametrize("phi", [power(2.0), phi_n(2)], ids=lambda p: p.label)
+def test_ragged_blocks_match_scalar_bisection(monkeypatch, phi, cell_block):
+    # 7 and 64 cells split blocks over chunks and make chunks span blocks
+    monkeypatch.setattr(orlicz, "CELL_BLOCK", cell_block)
+    blocks = _ragged_blocks()
+    got = luxemburg_blocks(blocks, 1, 1.0, phi)
+    doubled = halved = 0
+    for (vals, total), norms in zip(blocks, got):
+        want = [scalar_norm(row, 1.0, t, phi) for row, t in zip(vals, total)]
+        assert np.array_equal(norms, want)
+        assert not np.any(np.signbit(norms))
+        top = vals.max(axis=1, initial=0.0)
+        doubled += np.count_nonzero(norms > top)
+        halved += np.count_nonzero(norms < 0.5 * top)
+    assert doubled and halved  # some brackets double from the max, some halve
+
+
+def test_blocks_keep_their_row_shape():
+    # with lead = 2, a block (a, b, c, d) holds a x b rows of c x d cells
+    rng = np.random.default_rng(3)
+    cells = rng.uniform(0, 2, (3, 4, 2, 5))
+    got, = luxemburg_blocks([(cells, 7.5)], 2, 0.75, phi_n(2))
+    assert got.shape == (3, 4)
+    assert np.array_equal(got.ravel(), scalar_norms(cells.reshape(12, 10), 0.75, 7.5, phi_n(2)))
+
+
+def test_one_unbounded_row_in_a_ragged_batch_raises():
+    jump = YoungFunction(lambda t: np.where(np.asarray(t) > 0, np.inf, 0.0), label="jump")
+    blocks = [(np.zeros((3, k)), 1.0) for k in (1, 4, 9)]
+    blocks[1][0][2, 3] = 0.5
+    with pytest.raises(MeasureError, match="unbounded"):
+        luxemburg_blocks(blocks, 1, 1.0, jump)
+
+
+def test_norm_is_of_the_absolute_values():
+    assert np.array_equal(luxemburg_norms([[-3.0, 1.0]], 1.0, 2.0, phi_n(2)),
+                          luxemburg_norms([[3.0, 1.0]], 1.0, 2.0, phi_n(2)))
+
+
+@pytest.mark.parametrize("cell", [-math.inf, math.inf])
+def test_infinite_cell_raises(cell):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MeasureError, match="non-finite"):
+            luxemburg_norms([[cell, 1.0]], 1.0, 2.0, phi_n(2))
+
+
 MEASURES = {
     "zero total": (1.0, np.array([3.0, 0.0])),
     "NaN total": (1.0, np.array([3.0, math.nan])),
@@ -147,3 +210,24 @@ def test_young_condition_sup_matches_per_rect_oracle(shape, h, basis):
     rep = vector_valued_check(fjs, w, v, p=3.0, q=2.0, a_young=a, b_young=b, r=1.5, basis=basis)
     assert rep.skipped is None
     assert rep.stats["young_condition_sup"] == young_sup_oracle(w, v, 2.0, a, b, basis)
+
+
+@pytest.mark.parametrize("shape,h", GRIDS, ids=lambda g: str(g))
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: f"{b.kind}-{b.scale_bounds}")
+def test_shared_young_function_in_three_slots(monkeypatch, shape, h, basis):
+    # Phi_2 is one object in slots 1 and 3, so its two slots share one
+    # bisection, and the product still runs in slot order
+    calls = []
+
+    def counted(blocks, *args):
+        calls.append(len(blocks))
+        return luxemburg_blocks(blocks, *args)
+
+    monkeypatch.setattr(orlicz, "luxemburg_blocks", counted)
+    rng = np.random.default_rng(len(shape) + 30)
+    fs = [GridFunction(shape, h, _rows(rng, 1, int(np.prod(shape)), 3.0)) for _ in range(3)]
+    phi2 = phi_n(2)
+    q = MaximalQuery(basis=basis, alpha=0.5, m=3, orlicz=(phi2, power(2.5), phi2))
+    got = orlicz_maximal(fs, q)
+    assert len(calls) == 2 and calls[0] == 2 * calls[1]
+    assert np.array_equal(got.values, orlicz_maximal_oracle(fs, q).values)

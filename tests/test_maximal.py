@@ -210,6 +210,18 @@ class TestEngine:
             tracemalloc.stop()
         assert peak < 8e6
 
+    def test_orlicz_memory_stays_per_chunk(self):
+        # the Luxemburg bisection gathers cells a chunk at a time; holding the
+        # cells of every size of the all basis on 16x16 at once peaked at 6 MB
+        f = gf(np.random.default_rng(9).lognormal(0, 1, (16, 16)), h=(1.0 / 16, 1.0 / 16))
+        tracemalloc.start()
+        try:
+            orlicz_maximal([f], MaximalQuery(basis=ALL, orlicz=(phi_n(2),)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     def test_cubes_are_all_intervals_in_one_dimension(self):
         f = gf(np.random.default_rng(8).uniform(0, 3, 512), h=(0.3,))
         cubes = strong_maximal(f, Basis("cubes")).values

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from luxemburg_oracle import orlicz_maximal_oracle, scalar_norms
-from strongmax import verify
+from luxemburg_oracle import orlicz_maximal_oracle, scalar_blocks
+from strongmax import orlicz, verify
 from strongmax.corpus import make_corpus
 from strongmax.grid import Basis, GridError, GridFunction
 from strongmax.verify import (
@@ -265,9 +265,17 @@ class TestHarness:
         # Luxemburg norm comes from one scalar bisection per rectangle
         theorems = ["one-weight", "vector-valued"]
         batched = reports_to_json(run_all(seed=0, theorems=theorems))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return scalar_blocks(*args)
+
         monkeypatch.setattr(verify, "orlicz_maximal", orlicz_maximal_oracle)
-        monkeypatch.setattr(verify, "luxemburg_norms", scalar_norms)
+        monkeypatch.setattr(orlicz, "luxemburg_blocks", counted)
         assert reports_to_json(run_all(seed=0, theorems=theorems)) == batched
+        # the Young condition's two bisections went through the oracle
+        assert len(calls) == 2
 
     def test_jobs_cover_documented_names(self):
         assert {"endpoint", "one-weight", "two-weight-bump", "prop3.5",

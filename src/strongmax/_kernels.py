@@ -35,6 +35,13 @@ rounding left negative is -0.0, and numpy's ``maximum`` keeps its second
 operand on a tie, so -0.0 can win. The walk returns +0.0 there; the
 reference scan keeps the sign its rect order gives, so the two agree up to
 the sign of zero.
+
+The tiny-cell rule: where |R|^e or a direct value leaves the double range,
+or the cell volume is subnormal, ``sweep`` forms the value from the cell
+count and the cell sums instead, a finite value where the reference scan
+raises. One finiteness check of the output per sweep, not one per rect,
+finds those inputs (see ``sweep``), so an ordinary input takes one walk
+whose leaf is a few in-place multiplies.
 """
 
 from __future__ import annotations
@@ -160,33 +167,55 @@ def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
     of the (counts, step) pairs in sizes; returns shape (N_1, ..., N_n).
 
     Below a normal cell volume (and only there can |R| >= cellvol be
-    subnormal), and wherever a direct value is not finite, the value is
-    L^e * prod_k h_k^(alpha/n) * prod_i S_i, with L = prod counts and S_i the
-    cell sums; alpha/n = e + m >= 0, so that form stays finite.
+    subnormal), and wherever a direct value |R|^e * prod_i (S_i * cellvol)
+    is not finite, the value is L^e * prod_k h_k^(alpha/n) * prod_i S_i,
+    with L = prod counts and S_i the cell sums; alpha/n = e + m >= 0, so
+    that form stays finite.
+
+    One finiteness check per sweep decides where that redo form is needed.
+    On a normal cell volume one walk takes the direct values alone. Each
+    leaf value reaches the output through ``np.maximum``, which propagates
+    NaN and +inf, and the output starts at +0.0. The redo form replaces only
+    non-finite values, so a +inf or NaN among them shows in the output; a
+    -inf loses to +0.0, and so does its redo value, which has the sign of
+    prod_i S_i. So a finite output of the direct walk is the output with
+    every redo applied, and only a non-finite one (or a subnormal cell
+    volume) walks again with the per-rect redo.
     """
     m = P.shape[0]
     shape = tuple(k - 1 for k in P.shape[1:])
     powtab = vol_pow_table(shape, h, e)
     cellvol = math.prod(h)
+    tiny = cellvol < np.finfo(float).smallest_normal
 
     def narrow(sums: np.ndarray, axis: int, c: int, s: int) -> np.ndarray:
         pre = (slice(None),) * (axis + 1)
         return sums[pre + (slice(c, None, s),)] - sums[pre + (slice(0, shape[axis] - c + 1, s),)]
 
-    def leaf(counts: tuple[int, ...], diff: np.ndarray) -> np.ndarray:
-        vals = powtab[tuple(k - 1 for k in counts)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(m):
-                vals = vals * (diff[i] * cellvol)
-        redo = ~np.isfinite(vals) | (cellvol < np.finfo(float).smallest_normal)
-        if redo.any():
-            fix = libm_pow(float(math.prod(counts)), e)
-            for x in [libm_pow(hk, e + m) for hk in h] + [diff[i][redo] for i in range(m)]:
-                fix = fix * x
-            vals[redo] = fix
+    def leaf(counts: tuple[int, ...], diff: np.ndarray, redo: bool = False) -> np.ndarray:
+        # diff is the fresh array that narrow's subtraction returned, never a
+        # view of P, so the direct pass may scale it in place; the redo pass
+        # reads the unscaled cell sums
+        prod = np.multiply(diff, cellvol, out=None if redo else diff)
+        vals = prod[0]
+        vals *= powtab[tuple(k - 1 for k in counts)]
+        for i in range(1, m):
+            vals *= prod[i]
+        if redo:
+            bad = ~np.isfinite(vals) | tiny
+            if bad.any():
+                fix = libm_pow(float(math.prod(counts)), e)
+                for x in [libm_pow(hk, e + m) for hk in h] + [diff[i][bad] for i in range(m)]:
+                    fix = fix * x
+                vals[bad] = fix
         return vals
 
-    return fold_sizes(shape, sizes, P, narrow, leaf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not tiny:
+            out = fold_sizes(shape, sizes, P, narrow, leaf)
+            if np.isfinite(out).all():
+                return out
+        return fold_sizes(shape, sizes, P, narrow, lambda counts, diff: leaf(counts, diff, redo=True))
 
 
 def sweep_all_rects(P: np.ndarray, h: tuple[float, ...], e: float) -> np.ndarray:

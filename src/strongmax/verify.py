@@ -13,6 +13,7 @@ order, and returns the reports in that order.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -28,11 +29,13 @@ from .grid import (
     GridFunction,
     Rect,
     basis_sizes,
+    grid_axes,
     random_rect,
 )
 from .maximal import (
     MaximalQuery,
     _check_common_grid,
+    _checked,
     level_set_measure,
     lp_norm,
     multilinear_fractional_maximal,
@@ -101,7 +104,9 @@ def _jsonify(obj):
 # --- endpoint weak-type estimate ---------------------------------------------
 
 
-def endpoint_check(fs: list[GridFunction], lam: float, alpha: float = 0.0) -> VerificationReport:
+def endpoint_check(
+    fs: list[GridFunction], lam: float, alpha: float = 0.0, mf: GridFunction | None = None,
+) -> VerificationReport:
     """Endpoint distributional inequality for the fractional strong maximal.
 
     lhs = |{M_alpha(f) > lam^m}|^(m - alpha/n);
@@ -110,12 +115,18 @@ def endpoint_check(fs: list[GridFunction], lam: float, alpha: float = 0.0) -> Ve
     The bracket factor is 1 in one dimension (the (n-1)-power log
     correction is void and the inequality reduces to its weak-(1,1)-type
     form) and for alpha = 0, also where prod_j I_j overflows.
+
+    mf, when given, is M_alpha(f) on the all basis, computed by the caller
+    (one maximal function serves every lam); it must live on fs[0]'s grid.
     """
     if not 0 < lam < math.inf:
         raise GridError(f"lambda must be positive and finite, got {lam}")
     m = len(fs)
     q = MaximalQuery(basis=ALL, alpha=alpha, m=m)
-    mf = multilinear_fractional_maximal(fs, q)
+    if mf is None:
+        mf = multilinear_fractional_maximal(fs, q)
+    elif not mf.same_grid(_checked(fs, q)):
+        raise GridError("the maximal function must live on the functions' grid")
     n = mf.dims
     lhs = level_set_measure(mf, libm_pow(lam, m)) ** (m - alpha / n)
 
@@ -148,16 +159,34 @@ def endpoint_corpus_max(
     shape, cell_size, seed: int, m: int, alpha: float, lam: float, count: int = 50
 ) -> float:
     """Max endpoint lhs/rhs ratio over m-tuples drawn from the corpus."""
-    reports = _endpoint_reports(make_corpus(shape, cell_size, seed, count), m, alpha, lam)
+    shape, cell_size = grid_axes(shape, cell_size)
+    reports = _endpoint_reports(_corpus_maxima(shape, cell_size, seed, count, m, alpha), lam, alpha)
     return _max_ratio(reports.values())
 
 
-def _endpoint_reports(fns: list[GridFunction], m: int, alpha: float, lam: float) -> dict:
-    """endpoint_check on each m-tuple fns[i : i + m], keyed by i; a tuple
-    holding an all-zero function is skipped."""
-    return {i: endpoint_check(fns[i : i + m], lam, alpha)
+@functools.lru_cache(maxsize=4)
+def _corpus_maxima(shape, cell_size, seed: int, count: int, m: int, alpha: float) -> dict:
+    """``_tuple_maxima`` of the corpus of (shape, cell_size, seed, count).
+
+    The key fixes every input, since the corpus is generated from it, and
+    lam is not in it, so one sweep per tuple serves every lam; the cached
+    GridFunction values are read-only.
+    """
+    return _tuple_maxima(make_corpus(shape, cell_size, seed, count), m, alpha)
+
+
+def _tuple_maxima(fns: list[GridFunction], m: int, alpha: float) -> dict:
+    """Each m-tuple fns[i : i + m] with its M_alpha on the all basis, keyed
+    by i; a tuple holding an all-zero function is left out."""
+    q = MaximalQuery(basis=ALL, alpha=alpha, m=m)
+    return {i: (fns[i : i + m], multilinear_fractional_maximal(fns[i : i + m], q))
             for i in range(0, len(fns) - m + 1, m)
             if all(f.values.max() != 0 for f in fns[i : i + m])}
+
+
+def _endpoint_reports(maxima: dict, lam: float, alpha: float) -> dict:
+    """endpoint_check on each tuple of ``_tuple_maxima``, keyed by i."""
+    return {i: endpoint_check(fs, lam, alpha, mf) for i, (fs, mf) in maxima.items()}
 
 
 def _max_ratio(reports) -> float:
@@ -532,7 +561,7 @@ def _job_endpoint(seed: int) -> VerificationReport:
     fns = make_corpus(shape, h, seed, 8)
     # one check per corpus function; the job reports the first, a rectangle
     # indicator, which is never all zero and so never skipped
-    reports = _endpoint_reports(fns, 1, 0.0, 1.0)
+    reports = _endpoint_reports(_tuple_maxima(fns, 1, 0.0), 1.0, 0.0)
     rep = reports[0]
     rep.stats["corpus_max_ratio"] = _max_ratio(reports.values())
     return rep

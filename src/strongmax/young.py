@@ -61,9 +61,9 @@ class YoungFunction:
 
 
 def _logp(t: np.ndarray) -> np.ndarray:
-    """log+ t = max(log t, 0), safe at t = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(t > 1.0, np.log(np.maximum(t, 1e-300)), 0.0)
+    """log+ t = max(log t, 0): log 1 = 0.0 for every t <= 1 (zero and
+    negatives too), and NaN at NaN, which Phi keeps since it multiplies by t."""
+    return np.log(np.maximum(t, 1.0))
 
 
 # --- canonical families -----------------------------------------------------

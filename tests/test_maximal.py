@@ -230,7 +230,9 @@ class TestEngine:
 
 def _brute_force_sweep(fs, e, sizes):
     """Per-rect maximum over the (counts, step) sizes, by the reference
-    scan's expressions."""
+    scan's expressions; where |R|^e overflows or that value is not finite,
+    by L^e * prod_k h_k^(e+m) * prod_i S_i (L the cell count, S_i the cell
+    sums), the same value formed without the tiny |R|."""
     f0 = fs[0]
     prefixes = [build_prefix_sum(f) for f in fs]
     cellvol = math.prod(f0.cell_size)
@@ -239,9 +241,18 @@ def _brute_force_sweep(fs, e, sizes):
         anchors = [range(0, nk - c + 1, st) for nk, c, st in zip(f0.shape, counts, step)]
         for lo in itertools.product(*anchors):
             r = Rect(lo, tuple(l + c - 1 for l, c in zip(lo, counts)))
-            val = r.volume(f0.cell_size) ** e
+            try:
+                val = r.volume(f0.cell_size) ** e
+            except OverflowError:
+                val = math.inf
             for p in prefixes:
                 val *= rect_cell_sum(p, r) * cellvol
+            if not math.isfinite(val):
+                val = float(math.prod(counts)) ** e
+                for hk in f0.cell_size:
+                    val *= hk ** (e + len(fs))
+                for p in prefixes:
+                    val *= rect_cell_sum(p, r)
             out[r.slices()] = np.maximum(out[r.slices()], val)
     return out
 
@@ -276,6 +287,42 @@ class TestFold:
         assert np.array_equal(out, _brute_force_sweep(fs, e, sizes))  # bit-identical up to the sign of zero
         # a zero maximum is +0.0, whichever count reached it first
         assert not np.signbit(out).any()
+
+    def test_redo_mends_only_the_overflowing_sizes(self):
+        # 64 cells of 1e-155, m = 2: |R|^-2 overflows for rects of 1-7 cells
+        # only, so the redo form must stand there and the direct value beside
+        rng = np.random.default_rng(64)
+        h = (1e-155,)
+        fs = [gf(rng.uniform(0, 3, 64), h=h) for _ in range(2)]
+        sizes = list(basis_sizes(ALL, (64,), h))
+        P = np.stack([build_prefix_sum(f).cum for f in fs])
+        walks = []
+        with np.errstate(over="ignore"):
+            assert np.array_equal(np.isinf(np.float_power(np.arange(1, 65) * h[0], -2.0)), np.arange(1, 65) <= 7)
+        assert np.array_equal(_counted_sweep(P, h, -2.0, sizes, walks), _brute_force_sweep(fs, -2.0, sizes))
+        assert len(walks) == 2
+
+    @pytest.mark.parametrize(
+        "shape,h,m,walks",
+        [((16, 16), (1 / 16, 1 / 16), 1, 1),  # ordinary input: the direct walk alone
+         ((16, 16), (1 / 16, 1 / 16), 2, 1),
+         ((16,), (1e-160,), 2, 2),  # |R|^-2 overflows: the direct walk, then the redo
+         ((4, 4), (1e-160, 1e-160), 1, 1)],  # subnormal cell volume: the redo walk alone
+    )
+    def test_one_walk_unless_a_value_leaves_the_double_range(self, shape, h, m, walks):
+        fs = [gf(np.random.default_rng(m).uniform(0, 3, shape), h=h) for _ in range(m)]
+        P = np.stack([build_prefix_sum(f).cum for f in fs])
+        got = []
+        _counted_sweep(P, h, -m, list(basis_sizes(ALL, shape, h)), got)
+        assert len(got) == walks
+
+
+def _counted_sweep(P, h, e, sizes, walks):
+    """_kernels.sweep, with each fold_sizes walk appended to walks."""
+    fold = _kernels.fold_sizes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "fold_sizes", lambda *args: walks.append(args[1]) or fold(*args))
+        return _kernels.sweep(P, h, e, sizes)
 
 
 class TestOrlicz:

@@ -81,6 +81,33 @@ class TestEndpoint:
         assert rep.passed
         assert rep.config["m"] == 2
 
+    @pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+    def test_precomputed_maximal_function_keeps_the_report(self, lam):
+        fns = make_corpus((8, 8), (0.125, 0.125), seed=5, count=4)
+        mf = verify.multilinear_fractional_maximal(fns[:2], verify.MaximalQuery(basis=Basis("all"), alpha=1.0, m=2))
+        assert endpoint_check(fns[:2], lam, 1.0, mf).to_dict() == endpoint_check(fns[:2], lam, 1.0).to_dict()
+
+    @pytest.mark.parametrize("shape,h", [((8,), (1.0,)), ((4, 4), (0.5, 1.0))])
+    def test_maximal_function_on_another_grid_is_error(self, shape, h):
+        with pytest.raises(GridError, match="the functions' grid"):
+            endpoint_check([gf(np.ones((4, 4)))], 1.0, mf=gf(np.ones(shape), h=h))
+
+    def test_corpus_max_sweeps_each_tuple_once_across_lambdas(self, monkeypatch):
+        calls = []
+        sweep = verify.multilinear_fractional_maximal
+        monkeypatch.setattr(verify, "multilinear_fractional_maximal", lambda fs, q: calls.append(q) or sweep(fs, q))
+        verify._corpus_maxima.cache_clear()
+        shape, h, m, alpha, lams = (8, 8), (0.125, 0.125), 2, 1.0, (0.25, 1.0, 4.0)
+        # lists hash once normalised, and name the same corpus as tuples
+        got = [endpoint_corpus_max(list(shape), [0.125, 0.125], 3, m, alpha, lam, count=10) for lam in lams]
+        got += [endpoint_corpus_max(shape, h, 3, m, alpha, lam, count=10) for lam in lams]
+        fns = make_corpus(shape, h, 3, 10)
+        tuples = [fns[i : i + m] for i in range(0, 10, m) if all(f.values.max() != 0 for f in fns[i : i + m])]
+        assert len(calls) == len(tuples)
+        for lam, ratio in zip(lams * 2, got):
+            reps = [endpoint_check(fs, lam, alpha) for fs in tuples]
+            assert ratio == max([0.0] + [r.ratio for r in reps if r.rhs > 0])
+
 
 class TestOneWeight:
     def test_exponent_relation_enforced(self):

@@ -25,6 +25,7 @@ from strongmax.young import (
     power,
     psi_n,
 )
+from strongmax.young import _logp
 
 CANONICAL = [
     power(1.0),
@@ -47,6 +48,18 @@ class TestFamilies:
         # convention: the (log+)^0 correction is void for n=1
         ts = np.array([0.0, 0.5, 1.0, 7.0, 1e6])
         assert np.allclose(phi_n(1).eval(ts), ts)
+
+    def test_log_plus_matches_the_masked_log(self):
+        # log+ t was np.where(t > 1, log(max(t, 1e-300)), 0); log(max(t, 1))
+        # has the same bits everywhere but at NaN
+        tiny = np.nextafter(0.0, 1.0)
+        special = np.array([0.0, -0.0, tiny, -tiny, -1.0, -1e308, 1.0, np.nextafter(1.0, 2.0),
+                            1e308, np.inf, -np.inf])
+        ts = np.concatenate([special, np.exp(np.random.default_rng(0).uniform(-700, 709, 10**5))])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            old = np.where(ts > 1.0, np.log(np.maximum(ts, 1e-300)), 0.0)
+        assert _logp(ts).tobytes() == old.tobytes()
+        assert np.isnan(phi_n(2).eval(np.nan))
 
     def test_phi_n_values(self):
         assert phi_n(2).eval(np.e) == pytest.approx(2 * np.e)

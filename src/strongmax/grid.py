@@ -261,8 +261,9 @@ class PrefixSum:
 
 def build_prefix_sum(f: GridFunction) -> PrefixSum:
     cum = f.values.astype(np.float64)
-    for ax in range(f.dims):
-        cum = np.cumsum(cum, axis=ax)
+    with np.errstate(over="ignore"):
+        for ax in range(f.dims):
+            cum = np.cumsum(cum, axis=ax)
     if cum.flat[-1] == math.inf:  # the total, the largest entry
         raise GridError("prefix sums leave the double range")
     cum = np.pad(cum, [(1, 0)] * f.dims)

@@ -11,13 +11,14 @@ Young function (orlicz.size_norms), forms each rect's value from them, and
 then walks with a leaf that looks the values up.
 
 One body serves both operators. It checks the inputs (one grid, m
-functions, 0 <= alpha < m*n, m Young functions for the Orlicz operator),
-scales each input by a power of two so that its maximum lies in [0.5, 1),
-runs the walk, scales the result back and raises a GridError where that
-leaves the double range. Both operators are homogeneous in each input, and
-a power of two scales every integral, Luxemburg norm and product without
-rounding, so the scaling changes no bit of the result where no scaled value
-underflows; it keeps the prefix sums finite. A slow per-point rectangle scan,
+functions, 0 <= alpha < m*n, m Young functions for the Orlicz operator and
+none for the multilinear one, so the query's Young functions select the
+operator), scales each input by a power of two so that its maximum lies in
+[0.5, 1), runs the walk, scales the result back and raises a GridError
+where that leaves the double range. Both operators are homogeneous in each
+input, and a power of two scales every integral, Luxemburg norm and product
+without rounding, so the scaling changes no bit of the result where no
+scaled value underflows; it keeps the prefix sums finite. A slow per-point rectangle scan,
 run on the unscaled inputs after the same checks, is kept as an
 independent second implementation for cross-checking.
 """
@@ -70,8 +71,10 @@ def _checked(fs: list[GridFunction], query: MaximalQuery, orlicz: bool = False) 
         raise GridError(f"query.m={query.m} but {len(fs)} functions given")
     if not 0 <= query.alpha < query.m * f0.dims:
         raise GridError(f"need 0 <= alpha < m*n, got alpha={query.alpha}, m={query.m}, n={f0.dims}")
-    if (orlicz or query.orlicz is not None) and len(query.orlicz or ()) != query.m:
+    if orlicz and len(query.orlicz or ()) != query.m:
         raise GridError("query.orlicz must hold m Young functions")
+    if not orlicz and query.orlicz is not None:
+        raise GridError("query.orlicz selects the Orlicz operator: call orlicz_maximal, or set orlicz=None")
     return f0
 
 
@@ -83,7 +86,7 @@ def _maximal(fs: list[GridFunction], query: MaximalQuery, orlicz: bool) -> GridF
     sizes = list(basis_sizes(query.basis, f0.shape, f0.cell_size))
     if orlicz:
         vols = _kernels.volume_table(f0.shape, f0.cell_size)
-        scales = _kernels.vol_pow_table(f0.shape, f0.cell_size, query.alpha / n)
+        scales = _kernels.libm_pow(vols, query.alpha / n)
         at = [tuple(c - 1 for c in counts) for counts, _ in sizes]
         norms = size_norms(np.stack([f.values for f in fs]), sizes, f0.cell_volume,
                            [vols[i] for i in at], query.orlicz)
@@ -170,8 +173,10 @@ def lp_norm(f: GridFunction, p: float, weight: GridFunction | None = None) -> fl
     if weight is not None and not f.same_grid(weight):
         raise GridError("weight must live on the function's grid")
     w = weight.values if weight is not None else 1.0
-    total = float(np.sum(f.values**p * w) * f.cell_volume)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an f^p past the double range times a zero weight is NaN, which raises as +inf does
+        total = float(np.sum(f.values**p * w) * f.cell_volume)
     norm = float(_kernels.libm_pow(total, 1.0 / p))
-    if norm == math.inf or (total == 0.0 and np.any((f.values > 0) & (w > 0))):
+    if not norm < math.inf or (total == 0.0 and np.any((f.values > 0) & (w > 0))):
         raise GridError(f"the L^{p:g} integral or its root leaves the double range")
     return norm

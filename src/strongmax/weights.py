@@ -17,6 +17,14 @@ per-rectangle formula, so the constants and their witnesses (the first
 strict maximum in enumeration order) match a per-Rect scan bit for bit. A
 power that leaves the double range gives +inf, so such a constant counts
 as >= CAP.
+
+The A_infty classifier reads all of its nested families from one block too:
+the origin-anchored boxes of 2^l cells along each axis (l = 0 .. lmax), whose
+masses come from one block_cell_sums call (the differences of
+grid.rect_cell_sum, in its order) times the cell volume, and whose volumes
+are the outer products of the per-axis sides, left to right as Rect.volume
+and _kernels.volume_table form them. So every family point is the per-Rect
+ratio bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from .grid import (
     block_cell_sums,
     build_prefix_sum,
     random_rect,
-    rect_cell_sum,
+    rect_integral,
 )
 from .maximal import strong_maximal
 
@@ -104,8 +112,9 @@ class WeightVector:
     def nu(self) -> np.ndarray:
         """nu = prod w_i."""
         out = np.ones(self.weights[0].shape)
-        for w in self.weights:
-            out = out * w.values
+        with np.errstate(over="ignore"):
+            for w in self.weights:
+                out = out * w.values
         return out
 
     def nu_hat(self) -> np.ndarray:
@@ -118,7 +127,8 @@ class WeightVector:
 
     def powered(self, r: float) -> "WeightVector":
         """(w_1^r, ..., w_m^r) at scaled exponents (p_i/r, q/r)."""
-        ws = [w.with_values(w.values**r) for w in self.weights]
+        with np.errstate(over="ignore"):
+            ws = [w.with_values(w.values**r) for w in self.weights]
         return WeightVector(tuple(ws), tuple(pi / r for pi in self.ps),
                             self.q / r, self.alpha)
 
@@ -185,7 +195,8 @@ def _slot_factors(wv: WeightVector, shift: float, outer: float, r: float = 1.0) 
         else:
             ppi = conj_exponent(pi)
             e = (shift - ppi) * r
-            factors.append((_prefix(w, w.values**e, f"w_{i}^{e:g}"), outer / (r * ppi)))
+            with np.errstate(over="ignore"):
+                factors.append((_prefix(w, w.values**e, f"w_{i}^{e:g}"), outer / (r * ppi)))
     return factors
 
 
@@ -197,7 +208,8 @@ def ap_constant(
         raise WeightError(f"ap_constant needs a finite p > 1, got {p}")
     _require_positive(w)
     pp = conj_exponent(p)
-    dual = _prefix(w, w.values ** (1.0 - pp), f"w^{1.0 - pp:g}")
+    with np.errstate(over="ignore"):
+        dual = _prefix(w, w.values ** (1.0 - pp), f"w^{1.0 - pp:g}")
     factors = [(_prefix(w, w.values, "w"), 1.0), (dual, p / pp)]
     best, witness = _sup_over_blocks(w, basis, factors)
     return (best, witness) if return_witness else best
@@ -276,23 +288,21 @@ def a_infty_classify(
         raise WeightError(f"a_infty_classify needs >= 4 cells per axis, got shape {w.shape}")
     n = w.dims
     cum = build_prefix_sum(w)
-    cellvol = w.cell_volume
-
-    def w_of(rect: Rect) -> float:
-        return rect_cell_sum(cum, rect) * cellvol
-
+    # one block holds every nested box: the origin-anchored boxes of 2^l_k
+    # cells along axis k (l_k = 0 .. lmax); level l's box sits at (l, ..., l),
+    # and its thin box has index 0 on the thinned axis
     lmax = int(math.floor(math.log2(min(w.shape))))
+    his = 2 ** np.arange(lmax + 1) - 1
+    with np.errstate(over="ignore"):
+        mass = block_cell_sums(cum, [(np.zeros_like(his), his)] * n) * w.cell_volume
+        vol = functools.reduce(np.multiply.outer, [(his + 1) * hk for hk in w.cell_size])
     report = AInftyReport(passes=True, witness_axis=None)
     for axis in range(n):
         data = []
         for ell in range(1, lmax + 1):
-            side = 2**ell
-            big = Rect((0,) * n, (side - 1,) * n)
-            thin_hi = tuple(0 if k == axis else side - 1 for k in range(n))
-            thin = Rect((0,) * n, thin_hi)
-            rw = w_of(thin) / w_of(big)
-            rl = thin.volume(w.cell_size) / big.volume(w.cell_size)
-            data.append((ell, rw, rl))
+            big = (ell,) * n
+            thin = big[:axis] + (0,) + big[axis + 1 :]
+            data.append((ell, mass.item(thin) / mass.item(big), vol.item(thin) / vol.item(big)))
         report.families.append({"axis": axis, "points": data})
         # fit the tail only: small-scale transients would otherwise mask
         # the asymptotic growth of the required constant
@@ -307,10 +317,8 @@ def a_infty_classify(
     for _ in range(n_random_pairs):
         big = random_rect(rng, (0,) * n, tuple(s - 1 for s in w.shape))
         sub = random_rect(rng, big.lo, big.hi)
-        report.pairs.append(
-            (big, sub, w_of(sub) / w_of(big),
-             sub.volume(w.cell_size) / big.volume(w.cell_size))
-        )
+        report.pairs.append((big, sub, rect_integral(cum, sub) / rect_integral(cum, big),
+                             sub.volume(w.cell_size) / big.volume(w.cell_size)))
     return report
 
 
@@ -392,11 +400,13 @@ def tauberian_constant_estimate(
         raise WeightError("gamma must lie in (0,1)")
     _require_positive(w)
     rng = np.random.default_rng(seed)
-    cum = build_prefix_sum(w)
     cellvol = w.cell_volume
+    # a power-of-two scale that puts the largest value in [0.5, 1) changes no
+    # mass ratio, and keeps the masses of huge and subnormal weights in range
+    scaled = np.ldexp(w.values, -np.frexp(w.values.max())[1])
 
     def w_mass(mask: np.ndarray) -> float:
-        return float(np.sum(w.values[mask])) * cellvol
+        return float(np.sum(scaled[mask])) * cellvol
 
     candidates: list[tuple[str, np.ndarray]] = []
     # centered rectangles at dyadic scales

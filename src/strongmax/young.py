@@ -100,8 +100,9 @@ def l_log_l(k: int, outer: float = 1.0) -> YoungFunction:
 
     def ev(t):
         t = np.asarray(t, dtype=np.float64)
-        base = t * (1.0 + _logp(t)) ** k
-        return base if outer == 1.0 else base**outer
+        with np.errstate(over="ignore"):
+            base = t * (1.0 + _logp(t)) ** k
+            return base if outer == 1.0 else base**outer
 
     return YoungFunction(ev, label=f"[t(1+log+t)^{k}]^{outer:g}",
                          is_submultiplicative=True if outer == 1.0 else None,
@@ -121,7 +122,8 @@ def phi_n(n: int) -> YoungFunction:
 
     def ev(t):
         t = np.asarray(t, dtype=np.float64)
-        return t * (1.0 + _logp(t) ** (n - 1))
+        with np.errstate(over="ignore"):
+            return t * (1.0 + _logp(t) ** (n - 1))
 
     return YoungFunction(ev, label=f"Phi_{n}", is_submultiplicative=True,
                          closed_complementary=_conj_phi2 if n == 2 else None)

@@ -13,6 +13,7 @@ import inspect
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -66,6 +67,16 @@ def roundtrip(f):
         return sm.read_grid(path)
 
 
+def strict(call):
+    """call, run with every warning raised as an error: an edge must end in
+    its typed error or its value, not in a stray numpy warning."""
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return call()
+    return run
+
+
 def q(m=1, alpha=0.0, orlicz=None):
     return sm.MaximalQuery(ALL, alpha, m, orlicz)
 
@@ -100,6 +111,8 @@ TABLE = [
      lambda: len(list(sm.enumerate_basis(Basis("all", (0.0, INF)), (4,)))), lambda k: k == 10),
     ("build_prefix_sum", "sums past the double range",
      lambda: sm.build_prefix_sum(gf(np.full(4, 1e308))), GridError),
+    ("build_prefix_sum", "sums past the double range, warnings as errors",
+     strict(lambda: sm.build_prefix_sum(gf(np.full(4, 1e308)))), GridError),
     ("build_prefix_sum", "one cell", lambda: sm.build_prefix_sum(ONE).cum, lambda c: c[1, 1] == 2.0),
     ("rect_cell_sum", "1e306 values",
      lambda: sm.rect_cell_sum(sm.build_prefix_sum(BIG), Rect((0, 0), (3, 3))), close(1.6e307)),
@@ -138,7 +151,11 @@ TABLE = [
      lambda: sm.multilinear_fractional_maximal([ONES], q(1, INF)), GridError),
     ("multilinear_fractional_maximal", "1e306 times 1e-306",
      lambda: sm.multilinear_fractional_maximal([BIG, TINY], q(2)), max_close(1.0)),
+    ("multilinear_fractional_maximal", "Young functions in the query",
+     lambda: sm.multilinear_fractional_maximal([ONES], q(1, 0.0, (PHI2,))), GridError),
     ("maximal_reference_scan", "empty list", lambda: sm.maximal_reference_scan([], q()), GridError),
+    ("maximal_reference_scan", "Young functions in the query",
+     lambda: sm.maximal_reference_scan([ONES], q(1, 0.0, (PHI2,))), GridError),
     ("maximal_reference_scan", "one cell", lambda: sm.maximal_reference_scan([ONE], q()), all_equal([[2.0]])),
     ("orlicz_maximal", "empty list", lambda: sm.orlicz_maximal([], q(1, 0.0, (PHI2,))), GridError),
     ("orlicz_maximal", "no Young function", lambda: sm.orlicz_maximal([ONES], q()), GridError),
@@ -152,6 +169,10 @@ TABLE = [
     ("lp_norm", "NaN p", lambda: sm.lp_norm(ONES, NAN), GridError),
     ("lp_norm", "inf p", lambda: sm.lp_norm(ONES, INF), GridError),
     ("lp_norm", "1e306 values", lambda: sm.lp_norm(BIG, 2.0), GridError),
+    ("lp_norm", "1e306 values, warnings as errors", strict(lambda: sm.lp_norm(BIG, 2.0)), GridError),
+    # f^2 is +inf and the weight 0 on one cell: inf * 0 is NaN, not a norm
+    ("lp_norm", "1e306 values, a zero weight cell",
+     strict(lambda: sm.lp_norm(BIG, 2.0, weight=gf(np.arange(16.0).reshape(4, 4)))), GridError),
     ("lp_norm", "1e-306 values", lambda: sm.lp_norm(TINY, 2.0), GridError),
     ("lp_norm", "grids that do not match", lambda: sm.lp_norm(ONES, 2.0, weight=OTHER), GridError),
     ("lp_norm", "one cell", lambda: sm.lp_norm(ONE, 2.0), close(2.0)),
@@ -175,6 +196,8 @@ TABLE = [
     # the true mean, 1e306 (1 + log 1e306), is past the largest double
     ("mean_phi_over", "1e306 values",
      lambda: sm.mean_phi_over(BIG, sm.CellSet.full(BIG), PHI2), lambda m: m == INF),
+    ("mean_phi_over", "1e306 values, warnings as errors",
+     strict(lambda: sm.mean_phi_over(BIG, sm.CellSet.full(BIG), PHI2)), lambda m: m == INF),
     ("generalized_holder_check", "grids that do not match",
      lambda: sm.generalized_holder_check(ONES, OTHER, sm.CellSet.full(ONES), PHI2), MeasureError),
     ("generalized_holder_check", "empty set",
@@ -199,7 +222,10 @@ TABLE = [
     ("power", "inf exponent", lambda: sm.power(INF), YoungFunctionError),
     ("l_log_l", "NaN outer exponent", lambda: sm.l_log_l(1, NAN), YoungFunctionError),
     ("l_log_l", "inf outer exponent", lambda: sm.l_log_l(1, INF), YoungFunctionError),
+    ("l_log_l", "at 1e306, warnings as errors",
+     strict(lambda: float(sm.l_log_l(2, 1.5)(1e306))), lambda v: v == INF),
     ("phi_n", "n = 0", lambda: sm.phi_n(0), YoungFunctionError),
+    ("phi_n", "at 1e306, warnings as errors", strict(lambda: float(sm.phi_n(3)(1e306))), lambda v: v == INF),
     ("phi_n_iter", "m = 0", lambda: sm.phi_n_iter(2, 0), YoungFunctionError),
     ("phi_n_iter", "m = 1.5", lambda: sm.phi_n_iter(2, 1.5), YoungFunctionError),
     ("psi_n", "n = 1", lambda: sm.psi_n(1), YoungFunctionError),
@@ -237,6 +263,8 @@ TABLE = [
     ("WeightVector", "inf q", lambda: WeightVector((ONES,), (2.0,), q=INF), WeightError),
     ("WeightVector", "NaN alpha", lambda: WeightVector((ONES,), (2.0,), alpha=NAN), WeightError),
     ("WeightVector", "grids that do not match", lambda: WeightVector((ONES, OTHER), (2.0, 2.0)), WeightError),
+    ("WeightVector", "1e306 values powered past the range, warnings as errors",
+     strict(lambda: WeightVector((BIG,), (2.0,)).powered(2.0)), GridError),
     ("ap_constant", "NaN p", lambda: sm.ap_constant(ONES, NAN, ALL), WeightError),
     ("ap_constant", "inf p", lambda: sm.ap_constant(ONES, INF, ALL), WeightError),
     ("ap_constant", "one cell", lambda: sm.ap_constant(ONE, 2.0, ALL), close(1.0)),
@@ -245,11 +273,17 @@ TABLE = [
     ("ap_constant", "1e306 values", lambda: sm.ap_constant(BIG, 2.0, ALL), close(1.0)),
     ("ap_constant", "1e-306 values", lambda: sm.ap_constant(TINY, 2.0, CUBES), close(1.0)),
     ("ap_constant", "1e306 values, w^-2 past the range", lambda: sm.ap_constant(BIG, 1.5, ALL), WeightError),
+    ("ap_constant", "1e-200 values, w^-2 past the range, warnings as errors",
+     strict(lambda: sm.ap_constant(gf(np.full((4, 4), 1e-200)), 1.5, ALL)), WeightError),
     ("multi_weight_constant_apq", "1e-306 values, w^-3 past the range",
      lambda: sm.multi_weight_constant_apq(WeightVector((TINY,), (1.5,)), ALL), WeightError),
     ("multi_weight_constant_apq", "1e306 squared",
      lambda: sm.multi_weight_constant_apq(WeightVector((BIG, BIG), (2.0, 2.0)), ALL),
      WeightError),
+    ("multi_weight_constant_apq", "1e-306 values, w^-3 past the range, warnings as errors",
+     strict(lambda: sm.multi_weight_constant_apq(WeightVector((TINY,), (1.5,)), ALL)), WeightError),
+    ("multi_weight_constant_apq", "1e306 squared, warnings as errors",
+     strict(lambda: sm.multi_weight_constant_apq(WeightVector((BIG, BIG), (2.0, 2.0)), ALL)), WeightError),
     ("multi_weight_constant_apq", "one cell",
      lambda: sm.multi_weight_constant_apq(WeightVector((ONE, ONE), (2.0, 2.0)), ALL),
      close(1.0)),
@@ -287,6 +321,14 @@ TABLE = [
     ("tauberian_constant_estimate", "half the cells zero",
      lambda: sm.tauberian_constant_estimate(gf(np.repeat([0.0, 1.0], 32).reshape(8, 8)), ALL, 0.5),
      WeightError),
+    # the mass of every set is past the largest double, or a sum of
+    # subnormals; neither changes a ratio
+    ("tauberian_constant_estimate", "1e307 values, 8x8, warnings as errors",
+     strict(lambda: sm.tauberian_constant_estimate(gf(np.full((8, 8), 1e307)), ALL, 0.5).max_ratio),
+     lambda r: r == 3.75),
+    ("tauberian_constant_estimate", "1e-320 values, 8x8",
+     lambda: sm.tauberian_constant_estimate(gf(np.full((8, 8), 1e-320)), ALL, 0.5).max_ratio,
+     lambda r: r == 3.75),
     ("tauberian_constant_estimate", "one cell",
      lambda: sm.tauberian_constant_estimate(ONE, ALL, 0.5).max_ratio, close(1.0)),
     ("power_weight_classify", "NaN alpha",
@@ -325,6 +367,8 @@ TABLE = [
     # the right side, about 1e306 * 705, is past the largest double: ratio 0
     ("endpoint_check", "1e306 values",
      lambda: sm.endpoint_check([BIG], 1.0), lambda r: r.passed and r.ratio == 0.0),
+    ("endpoint_check", "1e306 values, warnings as errors",
+     strict(lambda: sm.endpoint_check([BIG], 1.0)), lambda r: r.passed and r.ratio == 0.0),
     ("endpoint_check", "1e-306 lambda",
      lambda: sm.endpoint_check([ONES], 1e-306), lambda r: r.passed and r.ratio == 0.0),
     # lambda^2 is past the largest double, so {M > lambda^2} is empty

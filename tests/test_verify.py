@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from luxemburg_oracle import orlicz_maximal_oracle, scalar_blocks
-from strongmax import orlicz, verify
+from strongmax import grid, orlicz, verify
 from strongmax.corpus import make_corpus
 from strongmax.grid import Basis, GridError, GridFunction
 from strongmax.verify import (
@@ -314,3 +315,20 @@ def test_report_ratio_semantics():
     assert rep.ratio == math.inf
     rep = VerificationReport(theorem="x", lhs=1.0, rhs=2.0)
     assert rep.ratio == 0.5
+
+
+def test_run_all_makes_no_rect_cell_sum_call(monkeypatch):
+    # every sum over a basis or a nested family reads blocks of prefix sums;
+    # grid.rect_cell_sum serves only the reference scan and rect_integral
+    calls = []
+    original = grid.rect_cell_sum
+
+    def counted(p, r):
+        calls.append(r)
+        return original(p, r)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("strongmax") and getattr(mod, "rect_cell_sum", None) is original:
+            monkeypatch.setattr(mod, "rect_cell_sum", counted)
+    run_all(0)
+    assert len(calls) == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongmax._kernels import libm_pow
-from strongmax.grid import Basis, GridError, GridFunction, enumerate_basis
+from strongmax.grid import Basis, GridError, GridFunction, Rect, build_prefix_sum, enumerate_basis, rect_cell_sum
 from strongmax.verify import _decay_column
 from strongmax.weights import (
     SLOPE_TOL,
@@ -294,6 +294,41 @@ class TestAInfty:
         rep = a_infty_classify(gf(np.ones((4, 4))), n_random_pairs=0)
         assert rep.passes
         assert [len(fam["points"]) for fam in rep.families] == [2, 2]
+
+    @pytest.mark.parametrize("values", ["lognormal", "1e-200", "1e300/N"])
+    @pytest.mark.parametrize("sides", ["unit", "uniform", "unequal"])
+    @pytest.mark.parametrize("shape", [(4,), (37,), (64,), (4, 4), (8, 8), (16, 5), (6, 11), (4, 4, 4), (8, 4, 6)])
+    def test_families_are_the_rect_ratios_bit_for_bit(self, shape, sides, values):
+        # the oracle: every family point and random pair as w(E)/w(R) and
+        # |E|/|R|, one Rect at a time, w(R) = rect_cell_sum * cell volume
+        h = {"unit": (1.0,) * len(shape), "uniform": tuple(1.0 / s for s in shape),
+             "unequal": tuple(0.3 + 0.17 * k for k in range(len(shape)))}[sides]
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
+        v = {"lognormal": lambda: np.exp(rng.normal(0.0, 2.0, shape)),
+             "1e-200": lambda: 1e-200 * rng.uniform(0.5, 2.0, shape),
+             "1e300/N": lambda: 1e300 / math.prod(shape) * rng.uniform(0.5, 1.0, shape)}[values]()
+        w = GridFunction(shape, h, v)
+        cum = build_prefix_sum(w)
+
+        def ratios(sub, big):
+            mass = [rect_cell_sum(cum, r) * w.cell_volume for r in (sub, big)]
+            return mass[0] / mass[1], sub.volume(h) / big.volume(h)
+
+        rep = a_infty_classify(w, rng=np.random.default_rng(1), n_random_pairs=3)
+        n, lmax = len(shape), int(math.log2(min(shape)))
+        for axis, fam in enumerate(rep.families):
+            want = []
+            for ell in range(1, lmax + 1):
+                big = Rect((0,) * n, (2**ell - 1,) * n)
+                thin = Rect((0,) * n, tuple(0 if k == axis else 2**ell - 1 for k in range(n)))
+                want.append((ell, *ratios(thin, big)))
+            assert fam["axis"] == axis
+            assert [(l, a.hex(), b.hex()) for l, a, b in fam["points"]] == [(l, a.hex(), b.hex()) for l, a, b in want]
+            ells, rw, rl = (np.array(c, dtype=float) for c in zip(*want[-3:]))
+            slope = float(np.polyfit(ells, np.log(rw) - 0.05 * np.log(rl), 1)[0])
+            assert rep.slopes[axis].hex() == slope.hex()
+        for big, sub, rw, rl in rep.pairs:
+            assert (rw.hex(), rl.hex()) == tuple(x.hex() for x in ratios(sub, big))
 
 
 class TestTauberian:

@@ -448,15 +448,15 @@ def read_grid(path: str) -> GridFunction:
         origin = (0.0,) * dims
     if len(shape) != dims:
         raise GridError(f"{path}: shape has {len(shape)} entries but dims is {dims}")
-    fmt = fields.get("format", ["csv"])[0]
+    fmt = " ".join(fields.get("format", ["csv"]))
     body = raw[head_end:]
     count = int(np.prod(shape))
     if fmt == "bin":
-        if len(body) < 8 * count:
+        if len(body) != 8 * count:
             raise GridError(
                 f"{path}: data holds {len(body)} bytes, shape {shape} needs {8 * count}"
             )
-        values = np.frombuffer(body, dtype="<f8", count=count)
+        values = np.frombuffer(body, dtype="<f8")
     elif fmt == "csv":
         try:
             values = np.loadtxt(io.StringIO(body.decode("ascii")), delimiter=",", ndmin=2)

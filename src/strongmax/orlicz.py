@@ -3,7 +3,7 @@
 The Luxemburg norm is the infimal lambda > 0 making the normalized mean of
 Phi(|f|/lambda) over the set at most one; it is the unique crossing of a
 monotone function of lambda, so bracketing bisection is exact up to the
-relative tolerance young.REL_TOL. That tolerance is a fixed constant far
+relative tolerance REL_TOL. That tolerance is a fixed constant far
 above the double spacing (2^-52), so the bracket always narrows below it
 and every bisection ends.
 
@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, Rect, grid_axes, window
-from .young import REL_TOL, YoungFunction, complementary, iterate
+from .young import YoungFunction, complementary, iterate
 
 
 TOL = 1e-9  # slack of the norm-vs-mean and Hoelder comparisons
+REL_TOL = 1e-12  # relative bracket width at which the Luxemburg bisection stops
 CELL_BLOCK = 1 << 14  # cells per lockstep bisection chunk, so its temporaries stay in cache
 
 

@@ -3,8 +3,24 @@
 Each check computes concrete lhs/rhs quantities on a grid and records the
 configuration, ratios, and a pass/fail (or "skipped" when a hypothesis is
 violated; hypothesis violations are never silently passed). Boundedness on
-a fixed grid is vacuous, so the harness favors growth checks across
-resolutions.
+a fixed grid is vacuous, since every value computed there is finite.
+
+What each job of run_all gates on:
+  * on values and growth across scales: prop3.5 (closed-form masses and
+    ratios within QUAD_TOL, a reverse-doubling bound, and the A_infty
+    classifier's growth verdict), prop3.6 (the power-weight classifier's
+    verdicts, read from growth across depths), weight-theory (implications
+    between constants under CAP, and two separation witnesses, one of them
+    a bump constant's growth across depths) and covering (the selections'
+    scattered checks and a finite chain constant);
+  * on finiteness, with no growth or known value to meet, so a wrong
+    operator whose values stay finite passes: endpoint (a finite lhs/rhs
+    ratio), one-weight (finite operator ratios where the constant is under
+    CAP, and the Orlicz majorant's ratio at least the plain one, which a
+    fault that scales every maximal function keeps), two-weight-bump and
+    vector-valued (a finite operator ratio once the hypotheses hold);
+  * on a refused hypothesis: two-weight-bump-skip and vector-valued-skip
+    report "skipped".
 
 All checks are deterministic given their seed; run_all executes the
 selected jobs one after another in the calling thread, in sorted-name

@@ -24,13 +24,16 @@ masses come from one block_cell_sums call (the differences of
 grid.rect_cell_sum, in its order) times the cell volume, and whose volumes
 are the outer products of the per-axis sides, left to right as Rect.volume
 and _kernels.volume_table form them. So every family point is the per-Rect
-ratio bit for bit.
+ratio bit for bit. Where a mass or volume of a ratio is not a normal double
+(a cell side of 1e200 or 1e-200 squared), the cell volume, which cancels,
+is left out: the ratio is taken from the cell sums or the cell counts.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +51,7 @@ from .grid import (
     block_cell_sums,
     build_prefix_sum,
     random_rect,
-    rect_integral,
+    rect_cell_sum,
 )
 from .maximal import strong_maximal
 
@@ -293,8 +296,10 @@ def a_infty_classify(
     # and its thin box has index 0 on the thinned axis
     lmax = int(math.floor(math.log2(min(w.shape))))
     his = 2 ** np.arange(lmax + 1) - 1
+    sums = block_cell_sums(cum, [(np.zeros_like(his), his)] * n)
+    counts = functools.reduce(np.multiply.outer, [his + 1] * n)
     with np.errstate(over="ignore"):
-        mass = block_cell_sums(cum, [(np.zeros_like(his), his)] * n) * w.cell_volume
+        mass = sums * w.cell_volume
         vol = functools.reduce(np.multiply.outer, [(his + 1) * hk for hk in w.cell_size])
     report = AInftyReport(passes=True, witness_axis=None)
     for axis in range(n):
@@ -302,7 +307,8 @@ def a_infty_classify(
         for ell in range(1, lmax + 1):
             big = (ell,) * n
             thin = big[:axis] + (0,) + big[axis + 1 :]
-            data.append((ell, mass.item(thin) / mass.item(big), vol.item(thin) / vol.item(big)))
+            data.append((ell, _ratio(mass.item(thin), mass.item(big), sums.item(thin), sums.item(big)),
+                         _ratio(vol.item(thin), vol.item(big), counts.item(thin), counts.item(big))))
         report.families.append({"axis": axis, "points": data})
         # fit the tail only: small-scale transients would otherwise mask
         # the asymptotic growth of the required constant
@@ -317,9 +323,20 @@ def a_infty_classify(
     for _ in range(n_random_pairs):
         big = random_rect(rng, (0,) * n, tuple(s - 1 for s in w.shape))
         sub = random_rect(rng, big.lo, big.hi)
-        report.pairs.append((big, sub, rect_integral(cum, sub) / rect_integral(cum, big),
-                             sub.volume(w.cell_size) / big.volume(w.cell_size)))
+        cs, cb = rect_cell_sum(cum, sub), rect_cell_sum(cum, big)  # rect_integral = sum * cell volume
+        report.pairs.append((big, sub, _ratio(cs * cum.cell_volume, cb * cum.cell_volume, cs, cb),
+                             _ratio(sub.volume(w.cell_size), big.volume(w.cell_size),
+                                    math.prod(sub.cell_counts()), math.prod(big.cell_counts()))))
     return report
+
+
+def _ratio(part: float, whole: float, part_cells: float, whole_cells: float) -> float:
+    """part / whole for two masses or two volumes; where either is not a
+    normal double, the ratio of their cell sums or cell counts, from which
+    the cell volume cancels."""
+    if sys.float_info.min <= min(part, whole) and max(part, whole) < math.inf:
+        return part / whole
+    return part_cells / whole_cells
 
 
 # --- dyadic reverse doubling -------------------------------------------------

@@ -11,26 +11,33 @@ return +inf (extended values are legal for conjugates).
 Every conjugate has one evaluation path. A family with a closed form
 (t^s, and t(1+log+ t), which is Phi_2 and l_log_l(1)) carries it as the
 array map closed_complementary, +inf only where it overflows. Every other
-function goes through one numeric kernel: a grid argmax over t in
-[0, T_LARGE], refined by a vectorized golden-section ascent. The kernel
-cannot tell a finite supremum reached past T_LARGE from +inf, so it
-reports +inf there; the cap stays because a grid without one would have
-to reach t where Phi(t) overflows, and the objective s*t - Phi(t) is
-then inf - inf.
+function goes through one numeric kernel: a grid argmax over the whole
+double range, the points 0, 2^(8j) for -134 <= j <= 127 and the largest
+double, refined by a vectorized golden-section ascent. Where Phi(t)
+overflows, the objective s*t - Phi(t) is -inf, or inf - inf, which counts
+as -inf; so the kernel needs no cap, and it gives +inf only where s*t
+overflows while Phi(t) stays finite.
+
+Every inverse has one path too: a bisection over the bit patterns of the
+doubles in [0, largest double], which are ordered as the doubles are. It
+stops at two adjacent doubles and returns the upper one, b, so that
+Phi(b) >= y > Phi(the double below b) holds by construction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-T_LARGE = 1e9  # cap used to detect unbounded conjugates / brackets
-REL_TOL = 1e-12  # relative bracket width at which every bisection stops
+# the numeric conjugate's grid: 0, every 2^(8j) that is a double (-134 <= j
+# <= 127), and the largest double
+CONJ_GRID = np.concatenate([[0.0], np.ldexp(1.0, 8 * np.arange(-134, 128)),
+                            [np.finfo(np.float64).max]])
+MAX_BITS = int(np.finfo(np.float64).max.view(np.int64))  # the largest double's bit pattern
 ONEIL_SAMPLES = tuple(np.logspace(-6, 9, 61))  # the t of the O'Neil triple check
 BP_EPS = 0.05  # half-width of the borderline band of B*_p tail exponents
 
@@ -44,13 +51,11 @@ class YoungFunction:
     """Evaluable convex increasing function with Phi(0) = 0.
 
     is_submultiplicative is a tri-state flag: True / False / None (unknown).
-    closed_inverse, when present, is used instead of bisection.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
     label: str
     is_submultiplicative: bool | None = None
-    closed_inverse: Callable[[np.ndarray], np.ndarray] | None = None
     closed_complementary: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t):
@@ -88,7 +93,6 @@ def power(s: float) -> YoungFunction:
         eval=lambda t: np.asarray(t, dtype=np.float64) ** s,
         label=f"t^{s:g}",
         is_submultiplicative=True,
-        closed_inverse=lambda y: np.asarray(y, dtype=np.float64) ** (1.0 / s),
         closed_complementary=conj,
     )
 
@@ -174,10 +178,7 @@ def psi_n(n: int) -> YoungFunction:
         x = t**e
         return np.where(x > 700.0, np.inf, np.expm1(np.minimum(x, 700.0)))
 
-    return YoungFunction(
-        ev, label=f"Psi_{n}",
-        closed_inverse=lambda y: np.log1p(np.asarray(y, dtype=np.float64)) ** (n - 1),
-    )
+    return YoungFunction(ev, label=f"Psi_{n}")
 
 
 def identity() -> YoungFunction:
@@ -220,14 +221,13 @@ def from_config(name: str, **params) -> YoungFunction:
 def _conjugate_vectorized(phi: YoungFunction, sv) -> np.ndarray:
     """sup_t { s*t - phi(t) } at every point of sv, any shape.
 
-    Grid argmax over 401 points of [0, T_LARGE], then a vectorized golden-section ascent on
-    the two grid cells around each maximizer. +inf where the maximizer is the
-    last grid point and the objective still rises over the last millionth
-    below T_LARGE.
+    Grid argmax over CONJ_GRID, then a vectorized golden-section ascent on
+    the two grid cells around each maximizer. A NaN objective (inf - inf)
+    counts as -inf.
     """
     sv = np.asarray(sv, dtype=np.float64)
     flat = sv.ravel()
-    ts = np.concatenate([[0.0], np.logspace(-12, math.log10(T_LARGE), 400)])
+    ts = CONJ_GRID
     with np.errstate(over="ignore", invalid="ignore"):
         phits = phi.eval(ts)
         obj = flat[:, None] * ts[None, :] - phits[None, :]
@@ -253,11 +253,7 @@ def _conjugate_vectorized(phi: YoungFunction, sv) -> np.ndarray:
             left = f(c) >= f(d)
             b = np.where(left, d, b)
             a = np.where(left, a, c)
-        best = np.maximum(f(a), np.maximum(f(b), f(0.5 * (a + b))))
-        # a maximizer in the last grid cell, which is 12.8% wide, may still
-        # lie below T_LARGE; only a rise at T_LARGE itself means +inf
-        rising = (kr == len(ts) - 1) & (f(ts[-1]) > f(ts[-1] * (1.0 - 1e-6)))
-        out[rest] = np.where(rising, np.inf, np.maximum(best, 0.0))
+        out[rest] = np.maximum(np.maximum(f(a), np.maximum(f(b), f(0.5 * a + 0.5 * b))), 0.0)
     return out.reshape(sv.shape)
 
 
@@ -277,41 +273,32 @@ def complementary_value(phi: YoungFunction, s: float) -> float:
 
 
 def inverse(phi: YoungFunction, y: float) -> float:
-    """Smallest t with phi(t) >= y, by bracketing bisection; +inf at y = +inf.
+    """The least double b with phi(b) >= y: phi(b) >= y > phi(the double
+    below b). 0 at y = 0 and +inf at y = +inf.
 
-    hi doubles from 1 up to the largest double, and the midpoint is formed
-    as 0.5 * lo + 0.5 * hi, which equals 0.5 * (lo + hi) on normal doubles
-    and cannot overflow. Below about 5e-312, REL_TOL * hi rounds to 0, so
-    the bisection also stops once lo and hi are adjacent doubles.
+    Bisects the bit patterns of the doubles in [0, largest double], which
+    are ordered as the doubles are; lo keeps phi(lo) < y and hi phi(hi) >= y
+    until they are adjacent. Raises when phi stays below y on every double.
     """
     if not y >= 0:
         raise YoungFunctionError(f"inverse argument must be >= 0, got {y}")
-    if y == 0.0:
-        return 0.0
-    if phi.closed_inverse is not None:
-        return float(phi.closed_inverse(np.float64(y)))
-    if y == math.inf:
-        return math.inf
+    if y == 0.0 or y == math.inf:
+        return float(y)
 
-    def reaches(t: float) -> bool:
+    def reaches(bits: int) -> bool:
         with np.errstate(over="ignore"):
-            return float(phi.eval(np.float64(t))) >= y
+            return float(phi.eval(np.int64(bits).view(np.float64))) >= y
 
-    hi = 1.0
-    while not reaches(hi):
-        if hi == sys.float_info.max:
-            raise YoungFunctionError(f"{phi.label}: inverse bracket unbounded at y={y}")
-        hi = min(2.0 * hi, sys.float_info.max)
-    lo = 0.0
-    while hi - lo > REL_TOL * hi:
-        mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:
-            break
+    if not reaches(MAX_BITS):
+        raise YoungFunctionError(f"{phi.label}: inverse bracket unbounded at y={y}")
+    lo, hi = 0, MAX_BITS
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         if reaches(mid):
             hi = mid
         else:
             lo = mid
-    return hi
+    return float(np.int64(hi).view(np.float64))
 
 
 def oneil_triple_check(a: YoungFunction, b: YoungFunction, c: YoungFunction) -> tuple[bool, float]:

@@ -20,6 +20,7 @@ import pytest
 
 import strongmax as sm
 from strongmax import Basis, GridError, GridFunction, Rect, WeightVector
+from strongmax.grid import rect_integral_direct
 from strongmax.covering import SelectionError
 from strongmax.orlicz import MeasureError
 from strongmax.weights import WeightError
@@ -67,6 +68,33 @@ def roundtrip(f):
         return sm.read_grid(path)
 
 
+def read_file(text):
+    """read_grid of a file that holds the bytes text."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "f.grid")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        return sm.read_grid(path)
+
+
+HEAD = b"# strongmax grid v1\ndims 1\nshape 3\ncell_size 1.0\n"  # no origin or format line
+CSV3 = b"data\n1.0,2.0,3.0\n"
+
+
+def as_bin(*values):
+    return b"format bin\ndata\n" + np.array(values, dtype="<f8").tobytes()
+
+
+def same_families_as_unit_sides(values, side):
+    """a_infty_classify of values on cells of the given side, and on unit
+    cells: the families and slopes by repr (which tells every two doubles
+    apart) and the verdict, for a predicate to compare."""
+    def run():
+        reps = [sm.a_infty_classify(gf(values, h=(h,) * values.ndim), n_random_pairs=0) for h in (side, 1.0)]
+        return [(repr(r.families), repr(r.slopes), r.passes) for r in reps]
+    return run
+
+
 def strict(call):
     """call, run with every warning raised as an error: an edge must end in
     its typed error or its value, not in a stray numpy warning."""
@@ -97,6 +125,7 @@ TABLE = [
     ("GridFunction", "NaN cell side", lambda: gf([1.0], h=(NAN,)), GridError),
     ("GridFunction", "1e306 values", lambda: BIG.values, lambda v: np.all(v == 1e306)),
     ("Rect", "lo above hi", lambda: Rect((2,), (1,)), GridError),
+    ("Rect", "lo and hi of different lengths", lambda: Rect((0, 0), (1,)), GridError),
     ("Basis", "NaN scale bound", lambda: Basis("all", (NAN, 1.0)), GridError),
     ("Basis", "bounds in the wrong order", lambda: Basis("all", (1.0, 0.5)), GridError),
     ("Basis", "unknown kind", lambda: Basis("rings"), GridError),
@@ -122,6 +151,7 @@ TABLE = [
      lambda: sm.rect_integral(sm.build_prefix_sum(ONES), Rect((0, 0), (4, 4))), GridError),
     ("rect_integral", "1e-306 values",
      lambda: sm.rect_integral(sm.build_prefix_sum(TINY), Rect((0, 0), (3, 3))), close(1e-306)),
+    ("rect_integral_direct", "rect off the grid", lambda: rect_integral_direct(ONES, Rect((0, 0), (4, 4))), GridError),
     ("rect_average", "one cell",
      lambda: sm.rect_average(sm.build_prefix_sum(ONE), Rect((0, 0), (0, 0))), close(2.0)),
     ("write_grid", "1e306 values",
@@ -130,6 +160,20 @@ TABLE = [
      lambda: sm.read_grid(os.path.join(tempfile.gettempdir(), "no-such-dir", "f.grid")),
      FileNotFoundError),
     ("read_grid", "one cell", lambda: roundtrip(ONE), all_equal([[2.0]])),
+    ("read_grid", "wrong magic line", lambda: read_file(HEAD.replace(b"strongmax", b"other") + CSV3), GridError),
+    ("read_grid", "dims 2, shape of one entry", lambda: read_file(HEAD.replace(b"dims 1", b"dims 2") + CSV3),
+     GridError),
+    ("read_grid", "non-numeric CSV cell", lambda: read_file(HEAD + b"data\n1.0,x,3.0\n"), GridError),
+    ("read_grid", "unknown format", lambda: read_file(HEAD + b"format xml\n" + CSV3), GridError),
+    ("read_grid", "format line with no value", lambda: read_file(HEAD + b"format\n" + CSV3), GridError),
+    ("read_grid", "no origin line",
+     lambda: read_file(HEAD + CSV3), lambda g: g.origin == (0.0,) and np.array_equal(g.values, [1.0, 2.0, 3.0])),
+    ("read_grid", "bin, 3 doubles for shape 3",
+     lambda: read_file(HEAD + as_bin(1.0, 2.0, 3.0)), all_equal([1.0, 2.0, 3.0])),
+    ("read_grid", "bin, 4 doubles for shape 3", lambda: read_file(HEAD + as_bin(1.0, 2.0, 3.0, 4.0)), GridError),
+    ("read_grid", "bin, 2 doubles for shape 3", lambda: read_file(HEAD + as_bin(1.0, 2.0)), GridError),
+    ("read_grid", "bin, 3 doubles and 1 byte for shape 3",
+     lambda: read_file(HEAD + as_bin(1.0, 2.0, 3.0) + b"\n"), GridError),
     ("make_corpus", "no cells", lambda: sm.make_corpus((0,), (1.0,), 0, 2), GridError),
     ("make_corpus", "NaN cell side", lambda: sm.make_corpus((4,), (NAN,), 0, 1), GridError),
     ("make_corpus", "empty corpus", lambda: sm.make_corpus((4,), (0.25,), 0, 0), lambda c: c == []),
@@ -215,6 +259,9 @@ TABLE = [
     ("product_norm_lemma_check", "1e306 values",
      lambda: sm.product_norm_lemma_check([BIG, BIG], sm.CellSet.full(BIG), PHI2),
      MeasureError),
+    ("product_norm_lemma_check", "Young function that is not submultiplicative",
+     lambda: sm.product_norm_lemma_check([ONES], sm.CellSet.full(ONES), sm.YoungFunction(PHI2.eval, "Phi_2", False)),
+     MeasureError),
     ("product_norm_lemma_check", "one cell",
      lambda: sm.product_norm_lemma_check([ONE], sm.CellSet.full(ONE), PHI2), holds),
     # --- Young functions
@@ -246,9 +293,11 @@ TABLE = [
     # the root of t (1 + log t) = 1e306, about 1.43e303
     ("inverse", "1e306 under Phi_2", lambda: float(PHI2(sm.inverse(PHI2, 1e306))), close(1e306, rel=1e-11)),
     ("inverse", "1e-306 under Phi_3", lambda: sm.inverse(sm.phi_n(3), 1e-306), close(1e-306, rel=1e-11)),
-    # Phi_2(t) = t below 1; REL_TOL * hi rounds to 0 at these targets
+    # Phi_2(t) = t below 1, so the least double that reaches y is y
     ("inverse", "1e-320 under Phi_2", lambda: sm.inverse(PHI2, 1e-320), lambda v: v == 1e-320),
     ("inverse", "5e-324 under Phi_2", lambda: sm.inverse(PHI2, 5e-324), lambda v: v == 5e-324),
+    ("inverse", "y above every value of phi",
+     lambda: sm.inverse(sm.YoungFunction(lambda t: np.minimum(t, 1.0), "min(t, 1)"), 2.0), YoungFunctionError),
     ("oneil_triple_check", "t^2, t, t^2",
      lambda: sm.oneil_triple_check(sm.power(2.0), sm.identity(), sm.power(2.0)),
      lambda r: r[0] is True),
@@ -306,6 +355,17 @@ TABLE = [
     ("a_infty_classify", "odd sides", lambda: sm.a_infty_classify(ODD), WeightError),
     ("a_infty_classify", "1e306 values",
      lambda: sm.a_infty_classify(BIG, n_random_pairs=0).passes, lambda p: p is True),
+    # the cell volume, 1e400, 1e-340 or 1e-400, is not a normal double, and
+    # the box volumes of the 64^3 grid with sides 1e102 pass the largest
+    # double; it cancels from every ratio of a family
+    ("a_infty_classify", "ones, 8x8, cell sides 1e200",
+     same_families_as_unit_sides(np.ones((8, 8)), 1e200), lambda r: r[0] == r[1]),
+    ("a_infty_classify", "1e-300 values, 64^3, cell sides 1e102",
+     same_families_as_unit_sides(np.full((64, 64, 64), 1e-300), 1e102), lambda r: r[0] == r[1]),
+    ("a_infty_classify", "ones, 8x8, cell sides 1e-170",
+     same_families_as_unit_sides(np.ones((8, 8)), 1e-170), lambda r: r[0] == r[1]),
+    ("a_infty_classify", "ones, 8x8, cell sides 1e-200",
+     same_families_as_unit_sides(np.ones((8, 8)), 1e-200), lambda r: r[0] == r[1]),
     ("reverse_doubling_constant", "one cell", lambda: sm.reverse_doubling_constant(ONE), GridError),
     ("reverse_doubling_constant", "odd sides", lambda: sm.reverse_doubling_constant(ODD), GridError),
     ("reverse_doubling_constant", "1e306 values", lambda: sm.reverse_doubling_constant(BIG), close(4.0)),
@@ -347,6 +407,8 @@ TABLE = [
     # --- covering
     ("RectFamily", "empty list", lambda: sm.RectFamily((4,), (1.0,), ()), SelectionError),
     ("RectFamily", "NaN cell side", lambda: sm.RectFamily((4,), (NAN,), (Rect((0,), (1,)),)), GridError),
+    ("RectFamily", "rect of another dimension",
+     lambda: sm.RectFamily((4,), (1.0,), (Rect((0, 0), (1, 1)),)), GridError),
     ("RectFamily", "rect off the grid", lambda: sm.RectFamily((4,), (1.0,), (Rect((0,), (4,)),)), GridError),
     ("cf_select", "NaN theta", lambda: sm.cf_select(FAMILY, NAN), SelectionError),
     ("cf_select", "one cell",

@@ -3,15 +3,21 @@
 tests/data/verify-seed-S.json holds the report that ``strongmax verify
 --seed S --out FILE`` writes, that is ``reports_to_json(run_all(S))`` and a
 newline. The files pin this machine's libm along with the code; the test
-does not skip elsewhere, since a difference there is a real difference. A
-change that means to alter report bits regenerates the files (see README,
-Test) and says in CHANGES.md why and which fields moved.
+does not skip elsewhere, since a difference there is a real difference.
+Seed 0 is also run in a subprocess with numpy's dispatched kernels turned
+off (NPY_DISABLE_CPU_FEATURES), so the pins cannot come to rest on one CPU
+level's exp, log or power. A change that means to alter report bits
+regenerates the files (see README, Test) and says in CHANGES.md why and
+which fields moved.
 """
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__
 
 from strongmax import verify
 
@@ -39,15 +45,31 @@ def _first_difference(want, got, path=()):
     return None if repr(want) == repr(got) and type(want) is type(got) else path
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_verify_report_bytes_are_pinned(seed):
+def _assert_pinned(seed, got, where=""):
+    """got is the pinned report of seed, or the test fails naming the first
+    differing job and field."""
     with open(os.path.join(DATA, f"verify-seed-{seed}.json")) as fh:
         want = fh.read()
-    got = verify.reports_to_json(verify.run_all(seed)) + "\n"
     if got == want:
         return
     path = _first_difference(json.loads(want), json.loads(got))
     if path is None:
-        pytest.fail(f"seed {seed}: same fields, different bytes (formatting)")
+        pytest.fail(f"seed {seed}{where}: same fields, different bytes (formatting)")
     job, field = path[0], ".".join(map(str, path[1:])) or "(whole report)"
-    pytest.fail(f"seed {seed}: job {job!r} differs first in field {field}")
+    pytest.fail(f"seed {seed}{where}: job {job!r} differs first in field {field}")
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_report_bytes_are_pinned(seed):
+    _assert_pinned(seed, verify.reports_to_json(verify.run_all(seed)) + "\n")
+
+
+def test_verify_report_bytes_under_numpy_baseline_kernels():
+    # numpy picks its exp, log and power kernels by CPU level at import, and
+    # the levels give different bits; with every dispatch target disabled a
+    # process runs the baseline kernels, and must still write the pin
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    run = subprocess.run([sys.executable, "-m", "strongmax.cli", "verify", "--seed", "0"],
+                         env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    _assert_pinned(0, run.stdout.decode(), " under numpy's baseline kernels")

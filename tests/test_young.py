@@ -155,6 +155,14 @@ class TestFamilies:
         assert np.all(lhs <= (c + 1e-9) * rhs)
 
 
+def _assert_dense_max(conj, phi, s, top):
+    """conj(s) is finite, at least the maximum of s t - phi(t) over a dense
+    geometric grid of [1, top] and within 1e-9 relative of it."""
+    t = np.geomspace(1.0, top, 2_000_001)
+    dense = float(np.max(s * t - phi(t)))
+    assert dense <= float(conj(s)) <= dense * (1.0 + 1e-9)
+
+
 class TestComplementary:
     def test_quadratic_conjugate(self):
         half_sq = from_config("power", s=2.0)
@@ -222,15 +230,19 @@ class TestComplementary:
         assert complementary(phi_n(2))(ys).tolist() == [0.0, 0.0, 0.0]
 
     def test_numeric_maximizer_in_last_grid_cell_is_finite(self):
-        # Phi_3'(1e9) = 471.9, so at s = 470 the maximizer lies in the last
-        # cell of the kernel's grid, below T_LARGE, and the supremum is finite
+        # Phi_3'(1e9) = 471.9: at s = 470 the maximizer lies below 1e9 and at
+        # s = 500 above it, where a grid capped at 1e9 gave +inf
         phi = phi_n(3)
         conj = complementary(phi)
         t = np.geomspace(1.0, 1e9, 2_000_001)
         dense = float(np.max(470.0 * t - phi(t)))
         assert float(conj(470.0)) == pytest.approx(dense, rel=1e-6)
-        # past Phi_3'(1e9) the objective still rises at T_LARGE
-        assert conj(500.0) == math.inf
+        _assert_dense_max(conj, phi, 500.0, 1e12)
+
+    def test_llogl2_conjugate_past_1e9_is_finite(self):
+        # the maximizer at s = 1000 is about 7.4e12
+        phi = l_log_l(2)
+        _assert_dense_max(complementary(phi), phi, 1000.0, 1e15)
 
     def test_phi2_closed_form_matches_numeric(self):
         # the same Phi_2 with its closed conjugate hidden takes the numeric kernel
@@ -243,9 +255,9 @@ class TestComplementary:
         high = np.linspace(2.0, 22.0, 401)
         assert np.all(np.isfinite(numeric(high)))
         assert np.allclose(closed(high), numeric(high), rtol=1e-12, atol=0.0)
-        # past the numeric kernel's T_LARGE cap the closed form stays finite
+        # at 25 the maximizer is e^23, about 9.7e9
         assert closed(25.0) == pytest.approx(math.exp(23.0), rel=1e-15)
-        assert numeric(25.0) == math.inf
+        _assert_dense_max(numeric, phi, 25.0, 1e12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,6 +284,16 @@ class TestInverse:
         for t in np.logspace(-3, 5, 25):
             y = float(phi.eval(np.float64(t)))
             assert inverse(phi, y) == pytest.approx(t, rel=1e-9)
+
+
+@pytest.mark.parametrize("phi", CANONICAL, ids=lambda p: p.label)
+@settings(max_examples=50, deadline=None)
+@given(y=st.floats(0.0, 1e300, exclude_min=True))
+def test_inverse_is_certified(phi, y):
+    # the least double b with phi(b) >= y: the double below it falls short
+    b = inverse(phi, y)
+    assert phi(b) >= y
+    assert phi(np.nextafter(b, 0.0)) < y
 
 
 class TestOneil:

@@ -448,16 +448,16 @@ def read_grid(path: str) -> GridFunction:
         origin = (0.0,) * dims
     if len(shape) != dims:
         raise GridError(f"{path}: shape has {len(shape)} entries but dims is {dims}")
-    fmt = " ".join(fields.get("format", ["csv"]))
+    fmt = fields.get("format", ["csv"])
     body = raw[head_end:]
     count = int(np.prod(shape))
-    if fmt == "bin":
+    if fmt == ["bin"]:
         if len(body) != 8 * count:
             raise GridError(
                 f"{path}: data holds {len(body)} bytes, shape {shape} needs {8 * count}"
             )
         values = np.frombuffer(body, dtype="<f8")
-    elif fmt == "csv":
+    elif fmt == ["csv"]:
         try:
             values = np.loadtxt(io.StringIO(body.decode("ascii")), delimiter=",", ndmin=2)
         except ValueError as exc:
@@ -465,7 +465,7 @@ def read_grid(path: str) -> GridFunction:
         if values.size != count:
             raise GridError(f"{path}: data holds {values.size} values, shape {shape} needs {count}")
     else:
-        raise GridError(f"{path}: unknown format {fmt!r}")
+        raise GridError(f"{path}: unknown format {' '.join(fmt)!r}")
     return GridFunction(shape, cell_size, np.asarray(values).reshape(shape), origin)
 
 

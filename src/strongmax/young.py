@@ -175,8 +175,8 @@ def psi_n(n: int) -> YoungFunction:
 
     def ev(t):
         t = np.asarray(t, dtype=np.float64)
-        x = t**e
-        return np.where(x > 700.0, np.inf, np.expm1(np.minimum(x, 700.0)))
+        with np.errstate(over="ignore"):
+            return np.expm1(t**e)
 
     return YoungFunction(ev, label=f"Psi_{n}")
 

@@ -165,6 +165,7 @@ TABLE = [
      GridError),
     ("read_grid", "non-numeric CSV cell", lambda: read_file(HEAD + b"data\n1.0,x,3.0\n"), GridError),
     ("read_grid", "unknown format", lambda: read_file(HEAD + b"format xml\n" + CSV3), GridError),
+    ("read_grid", "format with a second token", lambda: read_file(HEAD + b"format csv bin\n" + CSV3), GridError),
     ("read_grid", "format line with no value", lambda: read_file(HEAD + b"format\n" + CSV3), GridError),
     ("read_grid", "no origin line",
      lambda: read_file(HEAD + CSV3), lambda g: g.origin == (0.0,) and np.array_equal(g.values, [1.0, 2.0, 3.0])),
@@ -292,6 +293,8 @@ TABLE = [
     ("inverse", "inf under Phi_2", lambda: sm.inverse(PHI2, INF), lambda v: v == INF),
     # the root of t (1 + log t) = 1e306, about 1.43e303
     ("inverse", "1e306 under Phi_2", lambda: float(PHI2(sm.inverse(PHI2, 1e306))), close(1e306, rel=1e-11)),
+    # Psi_2 reaches 1e306 at log1p(1e306) ~ 704.6, near the end of the double range of exp (~709.78)
+    ("inverse", "1e306 under Psi_2", lambda: sm.inverse(sm.psi_n(2), 1e306), close(math.log1p(1e306), rel=1e-15)),
     ("inverse", "1e-306 under Phi_3", lambda: sm.inverse(sm.phi_n(3), 1e-306), close(1e-306, rel=1e-11)),
     # Phi_2(t) = t below 1, so the least double that reaches y is y
     ("inverse", "1e-320 under Phi_2", lambda: sm.inverse(PHI2, 1e-320), lambda v: v == 1e-320),

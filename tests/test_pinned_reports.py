@@ -17,7 +17,6 @@ import subprocess
 import sys
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_dispatch__
 
 from strongmax import verify
 
@@ -68,6 +67,10 @@ def test_verify_report_bytes_under_numpy_baseline_kernels():
     # numpy picks its exp, log and power kernels by CPU level at import, and
     # the levels give different bits; with every dispatch target disabled a
     # process runs the baseline kernels, and must still write the pin
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
     run = subprocess.run([sys.executable, "-m", "strongmax.cli", "verify", "--seed", "0"],
                          env=env, capture_output=True)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongmax.young import (
@@ -288,11 +288,15 @@ class TestInverse:
 
 @pytest.mark.parametrize("phi", CANONICAL, ids=lambda p: p.label)
 @settings(max_examples=50, deadline=None)
-@given(y=st.floats(0.0, 1e300, exclude_min=True))
+@given(y=st.floats(0.0, np.finfo(np.float64).max, exclude_min=True))
+@example(y=1e306)
+@example(y=float(np.finfo(np.float64).max))
 def test_inverse_is_certified(phi, y):
     # the least double b with phi(b) >= y: the double below it falls short
+    # near the largest double phi(b) may round up to +inf
     b = inverse(phi, y)
-    assert phi(b) >= y
+    with np.errstate(over="ignore"):
+        assert phi(b) >= y
     assert phi(np.nextafter(b, 0.0)) < y
 
 

@@ -5,22 +5,29 @@ basis (_kernels.fold_sizes over grid.basis_sizes): the rects of one
 cell-count tuple are evaluated at once, each as the per-rectangle
 expression, and folded into the output; a maximum rounds nothing, so the
 bits are those of a per-rectangle loop. The multilinear operator walks the
-prefix sums (_kernels.sweep). The Orlicz operator first takes the
-Luxemburg norms of every rect of every size, one lockstep bisection per
-Young function (orlicz.size_norms), forms each rect's value from them, and
-then walks with a leaf that looks the values up.
+prefix sums (_kernels.sweep), many m-tuples in one walk. The Orlicz
+operator first takes the Luxemburg norms of every rect of every size, one
+lockstep bisection per Young function (orlicz.size_norms), forms each
+rect's value from them, and then walks with a leaf that looks the values
+up, one tuple per walk (a batch of one).
 
-One body serves both operators. It checks the inputs (one grid, m
-functions, 0 <= alpha < m*n, m Young functions for the Orlicz operator and
-none for the multilinear one, so the query's Young functions select the
-operator), scales each input by a power of two so that its maximum lies in
-[0.5, 1), runs the walk, scales the result back and raises a GridError
-where that leaves the double range. Both operators are homogeneous in each
-input, and a power of two scales every integral, Luxemburg norm and product
-without rounding, so the scaling changes no bit of the result where no
-scaled value underflows; it keeps the prefix sums finite. A slow per-point rectangle scan,
-run on the unscaled inputs after the same checks, is kept as an
-independent second implementation for cross-checking.
+One body, _maximal, serves both operators. It takes a list of m-tuples on
+one grid with one query and returns their maximal functions in order; the
+public operators pass a list of one tuple. It checks the inputs (one grid,
+m functions per tuple, 0 <= alpha < m*n, m Young functions for the Orlicz
+operator and none for the multilinear one, so the query's Young functions
+select the operator), scales each input by a power of two so that its
+maximum lies in [0.5, 1), runs the walk, scales each member's result back
+by its own power and raises a GridError where that leaves the double
+range. In the walk, a member whose output is not finite takes the redo
+walk with the other such members (see _kernels.sweep), and the rest keep
+their one walk; each member's bits are those of its own call. Both
+operators are homogeneous in each input, and a power of two scales every
+integral, Luxemburg norm and product without rounding, so the scaling
+changes no bit of the result where no scaled value underflows; it keeps
+the prefix sums finite. A slow per-point rectangle scan, run on the
+unscaled inputs after the same checks, is kept as an independent second
+implementation for cross-checking.
 """
 
 from __future__ import annotations
@@ -78,41 +85,56 @@ def _checked(fs: list[GridFunction], query: MaximalQuery, orlicz: bool = False) 
     return f0
 
 
-def _maximal(fs: list[GridFunction], query: MaximalQuery, orlicz: bool) -> GridFunction:
-    f0 = _checked(fs, query, orlicz)
+def _maximal(batch: list[list[GridFunction]], query: MaximalQuery, orlicz: bool) -> list[GridFunction]:
+    """The maximal function of each m-tuple in batch, all on one grid."""
+    if not batch:
+        return []
+    f0 = _checked(batch[0], query, orlicz)
+    if not all(_checked(fs, query, orlicz).same_grid(f0) for fs in batch[1:]):
+        raise GridError("all input functions must live on the same grid")
     n = f0.dims
-    ks = [int(np.frexp(np.max(f.values))[1]) for f in fs]
-    fs = [f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, ks)]
+    ks = [[int(np.frexp(np.max(f.values))[1]) for f in fs] for fs in batch]
+    batch = [[f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, kf)] for fs, kf in zip(batch, ks)]
     sizes = list(basis_sizes(query.basis, f0.shape, f0.cell_size))
     if orlicz:
-        vols = _kernels.volume_table(f0.shape, f0.cell_size)
-        scales = _kernels.libm_pow(vols, query.alpha / n)
-        at = [tuple(c - 1 for c in counts) for counts, _ in sizes]
-        norms = size_norms(np.stack([f.values for f in fs]), sizes, f0.cell_volume,
-                           [vols[i] for i in at], query.orlicz)
-        # phi(|R|) * prod_i ||f_i||_{Psi_i,R}, the product in slot order
-        leaves = {}
-        for s, ((counts, _), i) in enumerate(zip(sizes, at)):
-            val = scales[i]
-            for slot in norms:
-                val = val * slot[s]
-            leaves[counts] = val
-        out = _kernels.fold_sizes(f0.shape, sizes, None, lambda src, *_: src, lambda counts, _: leaves[counts])
+        out = np.concatenate([_orlicz_walk(fs, query, sizes) for fs in batch])
     else:
-        P = np.stack([build_prefix_sum(f).cum for f in fs])
+        # the stack axis first and the batch axis second: (m, B, N_1+1, ...)
+        P = np.stack([np.stack([build_prefix_sum(f).cum for f in fs]) for fs in batch], axis=1)
         out = _kernels.sweep(P, f0.cell_size, query.alpha / n - query.m, sizes)
-    with np.errstate(over="ignore"):
-        scaled = np.ldexp(out, sum(ks))
-    if np.all(np.isfinite(out)) and not np.all(np.isfinite(scaled)):
-        raise GridError("maximal function value overflows the double range")
-    return f0.with_values(scaled)
+    results = []
+    for vals, kf in zip(out, ks):
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(vals, sum(kf))
+        if np.all(np.isfinite(vals)) and not np.all(np.isfinite(scaled)):
+            raise GridError("maximal function value overflows the double range")
+        results.append(f0.with_values(scaled))
+    return results
+
+
+def _orlicz_walk(fs: list[GridFunction], query: MaximalQuery, sizes) -> np.ndarray:
+    """The Orlicz maximal values of one tuple, as a batch of one."""
+    f0 = fs[0]
+    vols = _kernels.volume_table(f0.shape, f0.cell_size)
+    scales = _kernels.libm_pow(vols, query.alpha / f0.dims)
+    at = [tuple(c - 1 for c in counts) for counts, _ in sizes]
+    norms = size_norms(np.stack([f.values for f in fs]), sizes, f0.cell_volume,
+                       [vols[i] for i in at], query.orlicz)
+    # phi(|R|) * prod_i ||f_i||_{Psi_i,R}, the product in slot order
+    leaves = {}
+    for s, ((counts, _), i) in enumerate(zip(sizes, at)):
+        val = scales[i]
+        for slot in norms:
+            val = val * slot[s]
+        leaves[counts] = val[None]
+    return _kernels.fold_sizes((1,) + f0.shape, sizes, None, lambda src, *_: src, lambda counts, _: leaves[counts])
 
 
 def multilinear_fractional_maximal(
     fs: list[GridFunction], query: MaximalQuery
 ) -> GridFunction:
     """sup over basis rects R containing x of prod_i |R|^(alpha/(mn)-1) int_R f_i."""
-    return _maximal(fs, query, orlicz=False)
+    return _maximal([fs], query, orlicz=False)[0]
 
 
 def strong_maximal(f: GridFunction, basis: Basis) -> GridFunction:
@@ -156,7 +178,7 @@ def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
 
     phi(t) = t^(alpha/n) with alpha = query.alpha; Psi_i from query.orlicz.
     """
-    return _maximal(fs, query, orlicz=True)
+    return _maximal([fs], query, orlicz=True)[0]
 
 
 def level_set_measure(mf: GridFunction, lam: float) -> float:

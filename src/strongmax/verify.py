@@ -52,11 +52,11 @@ from .maximal import (
     MaximalQuery,
     _check_common_grid,
     _checked,
+    _maximal,
     level_set_measure,
     lp_norm,
     multilinear_fractional_maximal,
     orlicz_maximal,
-    strong_maximal,
 )
 from .orlicz import size_norms
 from .weights import (
@@ -194,10 +194,9 @@ def _corpus_maxima(shape, cell_size, seed: int, count: int, m: int, alpha: float
 def _tuple_maxima(fns: list[GridFunction], m: int, alpha: float) -> dict:
     """Each m-tuple fns[i : i + m] with its M_alpha on the all basis, keyed
     by i; a tuple holding an all-zero function is left out."""
-    q = MaximalQuery(basis=ALL, alpha=alpha, m=m)
-    return {i: (fns[i : i + m], multilinear_fractional_maximal(fns[i : i + m], q))
-            for i in range(0, len(fns) - m + 1, m)
-            if all(f.values.max() != 0 for f in fns[i : i + m])}
+    keys = [i for i in range(0, len(fns) - m + 1, m) if all(f.values.max() != 0 for f in fns[i : i + m])]
+    mfs = _maximal([fns[i : i + m] for i in keys], MaximalQuery(basis=ALL, alpha=alpha, m=m), orlicz=False)
+    return {i: (fns[i : i + m], mf) for i, mf in zip(keys, mfs)}
 
 
 def _endpoint_reports(maxima: dict, lam: float, alpha: float) -> dict:
@@ -223,24 +222,25 @@ def operator_ratio(
     Phi_(k+1) in every slot and scale t^(alpha/n).
     """
     nu = wv.nu()
-    best = 0.0
+    kept, dens = [], []
     for fs in fs_tuples:
         if not all(f.same_grid(w) for f, w in zip(fs, wv.weights)):
             raise GridError("test functions must live on the weights' grid")
         den = 1.0
         for f, w, pi in zip(fs, wv.weights, wv.ps):
             den *= lp_norm(f.with_values(f.values * w.values), pi)
-        if den == 0:
-            continue
-        if orlicz_k is None:
-            q = MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m)
-            mf = multilinear_fractional_maximal(list(fs), q)
-        else:
-            psi = phi_n(orlicz_k + 1)  # Phi_1 = identity, Phi_2 = t(1+log+ t)
-            q = MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m, orlicz=(psi,) * wv.m)
-            mf = orlicz_maximal(list(fs), q)
-        num = lp_norm(mf.with_values(mf.values * nu), wv.q)
-        best = max(best, num / den)
+        if den != 0:
+            kept.append(list(fs))
+            dens.append(den)
+    if orlicz_k is None:
+        mfs = _maximal(kept, MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m), orlicz=False)
+    else:
+        psi = phi_n(orlicz_k + 1)  # Phi_1 = identity, Phi_2 = t(1+log+ t)
+        q = MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m, orlicz=(psi,) * wv.m)
+        mfs = [orlicz_maximal(fs, q) for fs in kept]
+    best = 0.0
+    for mf, den in zip(mfs, dens):
+        best = max(best, lp_norm(mf.with_values(mf.values * nu), wv.q) / den)
     return best
 
 
@@ -307,15 +307,16 @@ def two_weight_power_bump_check(
     if not ainf.passes:
         report.skipped = "hypothesis-skipped: v fails A_infty"
         return report
-    best = 0.0
+    kept, dens = [], []
     for fs in fs_tuples:
         den = 1.0
         for f, w, pi in zip(fs, wv.weights, wv.ps):
             den *= lp_norm(f, pi, weight=w)
-        if den == 0:
-            continue
-        q = MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m)
-        mf = multilinear_fractional_maximal(list(fs), q)
+        if den != 0:
+            kept.append(list(fs))
+            dens.append(den)
+    best = 0.0
+    for mf, den in zip(_maximal(kept, MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m), orlicz=False), dens):
         best = max(best, lp_norm(mf, wv.q, weight=v) / den)
     report.stats["max_operator_ratio"] = best
     report.passed = math.isfinite(best)
@@ -372,7 +373,7 @@ def vector_valued_check(
         ell_q = np.sum(np.stack([g.values for g in gs]) ** q, axis=0) ** (1.0 / q)
         return lp_norm(f0.with_values(ell_q), p, weight)
 
-    mfs = [strong_maximal(f, basis) for f in fjs]
+    mfs = _maximal([[f] for f in fjs], MaximalQuery(basis=basis), orlicz=False)
     lhs = lq_stack(mfs, f0.with_values(w.values**p))
     rhs = lq_stack(fjs, f0.with_values(v.values**p))
     report.lhs, report.rhs = lhs, rhs

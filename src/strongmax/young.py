@@ -19,9 +19,12 @@ as -inf; so the kernel needs no cap, and it gives +inf only where s*t
 overflows while Phi(t) stays finite.
 
 Every inverse has one path too: a bisection over the bit patterns of the
-doubles in [0, largest double], which are ordered as the doubles are. It
-stops at two adjacent doubles and returns the upper one, b, so that
-Phi(b) >= y > Phi(the double below b) holds by construction.
+doubles in [0, largest double], which are ordered as the doubles are, run
+on every point of an array of y in lockstep. It stops at two adjacent
+doubles and returns the upper one, b, so that Phi(b) >= y > Phi(the
+double below b) holds by construction. An eval gives a 0-d input the bits
+of the same value in an array (its powers go through _pow), so the array
+inverse equals the scalar calls point for point.
 """
 
 from __future__ import annotations
@@ -71,6 +74,14 @@ def _logp(t: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(t, 1.0))
 
 
+def _pow(x, s) -> np.ndarray:
+    """x**s taken on an array, so a 0-d x gets the bits of the same value in
+    a larger array: ``**`` on a numpy scalar (what arithmetic on a 0-d array
+    returns) calls the C ``pow``, while on an array numpy may dispatch to a
+    SIMD ``pow`` that differs in the last bit."""
+    return np.asarray(x) ** s
+
+
 # --- canonical families -----------------------------------------------------
 
 
@@ -85,8 +96,8 @@ def power(s: float) -> YoungFunction:
         if s == 1.0:
             return np.where(y <= 1.0, 0.0, np.inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            tstar = (y / s) ** (1.0 / (s - 1.0))
-            tpow = tstar**s
+            tstar = _pow(y / s, 1.0 / (s - 1.0))
+            tpow = _pow(tstar, s)
             return np.where(y <= 0.0, 0.0, np.where(np.isinf(tpow), np.inf, y * tstar - tpow))
 
     return YoungFunction(
@@ -105,8 +116,8 @@ def l_log_l(k: int, outer: float = 1.0) -> YoungFunction:
     def ev(t):
         t = np.asarray(t, dtype=np.float64)
         with np.errstate(over="ignore"):
-            base = t * (1.0 + _logp(t)) ** k
-            return base if outer == 1.0 else base**outer
+            base = t * _pow(1.0 + _logp(t), k)
+            return base if outer == 1.0 else _pow(base, outer)
 
     return YoungFunction(ev, label=f"[t(1+log+t)^{k}]^{outer:g}",
                          is_submultiplicative=True if outer == 1.0 else None,
@@ -127,7 +138,7 @@ def phi_n(n: int) -> YoungFunction:
     def ev(t):
         t = np.asarray(t, dtype=np.float64)
         with np.errstate(over="ignore"):
-            return t * (1.0 + _logp(t) ** (n - 1))
+            return t * (1.0 + _pow(_logp(t), n - 1))
 
     return YoungFunction(ev, label=f"Phi_{n}", is_submultiplicative=True,
                          closed_complementary=_conj_phi2 if n == 2 else None)
@@ -272,33 +283,38 @@ def complementary_value(phi: YoungFunction, s: float) -> float:
     return float(complementary(phi).eval(np.float64(s)))
 
 
-def inverse(phi: YoungFunction, y: float) -> float:
+def inverse(phi: YoungFunction, y):
     """The least double b with phi(b) >= y: phi(b) >= y > phi(the double
-    below b). 0 at y = 0 and +inf at y = +inf.
+    below b), at every point of y. 0 at y = 0 and +inf at y = +inf. A float
+    y gives a float, an array y an array of its shape.
 
     Bisects the bit patterns of the doubles in [0, largest double], which
-    are ordered as the doubles are; lo keeps phi(lo) < y and hi phi(hi) >= y
-    until they are adjacent. Raises when phi stays below y on every double.
+    are ordered as the doubles are, for every point of y in lockstep with one
+    array phi call per step; lo keeps phi(lo) < y and hi phi(hi) >= y until
+    they are adjacent. A point is halved as it would be alone, so each
+    result is its scalar call's wherever phi's array values are its scalar
+    ones. Raises when phi stays below y on every double.
     """
-    if not y >= 0:
+    y = np.asarray(y, dtype=np.float64)
+    if not np.all(y >= 0):
         raise YoungFunctionError(f"inverse argument must be >= 0, got {y}")
-    if y == 0.0 or y == math.inf:
-        return float(y)
 
-    def reaches(bits: int) -> bool:
+    def reaches(bits: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return float(phi.eval(np.int64(bits).view(np.float64))) >= y
+            return phi.eval(bits.view(np.float64)) >= y
 
-    if not reaches(MAX_BITS):
-        raise YoungFunctionError(f"{phi.label}: inverse bracket unbounded at y={y}")
-    lo, hi = 0, MAX_BITS
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(np.int64(hi).view(np.float64))
+    inner = (y > 0) & (y < math.inf)
+    short = inner & ~reaches(np.full(y.shape, MAX_BITS))
+    if short.any():
+        raise YoungFunctionError(f"{phi.label}: inverse bracket unbounded at y={y[short].flat[0]}")
+    lo, hi = np.zeros(y.shape, np.int64), np.full(y.shape, MAX_BITS)
+    while (step := hi - lo > 1).any():
+        mid = lo + (hi - lo) // 2
+        up = reaches(mid)
+        hi = np.where(step & up, mid, hi)
+        lo = np.where(step & ~up, mid, lo)
+    out = np.where(inner, hi.view(np.float64), y)
+    return float(out) if out.ndim == 0 else out
 
 
 def oneil_triple_check(a: YoungFunction, b: YoungFunction, c: YoungFunction) -> tuple[bool, float]:
@@ -306,13 +322,11 @@ def oneil_triple_check(a: YoungFunction, b: YoungFunction, c: YoungFunction) -> 
 
     Returns (holds, worst margin) with margin = min_t B^{-1}/(A^{-1} C^{-1}).
     """
-    worst = math.inf
-    for t in ONEIL_SAMPLES:
-        ia, ic, ib = inverse(a, float(t)), inverse(c, float(t)), inverse(b, float(t))
-        prod = ia * ic
-        if prod == 0.0:
-            continue
-        worst = min(worst, ib / prod)
+    ts = np.array(ONEIL_SAMPLES)
+    ia, ic, ib = inverse(a, ts), inverse(c, ts), inverse(b, ts)
+    prod = ia * ic
+    # a min over Python floats, as a loop over the samples takes it
+    worst = min([math.inf] + (ib[prod != 0.0] / prod[prod != 0.0]).tolist())
     return worst >= 1.0 - 1e-12, worst
 
 

@@ -8,9 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongmax import _kernels
+from strongmax.corpus import make_corpus
 from strongmax.grid import Basis, GridError, GridFunction, Rect, basis_sizes, build_prefix_sum, rect_cell_sum
 from strongmax.maximal import (
     MaximalQuery,
+    _maximal,
     level_set_measure,
     lp_norm,
     maximal_reference_scan,
@@ -198,13 +200,15 @@ class TestEngine:
         out = multilinear_fractional_maximal(fs, MaximalQuery(basis=Basis(kind), alpha=alpha, m=m))
         assert np.allclose(out.values, expected, rtol=1e-12, atol=0.0)
 
-    def test_one_dimensional_sweep_memory_is_linear(self):
+    @pytest.mark.parametrize("count", [1, _kernels.BATCH])
+    def test_one_dimensional_sweep_memory_is_linear(self, count):
         # an engine that holds all N^2 intervals of 2048 cells at once needs
-        # 2048^2 doubles = 32 MB per array
-        f = gf(np.random.default_rng(7).uniform(0, 1, 2048), h=(1.0 / 2048,))
+        # 2048^2 doubles = 32 MB per array; a full batch walks count of them
+        rng = np.random.default_rng(7)
+        batch = [[gf(rng.uniform(0, 1, 2048), h=(1.0 / 2048,))] for _ in range(count)]
         tracemalloc.start()
         try:
-            strong_maximal(f, ALL)
+            _maximal(batch, MaximalQuery(basis=ALL), orlicz=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,8 +286,8 @@ class TestFold:
         # zeros on some cells, so some maxima are zero
         fs = [gf(rng.uniform(0, 3, shape) * (rng.uniform(size=shape) < 0.7), h=h) for _ in range(m)]
         e = alpha / len(shape) - m
-        P = np.stack([build_prefix_sum(f).cum for f in fs])
-        out = _kernels.sweep(P, h, e, sizes)
+        P = np.stack([build_prefix_sum(f).cum for f in fs])[:, None]
+        (out,) = _kernels.sweep(P, h, e, sizes)
         assert np.array_equal(out, _brute_force_sweep(fs, e, sizes))  # bit-identical up to the sign of zero
         # a zero maximum is +0.0, whichever count reached it first
         assert not np.signbit(out).any()
@@ -295,11 +299,11 @@ class TestFold:
         h = (1e-155,)
         fs = [gf(rng.uniform(0, 3, 64), h=h) for _ in range(2)]
         sizes = list(basis_sizes(ALL, (64,), h))
-        P = np.stack([build_prefix_sum(f).cum for f in fs])
+        P = np.stack([build_prefix_sum(f).cum for f in fs])[:, None]
         walks = []
         with np.errstate(over="ignore"):
             assert np.array_equal(np.isinf(np.float_power(np.arange(1, 65) * h[0], -2.0)), np.arange(1, 65) <= 7)
-        assert np.array_equal(_counted_sweep(P, h, -2.0, sizes, walks), _brute_force_sweep(fs, -2.0, sizes))
+        assert np.array_equal(_counted_sweep(P, h, -2.0, sizes, walks)[0], _brute_force_sweep(fs, -2.0, sizes))
         assert len(walks) == 2
 
     @pytest.mark.parametrize(
@@ -311,18 +315,144 @@ class TestFold:
     )
     def test_one_walk_unless_a_value_leaves_the_double_range(self, shape, h, m, walks):
         fs = [gf(np.random.default_rng(m).uniform(0, 3, shape), h=h) for _ in range(m)]
-        P = np.stack([build_prefix_sum(f).cum for f in fs])
+        P = np.stack([build_prefix_sum(f).cum for f in fs])[:, None]
         got = []
         _counted_sweep(P, h, -m, list(basis_sizes(ALL, shape, h)), got)
         assert len(got) == walks
 
 
 def _counted_sweep(P, h, e, sizes, walks):
-    """_kernels.sweep, with each fold_sizes walk appended to walks."""
+    """_kernels.sweep, with the source P of each fold_sizes walk appended to
+    walks."""
     fold = _kernels.fold_sizes
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_kernels, "fold_sizes", lambda *args: walks.append(args[1]) or fold(*args))
+        mp.setattr(_kernels, "fold_sizes", lambda *args: walks.append(args[2]) or fold(*args))
         return _kernels.sweep(P, h, e, sizes)
+
+
+def _assert_batch_is_single_calls(batch, q):
+    got = _maximal(batch, q, orlicz=False)
+    assert len(got) == len(batch)
+    for fs, mf in zip(batch, got):
+        assert mf.values.tobytes() == multilinear_fractional_maximal(fs, q).values.tobytes()
+
+
+# the grids of the test_exact_agreement_* tables
+AGREEMENT_GRIDS = [(16,), (16, 16), (5, 7), (4, 5, 6), (6, 6, 6), (1,), (1, 6), (3, 1, 4),
+                   (8, 8), (4, 8), (2, 4, 4), (1, 8), (4, 1, 2)]
+
+
+def _batch_cases(grids):
+    for shape in grids:
+        for kind in ("all", "dyadic", "cubes"):
+            if kind == "dyadic" and any(k & (k - 1) for k in shape):
+                continue  # the dyadic basis needs power-of-two sides
+            for m in (1, 2, 3):
+                for alpha in (0.0, 1.0):
+                    if alpha < m * len(shape):
+                        yield pytest.param(shape, kind, m, alpha, id=f"{shape}-{kind}-m{m}-a{alpha:g}")
+
+
+class TestBatch:
+    """One walk for many tuples: each member of a batch gets the bits of its
+    own call."""
+
+    @pytest.mark.parametrize("shape,kind,m,alpha", list(_batch_cases(AGREEMENT_GRIDS)))
+    def test_batch_equals_single_calls(self, shape, kind, m, alpha):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1] * 10 + m)
+        h = tuple(rng.uniform(0.3, 1.5, len(shape)))
+        # zeros on some cells, and one all-zero function
+        batch = [[gf(rng.uniform(0, 3, shape) * (rng.uniform(size=shape) < 0.8), h=h) for _ in range(m)]
+                 for _ in range(3)]
+        batch[1][0] = gf(np.zeros(shape), h=h)
+        _assert_batch_is_single_calls(batch, MaximalQuery(basis=Basis(kind), alpha=alpha, m=m))
+
+    @pytest.mark.parametrize("count", [1, _kernels.BATCH, 2 * _kernels.BATCH + 1])
+    def test_batches_of_any_length(self, count):
+        rng = np.random.default_rng(count)
+        batch = [[gf(rng.uniform(0, 3, (6, 5)), h=(0.7, 0.4)) for _ in range(2)] for _ in range(count)]
+        _assert_batch_is_single_calls(batch, MaximalQuery(basis=ALL, alpha=1.0, m=2))
+
+    @pytest.mark.parametrize("side", [32, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("kind", ["all", "dyadic", "cubes"])
+    def test_batch_equals_single_calls_on_the_criterion_3_corpora(self, side, m, alpha, kind):
+        # the corpora that criterion 3 sweeps, at seed 0
+        fns = make_corpus((side, side), (1 / side, 1 / side), 0, 50)
+        count = _kernels.BATCH + 1 if side == 32 else 2
+        batch = [fns[i : i + m] for i in range(0, count * m, m)]
+        _assert_batch_is_single_calls(batch, MaximalQuery(basis=Basis(kind), alpha=alpha, m=m))
+
+    def test_redo_walks_only_the_overflowing_member(self):
+        # 64 cells of 1e-150, m = 2: |R|^-2 stays finite, but member 2's
+        # 1e160 cell sums times it overflow before its 1e-160 cell sums bring
+        # the value back to about 1; the others keep their one walk
+        rng = np.random.default_rng(150)
+        h = (1e-150,)
+        batch = [[gf(rng.uniform(0, 3, 64), h=h) for _ in range(2)] for _ in range(4)]
+        batch[2] = [gf(rng.uniform(1, 3, 64) * 1e160, h=h), gf(rng.uniform(1, 3, 64) * 1e-160, h=h)]
+        sizes = list(basis_sizes(ALL, (64,), h))
+        assert np.all(np.isfinite(_kernels.vol_pow_table((64,), h, -2.0)))
+        P = np.stack([np.stack([build_prefix_sum(f).cum for f in fs]) for fs in batch], axis=1)
+        walks = []
+        out = _counted_sweep(P, h, -2.0, sizes, walks)
+        assert [w.shape[1] for w in walks] == [4, 1]
+        assert walks[1].tobytes() == P[:, 2:3].tobytes()
+        for fs, got in zip(batch, out):
+            assert np.array_equal(got, _brute_force_sweep(fs, -2.0, sizes))
+        assert np.all(np.isfinite(out))
+
+    def test_redo_in_a_batch_mends_only_the_overflowing_sizes(self):
+        # the input of test_redo_mends_only_the_overflowing_sizes beside other
+        # members on its grid: |R|^-2 overflows for every member there, so
+        # they all take the redo walk, together
+        rng = np.random.default_rng(64)
+        h = (1e-155,)
+        batch = [[gf(rng.uniform(0, 3, 64), h=h) for _ in range(2)] for _ in range(3)]
+        sizes = list(basis_sizes(ALL, (64,), h))
+        P = np.stack([np.stack([build_prefix_sum(f).cum for f in fs]) for fs in batch], axis=1)
+        walks = []
+        out = _counted_sweep(P, h, -2.0, sizes, walks)
+        assert [w.shape[1] for w in walks] == [3, 3]
+        for fs, got in zip(batch, out):
+            assert np.array_equal(got, _brute_force_sweep(fs, -2.0, sizes))
+
+    @pytest.mark.parametrize("kind", ["all", "dyadic", "cubes"])
+    def test_subnormal_cell_volume_batch(self, kind):
+        # a subnormal cell volume (1e-320) sends the whole batch to the redo
+        # walk alone
+        rng = np.random.default_rng(320)
+        h = (1e-160, 1e-160)
+        batch = [[gf(rng.uniform(0, 3, (4, 4)), h=h)] for _ in range(5)]
+        q = MaximalQuery(basis=Basis(kind), alpha=1.0, m=1)
+        walks = []
+        fold = _kernels.fold_sizes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "fold_sizes", lambda *args: walks.append(args[2]) or fold(*args))
+            got = _maximal(batch, q, orlicz=False)
+        assert [w.shape[1] for w in walks] == [5]
+        for (f,), mf in zip(batch, got):
+            assert mf.values.tobytes() == multilinear_fractional_maximal([f], q).values.tobytes()
+            assert np.all(np.isfinite(mf.values)) and np.all(mf.values > 0)
+
+    def test_members_on_other_grids_are_refused(self):
+        q = MaximalQuery(basis=ALL, m=1)
+        with pytest.raises(GridError, match="same grid"):
+            _maximal([[gf(np.ones(4))], [gf(np.ones(4), h=(0.5,))]], q, orlicz=False)
+        assert _maximal([], q, orlicz=False) == []
+
+    def test_overflowing_member_raises(self):
+        q = MaximalQuery(basis=ALL, m=2)
+        ok, big = [gf(np.ones(4))] * 2, [gf(np.full(4, 1e200))] * 2
+        with pytest.raises(GridError, match="overflows"):
+            _maximal([ok, big], q, orlicz=False)
+
+    def test_sweep_all_rects_is_sweep_over_every_size(self):
+        fs = [gf(np.random.default_rng(3).uniform(0, 3, (5, 4)), h=(0.3, 0.7))]
+        P = np.stack([build_prefix_sum(f).cum for f in fs])[:, None]
+        sizes = list(basis_sizes(ALL, (5, 4), (0.3, 0.7)))
+        assert _kernels.sweep_all_rects(P, (0.3, 0.7), -1.0).tobytes() == _kernels.sweep(P, (0.3, 0.7), -1.0, sizes).tobytes()
 
 
 class TestOrlicz:

@@ -95,8 +95,9 @@ class TestEndpoint:
 
     def test_corpus_max_sweeps_each_tuple_once_across_lambdas(self, monkeypatch):
         calls = []
-        sweep = verify.multilinear_fractional_maximal
-        monkeypatch.setattr(verify, "multilinear_fractional_maximal", lambda fs, q: calls.append(q) or sweep(fs, q))
+        sweep = verify._maximal
+        monkeypatch.setattr(verify, "_maximal", lambda batch, q, orlicz: calls.append(
+            [[f.values.tobytes() for f in fs] for fs in batch]) or sweep(batch, q, orlicz))
         verify._corpus_maxima.cache_clear()
         shape, h, m, alpha, lams = (8, 8), (0.125, 0.125), 2, 1.0, (0.25, 1.0, 4.0)
         # lists hash once normalised, and name the same corpus as tuples
@@ -104,7 +105,8 @@ class TestEndpoint:
         got += [endpoint_corpus_max(shape, h, 3, m, alpha, lam, count=10) for lam in lams]
         fns = make_corpus(shape, h, 3, 10)
         tuples = [fns[i : i + m] for i in range(0, 10, m) if all(f.values.max() != 0 for f in fns[i : i + m])]
-        assert len(calls) == len(tuples)
+        # one batched call for the corpus, holding each tuple once
+        assert calls == [[[f.values.tobytes() for f in fs] for fs in tuples]]
         for lam, ratio in zip(lams * 2, got):
             reps = [endpoint_check(fs, lam, alpha) for fs in tuples]
             assert ratio == max([0.0] + [r.ratio for r in reps if r.rhs > 0])

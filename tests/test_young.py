@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongmax.young import (
+    ONEIL_SAMPLES,
     BORDERLINE,
     CONVERGENT,
     DIVERGENT,
@@ -298,6 +299,51 @@ def test_inverse_is_certified(phi, y):
     with np.errstate(over="ignore"):
         assert phi(b) >= y
     assert phi(np.nextafter(b, 0.0)) < y
+
+
+@pytest.mark.parametrize("phi", CANONICAL, ids=lambda p: p.label)
+@settings(max_examples=20, deadline=None)
+@given(ys=st.lists(st.floats(0.0, np.finfo(np.float64).max), min_size=1, max_size=8))
+@example(ys=[0.0, 1e-320, 1.0, 1e306, float(np.finfo(np.float64).max)])
+def test_inverse_is_certified_on_arrays(phi, ys):
+    # every point of an array y gets its own least double b
+    y = np.array(ys).reshape(-1, 1)
+    b = inverse(phi, y)
+    assert b.shape == y.shape
+    with np.errstate(over="ignore"):
+        assert np.all(phi(b) >= y)
+    below = np.nextafter(b, 0.0)
+    assert np.all((phi(below) < y) | (y == 0.0))
+
+
+# the canonical families and the forms whose 0-d eval once took the C pow
+# (``**`` on a numpy scalar) where an array took numpy's SIMD one
+INVERTED = CANONICAL + [phi_n(4), l_log_l(3), l_log_l(1, outer=4.0 / 3.0), l_log_l(0, outer=3.0),
+                        complementary(power(3.0)), complementary(phi_n(2))]
+
+
+@pytest.mark.parametrize("phi", INVERTED, ids=lambda p: p.label)
+def test_array_inverse_is_the_scalar_calls(phi):
+    ts = np.array(ONEIL_SAMPLES)
+    scalar = np.array([inverse(phi, float(t)) for t in ts])
+    assert inverse(phi, ts).tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("phi", INVERTED, ids=lambda p: p.label)
+def test_zero_d_eval_is_the_array_eval(phi):
+    ts = np.random.default_rng(5).lognormal(0.0, 4.0, 400)
+    with np.errstate(over="ignore"):
+        one = np.array([phi.eval(np.float64(t)) for t in ts])
+        assert phi.eval(ts).tobytes() == one.tobytes()
+
+
+def test_inverse_raises_where_any_point_is_out_of_reach():
+    capped = YoungFunction(lambda t: np.minimum(t, 1.0), "min(t, 1)")
+    assert inverse(capped, np.array([0.5, 1.0])).tolist() == [0.5, 1.0]
+    with pytest.raises(YoungFunctionError, match="unbounded at y=2"):
+        inverse(capped, np.array([0.5, 2.0]))
+    with pytest.raises(YoungFunctionError, match=">= 0"):
+        inverse(capped, np.array([0.5, math.nan]))
 
 
 class TestOneil:

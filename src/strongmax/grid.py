@@ -247,7 +247,9 @@ class PrefixSum:
 
     cum has shape (N_1+1, ..., N_n+1); cum[i] = sum of values over the
     index box [0,i). Rectangle integrals follow by inclusion-exclusion and
-    carry the physical cell volume.
+    carry the physical cell volume. A stack of B prefix sums on one grid
+    (prefix_sum_of) has cum of shape (B, N_1+1, ..., N_n+1), and
+    block_cell_sums differences all B at once.
     """
 
     shape: tuple[int, ...]
@@ -260,15 +262,29 @@ class PrefixSum:
 
 
 def build_prefix_sum(f: GridFunction) -> PrefixSum:
-    cum = f.values.astype(np.float64)
+    return prefix_sum_of(f.values, f.shape, f.cell_size)
+
+
+def prefix_sum_of(values: np.ndarray, shape: tuple[int, ...], cell_size: tuple[float, ...]) -> PrefixSum:
+    """The PrefixSum of cell values on the grid (shape, cell_size). values
+    is (..., N_1, ..., N_n); every leading index is a batch member with its
+    own prefix sums, and cum gets the same leading axes.
+
+    The zero-bordered cum is allocated once and summed in place, axis 0
+    first, each axis one sequential add.accumulate, so every member has the
+    bits of its own call.
+    """
+    n = len(shape)
+    cum = np.zeros(values.shape[:-n] + tuple(s + 1 for s in shape))
+    inner = cum[(...,) + (slice(1, None),) * n]
     with np.errstate(over="ignore"):
-        for ax in range(f.dims):
-            cum = np.cumsum(cum, axis=ax)
-    if cum.flat[-1] == math.inf:  # the total, the largest entry
+        np.cumsum(values, axis=-n, out=inner)
+        for ax in range(1 - n, 0):
+            np.cumsum(inner, axis=ax, out=inner)
+    if np.any(cum[(...,) + (-1,) * n] == math.inf):  # the totals, the largest entries
         raise GridError("prefix sums leave the double range")
-    cum = np.pad(cum, [(1, 0)] * f.dims)
     cum.setflags(write=False)
-    return PrefixSum(f.shape, f.cell_size, cum)
+    return PrefixSum(shape, cell_size, cum)
 
 
 def rect_cell_sum(p: PrefixSum, r: Rect) -> float:
@@ -369,16 +385,19 @@ def basis_blocks(
 
 def block_cell_sums(p: PrefixSum, block: Block) -> np.ndarray:
     """rect_cell_sum of every rect of the block, shaped by its per-axis
-    lengths: the same prefix-sum differences, nested with axis 0 innermost."""
+    lengths: the same prefix-sum differences, nested with axis 0 innermost.
+    The block's axes are cum's last ones, so leading batch axes pass
+    through."""
     s = p.cum
-    for k, (lo, hi) in enumerate(block):
+    for k, (lo, hi) in enumerate(block, start=s.ndim - len(block)):
         s = np.take(s, hi + 1, axis=k) - np.take(s, lo, axis=k)
     return s
 
 
 def block_cell_mins(values: np.ndarray, block: Block) -> np.ndarray:
     """np.min over the cells of every rect of the block, shaped by its
-    per-axis lengths.
+    per-axis lengths. The block's axes are values' last ones, so leading
+    batch axes pass through.
 
     Each axis takes np.minimum.reduceat over the segments [lo, hi + 1), on
     the axis padded with +inf so that hi + 1 may equal its length, and keeps
@@ -386,7 +405,7 @@ def block_cell_mins(values: np.ndarray, block: Block) -> np.ndarray:
     the rect's cells.
     """
     m = np.asarray(values, dtype=np.float64)
-    for k, (lo, hi) in enumerate(block):
+    for k, (lo, hi) in enumerate(block, start=m.ndim - len(block)):
         pad = [(0, 0)] * m.ndim
         pad[k] = (0, 1)
         edges = np.stack([lo, hi + 1], axis=1).ravel()

@@ -66,10 +66,12 @@ from .weights import (
     _increment_ratio,
     anchored_profile,
     a_infty_classify,
-    ap_constant,
-    multi_weight_constant_ap,
+    ap_constants,
     multi_weight_constant_apq,
+    multi_weight_constants_ap,
+    multi_weight_constants_apq,
     power_bump_check,
+    power_bump_constants,
     power_weight_classify,
     power_weight_grid,
     reverse_doubling_constant,
@@ -493,33 +495,38 @@ def weight_theory_suite(samples: int = 200, seed: int = 0, shape=(16, 16)) -> Ve
     cell_size = tuple(1.0 / s for s in shape)
     pairs = _sample_weight_pairs(seed, samples, shape, cell_size)
     ps = (2.0, 2.0)
+    m = len(ps)
+    # each constant of every pair in one walk over the basis
+    wvs = [WeightVector(ws, ps, q=1.0) for ws in pairs]
+    # scaling monotonicity at r1=1 < r2=1.2
+    c1 = multi_weight_constants_ap(wvs, ALL)[0]
+    c2 = multi_weight_constants_ap([WeightVector(ws, tuple(1.2 * p for p in ps), q=1.0) for ws in pairs], ALL)[0]
+    # factorization, at q = 1, over the pairs whose constant is under cap
+    nus = [ws[0].with_values(wv.nu()) for ws, wv in zip(pairs, wvs)]
+    capq = multi_weight_constants_apq(wvs, ALL)[0]
+    fac = [idx for idx in range(len(pairs)) if capq[idx] < CAP]
+    ap_nu = dict(zip(fac, ap_constants([nus[idx] for idx in fac], m, ALL)[0]))
+    ap_wi = []
+    for i, pi in enumerate(ps):
+        ppi = pi / (pi - 1.0)
+        wis = [pairs[idx][i].with_values(pairs[idx][i].values ** -ppi) for idx in fac]
+        ap_wi.append(dict(zip(fac, ap_constants(wis, m * ppi, ALL)[0])))
+    # bump monotonicity r1=1.1 < r2=1.5 (exact by power-mean monotonicity)
+    wv_bs = [WeightVector(ws, ps, q=2.0, alpha=0.0) for ws in pairs]
+    vs = [ws[0] for ws in pairs]
+    b2 = power_bump_constants(wv_bs, vs, 1.5, ALL)[0]
+    b1 = power_bump_constants(wv_bs, vs, 1.1, ALL)[0]
     violations = []
-    for idx, ws in enumerate(pairs):
-        wv = WeightVector(ws, ps, q=1.0)
-        # scaling monotonicity at r1=1 < r2=1.2
-        c1 = multi_weight_constant_ap(wv, ALL)
-        c2 = multi_weight_constant_ap(
-            WeightVector(ws, tuple(1.2 * p for p in ps), q=1.0), ALL
-        )
-        if c1 < CAP and not c2 < CAP:
+    for idx, nu in enumerate(nus):
+        if c1[idx] < CAP and not c2[idx] < CAP:
             violations.append((idx, "scaling-monotonicity"))
-        # factorization, at q = 1
-        nu = ws[0].with_values(wv.nu())
-        capq = multi_weight_constant_apq(wv, ALL)
-        if capq < CAP:
-            m = len(ws)
-            if not ap_constant(nu, m, ALL) < CAP:
+        if idx in ap_nu:
+            if not ap_nu[idx] < CAP:
                 violations.append((idx, "factorization-nu"))
-            for w, pi in zip(ws, ps):
-                ppi = pi / (pi - 1.0)
-                wi = w.with_values(w.values**-ppi)
-                if not ap_constant(wi, m * ppi, ALL) < CAP:
+            for ap in ap_wi:
+                if not ap[idx] < CAP:
                     violations.append((idx, "factorization-wi"))
-        # bump monotonicity r1=1.1 < r2=1.5 (exact by power-mean monotonicity)
-        wv_b = WeightVector(ws, ps, q=2.0, alpha=0.0)
-        b2 = power_bump_check(wv_b, ws[0], 1.5, ALL)["constant"]
-        b1 = power_bump_check(wv_b, ws[0], 1.1, ALL)["constant"]
-        if b2 < CAP and not b1 < CAP:
+        if b2[idx] < CAP and not b1[idx] < CAP:
             violations.append((idx, "bump-monotonicity"))
         # RD inclusion (product weight), grids are power-of-two sided
         if a_infty_classify(nu, n_random_pairs=0).passes:

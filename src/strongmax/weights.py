@@ -18,6 +18,14 @@ strict maximum in enumeration order) match a per-Rect scan bit for bit. A
 power that leaves the double range gives +inf, so such a constant counts
 as >= CAP.
 
+The factors carry a leading batch axis: B weight tuples on one grid, with
+one set of exponents, share one walk over the basis (ap_constants,
+multi_weight_constants_ap/_apq, power_bump_constants), each row formed by
+the same elementwise expressions as its own call, so each gets that call's
+bits and witness. A block is formed for a few rows at a time (ROW_RECTS),
+so memory stays flat however many tuples a batch holds. The single-tuple
+functions are the batch of one.
+
 The A_infty classifier reads all of its nested families from one block too:
 the origin-anchored boxes of 2^l cells along each axis (l = 0 .. lmax), whose
 masses come from one block_cell_sums call (the differences of
@@ -38,8 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import libm_pow, vol_pow_table
+from ._kernels import BATCH, libm_pow, vol_pow_table
 from .grid import (
+    RECT_BLOCK,
     Basis,
     Block,
     GridError,
@@ -50,10 +59,11 @@ from .grid import (
     block_cell_mins,
     block_cell_sums,
     build_prefix_sum,
+    prefix_sum_of,
     random_rect,
     rect_cell_sum,
 )
-from .maximal import strong_maximal
+from .maximal import MaximalQuery, _maximal
 
 CAP = 1e6  # finiteness proxy for class membership on a fixed grid
 SLOPE_TOL = 0.01  # largest fitted log-constant slope an A_infty family may keep
@@ -138,24 +148,30 @@ class WeightVector:
 
 # --- sup over a basis, one block at a time ------------------------------------
 
+# Most batch rows times block rects that one pass of _sup_over_blocks forms,
+# so memory stays flat however many weight tuples a batch holds.
+ROW_RECTS = RECT_BLOCK * BATCH
 
-def _prefix(f: GridFunction, arr: np.ndarray, name: str) -> PrefixSum:
-    """Prefix sums of arr, the cell values of the named power of positive
-    weights. A value that overflowed to inf or underflowed to 0 left the
-    double range, and no constant formed from it would be right."""
+
+def _prefix(g0: GridFunction, arr: np.ndarray, name: str) -> PrefixSum:
+    """Prefix sums of arr, a stack (B, *g0.shape) of the cell values of the
+    named power of positive weights, one per batch row. A value that
+    overflowed to inf or underflowed to 0 left the double range, and no
+    constant formed from it would be right."""
     if not np.all(np.isfinite(arr) & (arr > 0)):
         raise WeightError(f"{name} leaves the double range")
-    return build_prefix_sum(f.with_values(arr))
+    return prefix_sum_of(arr, g0.shape, g0.cell_size)
 
 
 def _row_values(block: Block, factors, volpow=None) -> np.ndarray:
-    """One value per rect of block, flat in C order: the product, left to
-    right, of factors.
+    """One row of values per batch member, one value per rect of block, flat
+    in C order: the product, left to right, of factors.
 
     A factor is (source, exponent). A PrefixSum source gives avg_R g, the
     cell sum over the cell count; an array of cell values w gives
     1 / min_R w. Each value takes one libm pow to the exponent. volpow, a
-    _kernels.vol_pow_table, puts a leading factor |R|^e first.
+    _kernels.vol_pow_table, puts a leading factor |R|^e first. Sources
+    stacked (B, ...) give a (B, R) array; unstacked ones, one flat row.
     """
     counts = [hi - lo + 1 for lo, hi in block]
     n = functools.reduce(np.multiply.outer, counts).astype(np.float64)
@@ -167,55 +183,116 @@ def _row_values(block: Block, factors, volpow=None) -> np.ndarray:
             x = 1.0 / block_cell_mins(source, block)
         x = libm_pow(x, e)
         out = x if out is None else out * x
-    return out.ravel()
+    return out.reshape(out.shape[: -len(block)] + (-1,))
+
+
+def _rows(source, a: int, b: int):
+    """Batch rows a .. b-1 of a factor's source."""
+    if isinstance(source, PrefixSum):
+        return PrefixSum(source.shape, source.cell_size, source.cum[a:b])
+    return source[a:b]
 
 
 def _sup_over_blocks(g0: GridFunction, basis: Basis, factors, volpow=None):
-    """First strict maximum of the _row_values over the basis, in
-    enumeration order. NaN never wins; an empty or all -inf basis gives
-    (-inf, None).
+    """Each batch row's first strict maximum of the _row_values over the
+    basis, in enumeration order: (maxima, witness Rects). NaN never wins; an
+    empty or all -inf basis gives (-inf, None).
+
+    The factors' sources are stacks of B rows on g0's grid. Each block is
+    formed for at most ROW_RECTS // (its rects) rows at a time.
     """
-    best, witness = -math.inf, None
+    source = factors[0][0]
+    rows = len(source.cum if isinstance(source, PrefixSum) else source)
+    best, witness = np.full(rows, -math.inf), [None] * rows
     for block in basis_blocks(basis, g0.shape, g0.cell_size):
-        vals = _row_values(block, factors, volpow)
-        vals = np.where(np.isnan(vals), -np.inf, vals)
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            idx = np.unravel_index(j, [len(lo) for lo, _ in block])
-            lo, hi = zip(*[(int(a[i]), int(b[i])) for (a, b), i in zip(block, idx)])
-            best, witness = float(vals[j]), Rect(lo, hi)
+        lens = [len(lo) for lo, _ in block]
+        step = max(1, ROW_RECTS // math.prod(lens))
+        for a in range(0, rows, step):
+            part = factors if step >= rows else [(_rows(s, a, a + step), e) for s, e in factors]
+            vals = _row_values(block, part, volpow)
+            top = np.fmax.reduce(vals, axis=1)  # NaN only where a row is all NaN
+            for i in np.flatnonzero(top > best[a : a + step]):
+                j = int(np.argmax(vals[i] == top[i]))  # the first rect to attain it
+                at = np.unravel_index(j, lens)
+                rect = Rect([int(lo[t]) for (lo, _), t in zip(block, at)],
+                            [int(hi[t]) for (_, hi), t in zip(block, at)])
+                best[a + i], witness[a + i] = vals[i, j], rect
     return best, witness
 
 
-def _slot_factors(wv: WeightVector, shift: float, outer: float, r: float = 1.0) -> list:
+def _stack(fs, e: float | None = None) -> np.ndarray:
+    """The cell values of the grid functions fs, stacked, each first taken
+    to the power e (numpy's **, one function at a time, as a single call
+    forms it)."""
+    if e is None:
+        return np.stack([f.values for f in fs])
+    with np.errstate(over="ignore"):
+        return np.stack([f.values**e for f in fs])
+
+
+def _batch_grid(wvs) -> GridFunction:
+    """The one grid of a batch of weight vectors, which must also share
+    their exponents."""
+    g0 = wvs[0].weights[0]
+    for wv in wvs[1:]:
+        if not wv.weights[0].same_grid(g0):
+            raise WeightError("a batch of weight vectors must share one grid")
+        if (wv.ps, wv.q, wv.alpha) != (wvs[0].ps, wvs[0].q, wvs[0].alpha):
+            raise WeightError("a batch of weight vectors must share its exponents")
+    return g0
+
+
+def _slot_factors(wvs, shift: float, outer: float, r: float = 1.0) -> list:
     """The factors (avg_R w_i^((shift - p_i') r))^(outer / (r p_i')), one per
     weight. A p_i = 1 slot uses the infimum convention (1 / min_R w_i)^outer.
     """
-    factors = []
-    for i, (w, pi) in enumerate(zip(wv.weights, wv.ps)):
+    g0, factors = wvs[0].weights[0], []
+    for i, pi in enumerate(wvs[0].ps):
+        slot = [wv.weights[i] for wv in wvs]
         if pi == 1.0:
-            factors.append((w.values, outer))
+            factors.append((_stack(slot), outer))
         else:
             ppi = conj_exponent(pi)
             e = (shift - ppi) * r
-            with np.errstate(over="ignore"):
-                factors.append((_prefix(w, w.values**e, f"w_{i}^{e:g}"), outer / (r * ppi)))
+            factors.append((_prefix(g0, _stack(slot, e), f"w_{i}^{e:g}"), outer / (r * ppi)))
     return factors
+
+
+def ap_constants(ws, p: float, basis: Basis):
+    """ap_constant of each weight of ws, all on one grid, in one walk over
+    the basis: (constants, witness Rects); an empty batch gives empty ones."""
+    if not 1 < p < math.inf:
+        raise WeightError(f"ap_constant needs a finite p > 1, got {p}")
+    if not ws:
+        return np.empty(0), []
+    g0 = ws[0]
+    for w in ws:
+        _require_positive(w)
+        if not g0.same_grid(w):
+            raise WeightError("a batch of weights must share one grid")
+    pp = conj_exponent(p)
+    dual = _prefix(g0, _stack(ws, 1.0 - pp), f"w^{1.0 - pp:g}")
+    factors = [(_prefix(g0, _stack(ws), "w"), 1.0), (dual, p / pp)]
+    return _sup_over_blocks(g0, basis, factors)
 
 
 def ap_constant(
     w: GridFunction, p: float, basis: Basis, return_witness: bool = False
 ):
     """[w]_{A_p,basis} = sup_R (avg_R w) (avg_R w^(1-p'))^(p/p')."""
-    if not 1 < p < math.inf:
-        raise WeightError(f"ap_constant needs a finite p > 1, got {p}")
-    _require_positive(w)
-    pp = conj_exponent(p)
-    with np.errstate(over="ignore"):
-        dual = _prefix(w, w.values ** (1.0 - pp), f"w^{1.0 - pp:g}")
-    factors = [(_prefix(w, w.values, "w"), 1.0), (dual, p / pp)]
-    best, witness = _sup_over_blocks(w, basis, factors)
-    return (best, witness) if return_witness else best
+    best, witness = ap_constants([w], p, basis)
+    return (float(best[0]), witness[0]) if return_witness else float(best[0])
+
+
+def multi_weight_constants_apq(wvs, basis: Basis):
+    """multi_weight_constant_apq of each weight vector of wvs, which share
+    one grid and their exponents, in one walk over the basis: (constants,
+    witness Rects)."""
+    if not wvs:
+        return np.empty(0), []
+    g0, q = _batch_grid(wvs), wvs[0].q
+    nu_q = _prefix(g0, np.stack([wv.nu() ** q for wv in wvs]), f"nu^{q:g}")
+    return _sup_over_blocks(g0, basis, [(nu_q, 1.0 / q), *_slot_factors(wvs, 0.0, 1.0)])
 
 
 def multi_weight_constant_apq(wv: WeightVector, basis: Basis) -> float:
@@ -223,35 +300,55 @@ def multi_weight_constant_apq(wv: WeightVector, basis: Basis) -> float:
 
     p_i = 1 slots use the infimum convention (inf_R w_i)^(-1).
     """
-    g0 = wv.weights[0]
-    factors = [(_prefix(g0, wv.nu() ** wv.q, f"nu^{wv.q:g}"), 1.0 / wv.q), *_slot_factors(wv, 0.0, 1.0)]
-    return _sup_over_blocks(g0, basis, factors)[0]
+    return float(multi_weight_constants_apq([wv], basis)[0][0])
+
+
+def multi_weight_constants_ap(wvs, basis: Basis):
+    """multi_weight_constant_ap of each weight vector of wvs, which share
+    one grid and their exponents, in one walk over the basis: (constants,
+    witness Rects)."""
+    if not wvs:
+        return np.empty(0), []
+    g0 = _batch_grid(wvs)
+    nu_hat = _prefix(g0, np.stack([wv.nu_hat() for wv in wvs]), "nu_hat")
+    return _sup_over_blocks(g0, basis, [(nu_hat, 1.0), *_slot_factors(wvs, 1.0, wvs[0].p)])
 
 
 def multi_weight_constant_ap(wv: WeightVector, basis: Basis) -> float:
     """[w]_{A_p(vec)} = sup_R (avg nu_hat) prod_i (avg w_i^(1-p_i'))^(p/p_i')."""
-    g0 = wv.weights[0]
-    factors = [(_prefix(g0, wv.nu_hat(), "nu_hat"), 1.0), *_slot_factors(wv, 1.0, wv.p)]
-    return _sup_over_blocks(g0, basis, factors)[0]
+    return float(multi_weight_constants_ap([wv], basis)[0][0])
+
+
+def power_bump_constants(wvs, vs, r: float, basis: Basis):
+    """The power_bump_check constant of each pair (wvs[b], vs[b]), all on
+    one grid with one set of exponents, in one walk over the basis:
+    (constants, witness Rects)."""
+    if not 1 < r < math.inf:
+        raise WeightError(f"power bump needs a finite r > 1, got {r}")
+    if len(vs) != len(wvs):
+        raise WeightError(f"need one v per weight vector, got {len(vs)} for {len(wvs)}")
+    if not wvs:
+        return np.empty(0), []
+    if min(wvs[0].ps) <= 1:
+        raise WeightError("power bump needs p_i > 1")
+    g0, wv = _batch_grid(wvs), wvs[0]
+    for v in vs:
+        if not g0.same_grid(v):
+            raise WeightError("v must share the weights' grid")
+        _require_positive(v, "v")
+    vol_exp = wv.alpha / g0.dims + 1.0 / wv.q - 1.0 / wv.p
+    factors = [(_prefix(g0, _stack(vs), "v"), 1.0 / wv.q), *_slot_factors(wvs, 1.0, 1.0, r)]
+    volpow = vol_pow_table(g0.shape, g0.cell_size, vol_exp)
+    return _sup_over_blocks(g0, basis, factors, volpow)
 
 
 def power_bump_check(
     wv: WeightVector, v: GridFunction, r: float, basis: Basis
 ) -> dict:
     """sup_R |R|^(a/n+1/q-1/p) (avg v)^(1/q) prod (avg w_i^((1-p_i')r))^(1/(r p_i'))."""
-    if not 1 < r < math.inf:
-        raise WeightError(f"power bump needs a finite r > 1, got {r}")
-    if min(wv.ps) <= 1:
-        raise WeightError("power bump needs p_i > 1")
-    g0 = wv.weights[0]
-    if not g0.same_grid(v):
-        raise WeightError("v must share the weights' grid")
-    _require_positive(v, "v")
-    vol_exp = wv.alpha / g0.dims + 1.0 / wv.q - 1.0 / wv.p
-    factors = [(_prefix(g0, v.values, "v"), 1.0 / wv.q), *_slot_factors(wv, 1.0, 1.0, r)]
-    volpow = vol_pow_table(g0.shape, g0.cell_size, vol_exp)
-    best, witness = _sup_over_blocks(g0, basis, factors, volpow)
-    return {"constant": best, "witness": witness, "finite_under_cap": best < CAP}
+    best, witness = power_bump_constants([wv], [v], r, basis)
+    best = float(best[0])
+    return {"constant": best, "witness": witness[0], "finite_under_cap": best < CAP}
 
 
 # --- A_infty growth classification ------------------------------------------
@@ -447,27 +544,35 @@ def tauberian_constant_estimate(
         )
     candidates.append(("whole grid", np.ones(w.shape, dtype=bool)))
 
+    # one sweep walk for every non-empty candidate
+    candidates = [(name, mask) for name, mask in candidates if mask.any()]
+    m1es = _maximal([[w.with_values(mask.astype(np.float64))] for _, mask in candidates],
+                    MaximalQuery(basis=basis), orlicz=False)
     best, witness = -math.inf, ""
-    count = 0
-    for name, mask in candidates:
-        if not mask.any():
-            continue
-        count += 1
-        ind = w.with_values(mask.astype(np.float64))
-        m1e = strong_maximal(ind, basis)
-        level = m1e.values > gamma
-        ratio = w_mass(level) / w_mass(mask)
+    for (name, mask), m1e in zip(candidates, m1es):
+        ratio = w_mass(m1e.values > gamma) / w_mass(mask)
         if ratio > best:
             best, witness = ratio, name
-    return TauberianReport(gamma=gamma, max_ratio=best, witness=witness, samples=count)
+    return TauberianReport(gamma=gamma, max_ratio=best, witness=witness, samples=len(candidates))
 
 
 # --- power weights ------------------------------------------------------------
 
 
+@functools.cache
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """16-point Gauss-Legendre nodes and weights on [-1, 1], computed once,
+    at first use, so that importing the package leaves numpy.polynomial
+    unimported."""
+    nodes, wts = np.polynomial.legendre.leggauss(16)
+    nodes.setflags(write=False)
+    wts.setflags(write=False)
+    return nodes, wts
+
+
 def _gauss_cell_average(exponent: float, h: float, n: int) -> float:
     """Cell average of |x|^exponent over the cube [0, h]^n by 16-pt Gauss/axis."""
-    nodes, wts = np.polynomial.legendre.leggauss(16)
+    nodes, wts = _gauss_rule()
     pts = 0.5 * h + 0.5 * h * nodes
     grids = np.meshgrid(*[pts] * n, indexing="ij")
     r2 = sum(g**2 for g in grids)

@@ -1,12 +1,13 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from luxemburg_oracle import orlicz_maximal_oracle, scalar_blocks
-from strongmax import grid, orlicz, verify
+from strongmax import grid, orlicz, verify, weights
 from strongmax.corpus import make_corpus
 from strongmax.grid import Basis, GridError, GridFunction
 from strongmax.verify import (
@@ -334,3 +335,31 @@ def test_run_all_makes_no_rect_cell_sum_call(monkeypatch):
             monkeypatch.setattr(mod, "rect_cell_sum", counted)
     run_all(0)
     assert len(calls) == 0
+
+
+def test_weight_theory_takes_each_constant_in_one_walk(monkeypatch):
+    # c1, c2, capq, the two bump constants and the three factorization
+    # constants: one basis walk each for all 40 pairs (320 walks one pair at
+    # a time)
+    calls = []
+    original = weights._sup_over_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "_sup_over_blocks", counted)
+    weight_theory_suite(samples=40, seed=0, shape=(8, 8))
+    assert len(calls) <= 8
+
+
+def test_weight_theory_memory_stays_per_chunk():
+    # the batch is walked a few rows at a time: forming every block of the
+    # 16x16 all basis for all 200 pairs at once peaked at 106 MB
+    tracemalloc.start()
+    try:
+        weight_theory_suite(200, 0, (16, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6

@@ -5,20 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strongmax import weights
 from strongmax._kernels import libm_pow
 from strongmax.grid import Basis, GridError, GridFunction, Rect, build_prefix_sum, enumerate_basis, rect_cell_sum
-from strongmax.verify import _decay_column
+from strongmax.maximal import strong_maximal
+from strongmax.verify import _decay_column, _sample_weight_pairs
 from strongmax.weights import (
     SLOPE_TOL,
     WeightError,
     WeightVector,
     a_infty_classify,
     ap_constant,
+    ap_constants,
     conj_exponent,
     holder_p,
     multi_weight_constant_ap,
     multi_weight_constant_apq,
+    multi_weight_constants_ap,
+    multi_weight_constants_apq,
     power_bump_check,
+    power_bump_constants,
     power_weight_classify,
     power_weight_grid,
     power_weight_profile,
@@ -366,6 +372,105 @@ class TestTauberian:
         w = gf(np.arange(1.0, 65.0).reshape(8, 8) ** 2, h=(0.125, 0.125))
         rep = tauberian_constant_estimate(w, Basis(kind), gamma, seed=0)
         assert (rep.max_ratio.hex(), rep.witness, rep.samples) == (ratio, witness, 64)
+
+    @pytest.mark.parametrize("kind,gamma,seed", [("all", 0.5, 0), ("dyadic", 0.7, 1), ("cubes", 0.3, 2)])
+    def test_one_sweep_walk_is_the_per_candidate_form(self, monkeypatch, kind, gamma, seed):
+        # the candidates' maximal functions in one _maximal call against one
+        # strong_maximal call per candidate, on three weights
+        rng = np.random.default_rng(seed)
+        w = gf(rng.lognormal(0.0, 1.0, (16, 16)), h=(1 / 16, 1 / 16))
+        rep = tauberian_constant_estimate(w, Basis(kind), gamma, seed=seed)
+        monkeypatch.setattr(weights, "_maximal",
+                            lambda batch, query, orlicz: [strong_maximal(fs[0], query.basis) for fs in batch])
+        single = tauberian_constant_estimate(w, Basis(kind), gamma, seed=seed)
+        assert (rep.max_ratio.hex(), rep.witness, rep.samples) == (single.max_ratio.hex(), single.witness, single.samples)
+
+
+def _bits(xs) -> bytes:
+    return np.asarray(xs, dtype=np.float64).tobytes()
+
+
+def _assert_batch_is_single_calls(pairs, ps, basis, p=2.5, r=1.3):
+    """Each batched constant and witness equals its own call bit for bit."""
+    wvs = [WeightVector(ws, ps, q=1.5, alpha=0.5) for ws in pairs]
+    for batched, single in ((multi_weight_constants_ap, multi_weight_constant_ap),
+                            (multi_weight_constants_apq, multi_weight_constant_apq)):
+        consts, wits = batched(wvs, basis)
+        assert consts.tobytes() == _bits([single(wv, basis) for wv in wvs])
+        assert wits == [batched([wv], basis)[1][0] for wv in wvs]
+    ws0 = [ws[0] for ws in pairs]
+    consts, wits = ap_constants(ws0, p, basis)
+    singles = [ap_constant(w, p, basis, return_witness=True) for w in ws0]
+    assert (consts.tobytes(), wits) == (_bits([c for c, _ in singles]), [r for _, r in singles])
+    if min(ps) > 1:
+        consts, wits = power_bump_constants(wvs, ws0, r, basis)
+        singles = [power_bump_check(wv, v, r, basis) for wv, v in zip(wvs, ws0)]
+        assert (consts.tobytes(), wits) == (_bits([d["constant"] for d in singles]), [d["witness"] for d in singles])
+
+
+BATCH_BASES = [Basis("all"), Basis("dyadic"), Basis("cubes")]
+
+
+class TestBatch:
+    """One walk over the basis for many weight tuples: each member of a batch
+    gets the bits and the witness of its own call."""
+
+    @pytest.mark.parametrize("basis", BATCH_BASES, ids=lambda b: b.kind)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_pairs(self, seed, basis):
+        pairs = _sample_weight_pairs(seed, 40, (8, 8), (0.125, 0.125))
+        _assert_batch_is_single_calls(pairs, (2.0, 3.0), basis)
+
+    @pytest.mark.parametrize("basis", BATCH_BASES, ids=lambda b: b.kind)
+    def test_p_equal_one_slot(self, basis):
+        # the infimum convention: block_cell_mins over a stack of weights
+        pairs = _sample_weight_pairs(5, 12, (8, 8), (0.125, 0.125))
+        _assert_batch_is_single_calls(pairs, (1.0, 2.0), basis)
+
+    @pytest.mark.parametrize("basis", BATCH_BASES, ids=lambda b: b.kind)
+    def test_a_row_whose_power_overflows(self, basis):
+        # p = 50: (avg w^(-1/49))^49 leaves the double range where w is
+        # about 1e-318, so that row's constant is +inf and the others stay
+        # finite (subnormal cell sums are exact, so no average is 0)
+        rng = np.random.default_rng(11)
+        ws = [gf(rng.lognormal(0.0, 1.0, (8, 8))) for _ in range(4)]
+        ws[2] = ws[2].with_values(ws[2].values * 1e-318)
+        consts, wits = ap_constants(ws, 50.0, basis)
+        assert consts[2] == math.inf and np.all(np.isfinite(np.delete(consts, 2)))
+        singles = [ap_constant(w, 50.0, basis, return_witness=True) for w in ws]
+        assert (consts.tobytes(), wits) == (_bits([c for c, _ in singles]), [r for _, r in singles])
+
+    @pytest.mark.parametrize("basis", BATCH_BASES, ids=lambda b: b.kind)
+    def test_a_batch_of_one(self, basis):
+        _assert_batch_is_single_calls(_sample_weight_pairs(7, 1, (8, 8), (0.125, 0.125)), (2.0, 2.0), basis)
+
+    @pytest.mark.parametrize("basis", BATCH_BASES, ids=lambda b: b.kind)
+    def test_a_batch_spanning_several_chunks(self, basis, monkeypatch):
+        pairs = _sample_weight_pairs(8, 6, (8, 8), (0.125, 0.125))
+        monkeypatch.setattr(weights, "ROW_RECTS", 1)  # one row per pass
+        _assert_batch_is_single_calls(pairs, (2.0, 3.0), basis)
+
+    def test_chunks_on_a_16x16_grid(self):
+        # a block of the all basis holds 16,320 rects here, so a pass takes
+        # ROW_RECTS // 16,320 = 8 rows and this batch two passes per block
+        pairs = _sample_weight_pairs(9, 10, (16, 16), (1 / 16, 1 / 16))
+        _assert_batch_is_single_calls(pairs, (2.0, 3.0), ALL)
+
+    def test_empty_batch(self):
+        for consts, wits in (ap_constants([], 2.0, ALL), multi_weight_constants_ap([], ALL),
+                             multi_weight_constants_apq([], ALL), power_bump_constants([], [], 1.5, ALL)):
+            assert consts.shape == (0,) and wits == []
+
+    def test_a_batch_shares_its_grid_and_exponents(self):
+        w, w8 = gf(np.ones((4, 4))), gf(np.ones((8, 8)))
+        with pytest.raises(WeightError, match="one grid"):
+            ap_constants([w, w8], 2.0, ALL)
+        with pytest.raises(WeightError, match="one grid"):
+            multi_weight_constants_ap([WeightVector((w, w), (2.0, 2.0)), WeightVector((w8, w8), (2.0, 2.0))], ALL)
+        with pytest.raises(WeightError, match="exponents"):
+            multi_weight_constants_apq([WeightVector((w, w), (2.0, 2.0)), WeightVector((w, w), (2.0, 3.0))], ALL)
+        with pytest.raises(WeightError, match="one v per weight vector"):
+            power_bump_constants([WeightVector((w, w), (2.0, 2.0))], [], 1.5, ALL)
 
 
 class TestPowerWeights:

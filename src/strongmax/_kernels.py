@@ -68,8 +68,9 @@ from .grid import ALL_RECTS, Basis, basis_sizes
 
 # the engine is numpy only; perfbench's run fingerprint reads this constant
 USING_NUMBA = False
-# the most members one sweep walk folds at once, as orlicz.CELL_BLOCK caps
-# the Luxemburg chunks; 8 was the fastest of 2-50 on 64^2
+# the most members one sweep or Orlicz walk folds at once, as
+# orlicz.CELL_BLOCK caps the Luxemburg chunks; 8 was the fastest of 2-50 for
+# the sweep on 64^2
 BATCH = 8
 
 

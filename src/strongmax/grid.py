@@ -287,6 +287,40 @@ def prefix_sum_of(values: np.ndarray, shape: tuple[int, ...], cell_size: tuple[f
     return PrefixSum(shape, cell_size, cum)
 
 
+def anchored_box_sums(values: np.ndarray, n: int, lmax: int) -> np.ndarray:
+    """The cell sums of the origin-anchored boxes of 2^l_k cells along grid
+    axis k (l_k = 0 .. lmax) of values (..., N_1, ..., N_n), shaped (...,
+    lmax+1, ..., lmax+1): entry (l_1, ..., l_n) is the prefix-sum entry
+    cum[2^l_1, ..., 2^l_n] of prefix_sum_of bit for bit, for every leading
+    batch index. A GridError where the largest box sum passes the largest
+    double, as prefix_sum_of raises on its totals; the cells outside the
+    largest box are not read.
+
+    Each axis is one sequential running sum, axis 0 first, as in
+    prefix_sum_of, but only the entries at 2^l - 1 are kept, so the later
+    axes run over lmax+1 rows. The last axis, contiguous, is one cumsum; an
+    earlier axis adds its rows one at a time into a contiguous accumulator,
+    because numpy's cumsum along a strided axis runs one column at a time
+    (31 ms against 1.4 ms on 128^3).
+    """
+    top = 2**lmax
+    s = values[(...,) + (slice(0, top),) * n]
+    with np.errstate(over="ignore"):
+        for ax in range(s.ndim - n, s.ndim - 1):
+            rows = np.moveaxis(s, ax, 0)
+            acc = rows[0].copy()
+            kept = [acc.copy()]
+            for i in range(1, top):
+                acc += rows[i]
+                if not i & (i + 1):  # i = 2^l - 1
+                    kept.append(acc.copy())
+            s = np.stack(kept, axis=ax)
+        s = np.cumsum(s, axis=-1)[..., 2 ** np.arange(lmax + 1) - 1]
+    if np.any(s[(...,) + (-1,) * n] == math.inf):  # the largest boxes
+        raise GridError("prefix sums leave the double range")
+    return s
+
+
 def rect_cell_sum(p: PrefixSum, r: Rect) -> float:
     """Sum of cell values over r via inclusion-exclusion (no cell volume).
 
@@ -346,12 +380,13 @@ def basis_sizes(
 
 
 def window(stack: np.ndarray, axis: int, c: int, s: int) -> np.ndarray:
-    """A view of a stack of functions (m, N_1, ..., N_n) narrowed to the
-    rects of count c along grid axis ``axis`` whose lowest cells are the
-    anchors 0, s, 2*s, ...: that axis then holds the anchors, and a new last
-    axis the c cells of each rect. Narrowed on every axis, the trailing axes
-    hold a rect's cells in the C order of values[r.slices()]."""
-    return sliding_window_view(stack, c, axis=axis + 1)[(slice(None),) * (axis + 1) + (slice(None, None, s),)]
+    """A view of a stack of functions (..., N_1, ..., N_n) narrowed to the
+    rects of count c along the grid axis that is array axis ``axis``, whose
+    lowest cells are the anchors 0, s, 2*s, ...: that axis then holds the
+    anchors, and a new last axis the c cells of each rect. Narrowed on every
+    grid axis, the trailing axes hold a rect's cells in the C order of
+    values[r.slices()]."""
+    return sliding_window_view(stack, c, axis=axis)[(slice(None),) * axis + (slice(None, None, s),)]
 
 
 # One (lo, hi) pair of int arrays per axis: the inclusive cell-index ranges of

@@ -6,10 +6,10 @@ cell-count tuple are evaluated at once, each as the per-rectangle
 expression, and folded into the output; a maximum rounds nothing, so the
 bits are those of a per-rectangle loop. The multilinear operator walks the
 prefix sums (_kernels.sweep), many m-tuples in one walk. The Orlicz
-operator first takes the Luxemburg norms of every rect of every size, one
-lockstep bisection per Young function (orlicz.size_norms), forms each
-rect's value from them, and then walks with a leaf that looks the values
-up, one tuple per walk (a batch of one).
+operator first takes the Luxemburg norms of every rect of every size for
+every tuple, one lockstep bisection per Young function (orlicz.size_norms),
+forms each rect's value from them, and then walks with a leaf that looks
+the values up. Both walk up to _kernels.BATCH m-tuples at once.
 
 One body, _maximal, serves both operators. It takes a list of m-tuples on
 one grid with one query and returns their maximal functions in order; the
@@ -19,7 +19,7 @@ operator and none for the multilinear one, so the query's Young functions
 select the operator), scales each input by a power of two so that its
 maximum lies in [0.5, 1), runs the walk, scales each member's result back
 by its own power and raises a GridError where that leaves the double
-range. In the walk, a member whose output is not finite takes the redo
+range. In the sweep, a member whose output is not finite takes the redo
 walk with the other such members (see _kernels.sweep), and the rest keep
 their one walk; each member's bits are those of its own call. Both
 operators are homogeneous in each input, and a power of two scales every
@@ -96,10 +96,12 @@ def _maximal(batch: list[list[GridFunction]], query: MaximalQuery, orlicz: bool)
     ks = [[int(np.frexp(np.max(f.values))[1]) for f in fs] for fs in batch]
     batch = [[f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, kf)] for fs, kf in zip(batch, ks)]
     sizes = list(basis_sizes(query.basis, f0.shape, f0.cell_size))
+    # the stack axis first and the batch axis second: (m, B, N_1, ...)
     if orlicz:
-        out = np.concatenate([_orlicz_walk(fs, query, sizes) for fs in batch])
+        stack = np.stack([np.stack([f.values for f in fs]) for fs in batch], axis=1)
+        out = np.concatenate([_orlicz_walk(stack[:, b : b + _kernels.BATCH], f0, query, sizes)
+                              for b in range(0, len(batch), _kernels.BATCH)])
     else:
-        # the stack axis first and the batch axis second: (m, B, N_1+1, ...)
         P = np.stack([np.stack([build_prefix_sum(f).cum for f in fs]) for fs in batch], axis=1)
         out = _kernels.sweep(P, f0.cell_size, query.alpha / n - query.m, sizes)
     results = []
@@ -112,22 +114,23 @@ def _maximal(batch: list[list[GridFunction]], query: MaximalQuery, orlicz: bool)
     return results
 
 
-def _orlicz_walk(fs: list[GridFunction], query: MaximalQuery, sizes) -> np.ndarray:
-    """The Orlicz maximal values of one tuple, as a batch of one."""
-    f0 = fs[0]
+def _orlicz_walk(stack: np.ndarray, f0: GridFunction, query: MaximalQuery, sizes) -> np.ndarray:
+    """The Orlicz maximal values (B, N_1, ...) of a stack (m, B, N_1, ...) of
+    B m-tuples on f0's grid: one size_norms call takes the norms of every
+    member, and one walk folds them. A member's norms are its own call's
+    (each row of the bisection runs alone), and so are its values."""
     vols = _kernels.volume_table(f0.shape, f0.cell_size)
     scales = _kernels.libm_pow(vols, query.alpha / f0.dims)
     at = [tuple(c - 1 for c in counts) for counts, _ in sizes]
-    norms = size_norms(np.stack([f.values for f in fs]), sizes, f0.cell_volume,
-                       [vols[i] for i in at], query.orlicz)
+    norms = size_norms(stack, sizes, f0.cell_volume, [vols[i] for i in at], query.orlicz)
     # phi(|R|) * prod_i ||f_i||_{Psi_i,R}, the product in slot order
     leaves = {}
     for s, ((counts, _), i) in enumerate(zip(sizes, at)):
         val = scales[i]
         for slot in norms:
             val = val * slot[s]
-        leaves[counts] = val[None]
-    return _kernels.fold_sizes((1,) + f0.shape, sizes, None, lambda src, *_: src, lambda counts, _: leaves[counts])
+        leaves[counts] = val
+    return _kernels.fold_sizes(stack.shape[1:], sizes, None, lambda src, *_: src, lambda counts, _: leaves[counts])
 
 
 def multilinear_fractional_maximal(

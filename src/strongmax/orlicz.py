@@ -219,15 +219,18 @@ def luxemburg_norms(
 
 def size_norms(stack: np.ndarray, sizes, cell_measure: float, totals, phis) -> list[list[np.ndarray]]:
     """norms[i][s]: the Luxemburg norms under phis[i] of slot i of a stack of
-    functions over the grid (m, N_1, ..., N_n), over the rects of the s-th
-    (counts, step) pair in sizes (``grid.basis_sizes``), shaped by their
-    anchors; every rect of that size has measure totals[s]. Slots whose Young
-    functions are one object share one ``luxemburg_blocks`` call."""
+    functions over the grid (m, ..., N_1, ..., N_n), over the rects of the
+    s-th (counts, step) pair in sizes (``grid.basis_sizes``), shaped by the
+    axes between the slot and the grid (a batch of B members: (m, B, N_1,
+    ...)) and then by their anchors; every rect of that size has measure
+    totals[s]. The grid is the last n axes. Slots whose Young functions are
+    one object share one ``luxemburg_blocks`` call, which takes the rows of
+    every member and size of those slots."""
     views = []
     for counts, step in sizes:
-        view = stack
+        view, lead = stack, stack.ndim - len(counts)
         for axis, (c, s) in enumerate(zip(counts, step)):
-            view = window(view, axis, c, s)
+            view = window(view, lead + axis, c, s)
         views.append(view)
     norms: list = [None] * len(phis)
     for i, phi in enumerate(phis):

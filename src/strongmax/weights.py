@@ -26,15 +26,23 @@ bits and witness. A block is formed for a few rows at a time (ROW_RECTS),
 so memory stays flat however many tuples a batch holds. The single-tuple
 functions are the batch of one.
 
-The A_infty classifier reads all of its nested families from one block too:
-the origin-anchored boxes of 2^l cells along each axis (l = 0 .. lmax), whose
-masses come from one block_cell_sums call (the differences of
-grid.rect_cell_sum, in its order) times the cell volume, and whose volumes
-are the outer products of the per-axis sides, left to right as Rect.volume
-and _kernels.volume_table form them. So every family point is the per-Rect
-ratio bit for bit. Where a mass or volume of a ratio is not a normal double
-(a cell side of 1e200 or 1e-200 squared), the cell volume, which cancels,
-is left out: the ratio is taken from the cell sums or the cell counts.
+The A_infty classifier reads all of its nested families, the
+origin-anchored boxes of 2^l cells along each axis (l = 0 .. lmax), straight
+from the values: grid.anchored_box_sums keeps only those entries of the
+prefix sum, bit for bit, without building the rest of it. Their masses are
+those sums times the cell volume, and their volumes the outer products of
+the per-axis sides, left to right as Rect.volume and _kernels.volume_table
+form them. So every family point is the per-Rect ratio bit for bit. Where a
+mass or volume of a ratio is not a normal double (a cell side of 1e200 or
+1e-200 squared), the cell volume, which cancels, is left out: the ratio is
+taken from the cell sums or the cell counts. Only the record's random pairs
+read arbitrary rects, and only they build the whole prefix sum.
+
+The A_infty classifier and the reverse doubling constant take a batch of
+weights on one grid too (a_infty_classifies, reverse_doubling_constants):
+the box and block sums of every member come from one array operation, and
+each member's fit, overflow redo and minimum stay its own, so each gets the
+bits of its own call, which is the batch of one.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ from .grid import (
     GridFunction,
     PrefixSum,
     Rect,
+    anchored_box_sums,
     basis_blocks,
     block_cell_mins,
     block_cell_sums,
@@ -223,11 +232,20 @@ def _sup_over_blocks(g0: GridFunction, basis: Basis, factors, volpow=None):
 def _stack(fs, e: float | None = None) -> np.ndarray:
     """The cell values of the grid functions fs, stacked, each first taken
     to the power e (numpy's **, one function at a time, as a single call
-    forms it)."""
+    forms it). A batch of one is a view of its values, not a copy."""
     if e is None:
-        return np.stack([f.values for f in fs])
+        return fs[0].values[None] if len(fs) == 1 else np.stack([f.values for f in fs])
     with np.errstate(over="ignore"):
         return np.stack([f.values**e for f in fs])
+
+
+def _weights_grid(ws) -> GridFunction:
+    """The one grid of a batch of weights, each positive on every cell."""
+    for w in ws:
+        _require_positive(w)
+        if not ws[0].same_grid(w):
+            raise WeightError("a batch of weights must share one grid")
+    return ws[0]
 
 
 def _batch_grid(wvs) -> GridFunction:
@@ -265,11 +283,7 @@ def ap_constants(ws, p: float, basis: Basis):
         raise WeightError(f"ap_constant needs a finite p > 1, got {p}")
     if not ws:
         return np.empty(0), []
-    g0 = ws[0]
-    for w in ws:
-        _require_positive(w)
-        if not g0.same_grid(w):
-            raise WeightError("a batch of weights must share one grid")
+    g0 = _weights_grid(ws)
     pp = conj_exponent(p)
     dual = _prefix(g0, _stack(ws, 1.0 - pp), f"w^{1.0 - pp:g}")
     factors = [(_prefix(g0, _stack(ws), "w"), 1.0), (dual, p / pp)]
@@ -383,48 +397,66 @@ def a_infty_classify(
     plus d ln 2, and a larger d only asks for more. If d = DELTA cannot
     control a family, no (C, d) pair with d >= DELTA can.
     """
-    _require_positive(w)
-    if min(w.shape) < 4:  # the tail fit needs two scales, sides 2 and 4
-        raise WeightError(f"a_infty_classify needs >= 4 cells per axis, got shape {w.shape}")
-    n = w.dims
-    cum = build_prefix_sum(w)
-    # one block holds every nested box: the origin-anchored boxes of 2^l_k
-    # cells along axis k (l_k = 0 .. lmax); level l's box sits at (l, ..., l),
-    # and its thin box has index 0 on the thinned axis
-    lmax = int(math.floor(math.log2(min(w.shape))))
-    his = 2 ** np.arange(lmax + 1) - 1
-    sums = block_cell_sums(cum, [(np.zeros_like(his), his)] * n)
-    counts = functools.reduce(np.multiply.outer, [his + 1] * n)
+    return a_infty_classifies([w], rng, n_random_pairs)[0]
+
+
+def a_infty_classifies(
+    ws, rng: np.random.Generator | None = None, n_random_pairs: int = 50
+) -> list[AInftyReport]:
+    """a_infty_classify of each weight of ws, all on one grid, with the
+    anchored box sums of every weight from one grid.anchored_box_sums call;
+    an empty batch gives no report. The random pairs of each weight are
+    drawn as its own call draws them: from rng in turn, or from a fresh
+    default_rng(0) when rng is None."""
+    if not ws:
+        return []
+    g0 = _weights_grid(ws)
+    if min(g0.shape) < 4:  # the tail fit needs two scales, sides 2 and 4
+        raise WeightError(f"a_infty_classify needs >= 4 cells per axis, got shape {g0.shape}")
+    n = g0.dims
+    # every nested box is origin-anchored, 2^l_k cells along axis k (l_k =
+    # 0 .. lmax); level l's box sits at (l, ..., l), and its thin box has
+    # index 0 on the thinned axis
+    lmax = int(math.floor(math.log2(min(g0.shape))))
+    sides = 2 ** np.arange(lmax + 1)
+    all_sums = anchored_box_sums(_stack(ws), n, lmax)
+    counts = functools.reduce(np.multiply.outer, [sides] * n)
     with np.errstate(over="ignore"):
-        mass = sums * w.cell_volume
-        vol = functools.reduce(np.multiply.outer, [(his + 1) * hk for hk in w.cell_size])
-    report = AInftyReport(passes=True, witness_axis=None)
-    for axis in range(n):
-        data = []
-        for ell in range(1, lmax + 1):
-            big = (ell,) * n
-            thin = big[:axis] + (0,) + big[axis + 1 :]
-            data.append((ell, _ratio(mass.item(thin), mass.item(big), sums.item(thin), sums.item(big)),
-                         _ratio(vol.item(thin), vol.item(big), counts.item(thin), counts.item(big))))
-        report.families.append({"axis": axis, "points": data})
-        # fit the tail only: small-scale transients would otherwise mask
-        # the asymptotic growth of the required constant
-        ells, rws, rls = (np.array(c, dtype=float) for c in zip(*data[-3:]))
-        report.slopes[axis] = float(np.polyfit(ells, np.log(rws) - DELTA * np.log(rls), 1)[0])
-        if report.slopes[axis] > SLOPE_TOL:
-            report.passes = False
-            if report.witness_axis is None:
-                report.witness_axis = axis
-    # raw random pairs for the record
-    rng = rng or np.random.default_rng(0)
-    for _ in range(n_random_pairs):
-        big = random_rect(rng, (0,) * n, tuple(s - 1 for s in w.shape))
-        sub = random_rect(rng, big.lo, big.hi)
-        cs, cb = rect_cell_sum(cum, sub), rect_cell_sum(cum, big)  # rect_integral = sum * cell volume
-        report.pairs.append((big, sub, _ratio(cs * cum.cell_volume, cb * cum.cell_volume, cs, cb),
-                             _ratio(sub.volume(w.cell_size), big.volume(w.cell_size),
-                                    math.prod(sub.cell_counts()), math.prod(big.cell_counts()))))
-    return report
+        all_mass = all_sums * g0.cell_volume
+        vol = functools.reduce(np.multiply.outer, [sides * hk for hk in g0.cell_size])
+    reports = []
+    for w, sums, mass in zip(ws, all_sums, all_mass):
+        report = AInftyReport(passes=True, witness_axis=None)
+        for axis in range(n):
+            data = []
+            for ell in range(1, lmax + 1):
+                big = (ell,) * n
+                thin = big[:axis] + (0,) + big[axis + 1 :]
+                data.append((ell, _ratio(mass.item(thin), mass.item(big), sums.item(thin), sums.item(big)),
+                             _ratio(vol.item(thin), vol.item(big), counts.item(thin), counts.item(big))))
+            report.families.append({"axis": axis, "points": data})
+            # fit the tail only: small-scale transients would otherwise mask
+            # the asymptotic growth of the required constant
+            ells, rws, rls = (np.array(c, dtype=float) for c in zip(*data[-3:]))
+            report.slopes[axis] = float(np.polyfit(ells, np.log(rws) - DELTA * np.log(rls), 1)[0])
+            if report.slopes[axis] > SLOPE_TOL:
+                report.passes = False
+                if report.witness_axis is None:
+                    report.witness_axis = axis
+        # raw random pairs for the record: the one path that reads arbitrary
+        # rects, and so the one that builds the whole prefix sum
+        if n_random_pairs > 0:
+            cum = build_prefix_sum(w)
+            gen = rng or np.random.default_rng(0)
+            for _ in range(n_random_pairs):
+                big = random_rect(gen, (0,) * n, tuple(s - 1 for s in w.shape))
+                sub = random_rect(gen, big.lo, big.hi)
+                cs, cb = rect_cell_sum(cum, sub), rect_cell_sum(cum, big)  # rect_integral = sum * cell volume
+                report.pairs.append((big, sub, _ratio(cs * cum.cell_volume, cb * cum.cell_volume, cs, cb),
+                                     _ratio(sub.volume(w.cell_size), big.volume(w.cell_size),
+                                            math.prod(sub.cell_counts()), math.prod(big.cell_counts()))))
+        reports.append(report)
+    return reports
 
 
 def _ratio(part: float, whole: float, part_cells: float, whole_cells: float) -> float:
@@ -446,13 +478,25 @@ def reverse_doubling_constant(w: GridFunction) -> float:
     ratio 2^-n), following the construction the half-volume nesting uses.
     Grid sides must be powers of two.
     """
-    _require_positive(w)
-    for s in w.shape:
+    return float(reverse_doubling_constants([w])[0])
+
+
+def reverse_doubling_constants(ws) -> np.ndarray:
+    """reverse_doubling_constant of each weight of ws, all on one grid, every
+    block sum of every weight taken at once; an empty batch gives an empty
+    array. A member's blocks are summed by the same reductions as its own
+    call, so it gets that call's bits."""
+    if not ws:
+        return np.empty(0)
+    g0 = _weights_grid(ws)
+    for s in g0.shape:
         if s & (s - 1):
             raise GridError("reverse doubling needs power-of-two grid sides")
-    if min(w.shape) < 2:
+    if min(g0.shape) < 2:
         raise GridError("grid too small for reverse doubling (needs >= 2 cells/axis)")
-    n = w.dims
+    n = g0.dims
+    values = _stack(ws)
+    cells = tuple(range(1, n + 1))  # the grid axes of values
 
     def ratios(values: np.ndarray, lengths: tuple[int, ...]) -> np.ndarray:
         # a positive parent over its largest child: rounded division is
@@ -462,26 +506,31 @@ def reverse_doubling_constant(w: GridFunction) -> float:
         return parent / child
 
     # block sums at every per-axis dyadic scale combo, built by pair-summing
-    levels = [int(math.log2(s)) for s in w.shape]
-    d = math.inf
+    levels = [int(math.log2(s)) for s in g0.shape]
+    d = np.full(len(ws), math.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for combo in np.ndindex(*levels):
             # combo[k] < levels[k], so every parent block length is at least 2
             lengths = tuple(2 ** (levels[k] - combo[k]) for k in range(n))
-            r = ratios(w.values, lengths)
+            r = ratios(values, lengths)
             if not np.isfinite(r).all():
-                # a block sum overflowed: a power-of-two scale that puts the
-                # largest value in [0.5, 1) leaves every ratio of sums unchanged
-                r = ratios(np.ldexp(w.values, -np.frexp(w.values.max())[1]), lengths)
-            d = min(d, float(np.min(r)))
+                # a block sum overflowed: a power-of-two scale that puts a
+                # member's largest value in [0.5, 1) leaves every ratio of
+                # its sums unchanged; only those members take it
+                bad = ~np.isfinite(r).all(axis=cells)
+                top = np.frexp(values[bad].max(axis=cells))[1]
+                r[bad] = ratios(np.ldexp(values[bad], -top.reshape((-1,) + (1,) * n)), lengths)
+            # fmin keeps d where a member's minimum is NaN, as min(d, nan) does
+            d = np.fmin(d, r.min(axis=cells))
     return d
 
 
 def _block_reduce(values: np.ndarray, lengths: tuple[int, ...], ufunc) -> np.ndarray:
     """ufunc.reduce over each block of the given per-axis lengths, one axis
-    at a time (np.add gives np.sum's pairwise block sums)."""
+    at a time (np.add gives np.sum's pairwise block sums). The blocks' axes
+    are values' last ones, so leading batch axes pass through."""
     out = values
-    for k, L in enumerate(lengths):
+    for k, L in enumerate(lengths, start=values.ndim - len(lengths)):
         if L == 1:
             continue
         shp = out.shape

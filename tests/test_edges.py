@@ -41,6 +41,7 @@ ODD = gf(np.ones((3, 5)))  # sides that are not powers of two
 BIG = gf(np.full((4, 4), 1e306))
 TINY = gf(np.full((4, 4), 1e-306))
 OTHER = gf(np.ones((4, 8)))  # matches no other grid here
+OUTER_BIG = gf(np.pad(np.ones((4, 4)), ((0, 1), (0, 1)), constant_values=1e308))  # 1e308 off [0, 4)^2
 PHI2 = sm.phi_n(2)
 FAMILY = sm.RectFamily((4, 4), (1.0, 1.0), (Rect((0, 0), (1, 1)), Rect((0, 0), (3, 3))))
 
@@ -358,6 +359,15 @@ TABLE = [
     ("a_infty_classify", "odd sides", lambda: sm.a_infty_classify(ODD), WeightError),
     ("a_infty_classify", "1e306 values",
      lambda: sm.a_infty_classify(BIG, n_random_pairs=0).passes, lambda p: p is True),
+    ("a_infty_classify", "1e308 values, 4x4",
+     lambda: sm.a_infty_classify(gf(np.full((4, 4), 1e308)), n_random_pairs=0), GridError),
+    # the nested boxes read only [0, 4)^2, which holds ones; the 1e308 cells
+    # outside them put the total past the largest double, and only the
+    # random pairs read the total
+    ("a_infty_classify", "5x5, total past the largest double, nested boxes finite",
+     lambda: sm.a_infty_classify(OUTER_BIG, n_random_pairs=0).passes, lambda p: p is True),
+    ("a_infty_classify", "5x5, total past the largest double, random pairs",
+     lambda: sm.a_infty_classify(OUTER_BIG, n_random_pairs=1), GridError),
     # the cell volume, 1e400, 1e-340 or 1e-400, is not a normal double, and
     # the box volumes of the 64^3 grid with sides 1e102 pass the largest
     # double; it cancels from every ratio of a family

@@ -12,8 +12,10 @@ from strongmax.grid import (
     GridError,
     GridFunction,
     Rect,
+    anchored_box_sums,
     build_prefix_sum,
     enumerate_basis,
+    prefix_sum_of,
     random_rect,
     read_grid,
     rect_average,
@@ -131,6 +133,27 @@ class TestPrefixSums:
         r = Rect(lo, hi)
         direct = rect_integral_direct(f, r)
         assert rect_integral(p, r) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+class TestAnchoredBoxSums:
+    @pytest.mark.parametrize("shape,n", [((16, 16), 2), ((32, 32), 2), ((256, 256), 2), ((8, 8, 8), 3),
+                                         ((128, 128, 128), 3), ((64,), 1), ((37, 53), 2), ((3, 16, 16), 2),
+                                         ((4, 9, 5, 6), 3)])
+    def test_the_prefix_sum_entries_bit_for_bit(self, shape, n):
+        # leading axes are batch members
+        values = np.random.default_rng(len(shape) + shape[-1]).lognormal(0.0, 2.0, shape)
+        lmax = int(math.log2(min(shape[-n:])))
+        cum = prefix_sum_of(values, shape[-n:], (1.0,) * n).cum
+        want = cum[(...,) + np.ix_(*[2 ** np.arange(lmax + 1)] * n)]
+        assert anchored_box_sums(values, n, lmax).tobytes() == want.tobytes()
+
+    def test_a_largest_box_past_the_double_range_raises(self):
+        with pytest.raises(GridError, match="leave the double range"):
+            anchored_box_sums(np.full((4, 4), 1e308), 2, 2)
+        # cells outside the largest box are not read
+        values = np.ones((5, 5))
+        values[4, :] = values[:, 4] = 1e308
+        assert anchored_box_sums(values, 2, 2)[-1, -1] == 16.0
 
 
 class TestIO:

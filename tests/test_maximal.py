@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongmax import _kernels
+from strongmax import orlicz as orlicz_module
 from strongmax.corpus import make_corpus
 from strongmax.grid import Basis, GridError, GridFunction, Rect, basis_sizes, build_prefix_sum, rect_cell_sum
 from strongmax.maximal import (
@@ -453,6 +454,60 @@ class TestBatch:
         P = np.stack([build_prefix_sum(f).cum for f in fs])[:, None]
         sizes = list(basis_sizes(ALL, (5, 4), (0.3, 0.7)))
         assert _kernels.sweep_all_rects(P, (0.3, 0.7), -1.0).tobytes() == _kernels.sweep(P, (0.3, 0.7), -1.0, sizes).tobytes()
+
+
+def _orlicz_cases():
+    for shape in [(16,), (12,), (8, 8), (5, 7), (4, 4, 4), (3, 4, 5)]:
+        for kind in ("all", "dyadic", "cubes"):
+            if kind == "dyadic" and any(k & (k - 1) for k in shape):
+                continue  # the dyadic basis needs power-of-two sides
+            for m in (1, 2):
+                for alpha in (0.0, 0.5):
+                    yield pytest.param(shape, kind, m, alpha, id=f"{shape}-{kind}-m{m}-a{alpha:g}")
+
+
+def _assert_orlicz_batch_is_single_calls(batch, q):
+    got = _maximal(batch, q, orlicz=True)
+    assert len(got) == len(batch)
+    for fs, mf in zip(batch, got):
+        assert mf.values.tobytes() == orlicz_maximal(fs, q).values.tobytes()
+
+
+class TestOrliczBatch:
+    """The Orlicz operator over a batch of tuples: each member gets the bits
+    of its own call."""
+
+    @pytest.mark.parametrize("shape,kind,m,alpha", list(_orlicz_cases()))
+    def test_batch_equals_single_calls(self, shape, kind, m, alpha):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1] * 10 + m)
+        h = tuple(rng.uniform(0.3, 1.5, len(shape)))
+        # zeros on some cells, log-normal cells, and one all-zero function
+        batch = [[gf(rng.lognormal(0, 1.5, shape) * (rng.uniform(size=shape) < 0.8), h=h) for _ in range(m)]
+                 for _ in range(3)]
+        batch[1][0] = gf(np.zeros(shape), h=h)
+        for psis in [(phi_n(2),) * m, (power(2.5), l_log_l(2))[:m]]:
+            _assert_orlicz_batch_is_single_calls(batch, MaximalQuery(basis=Basis(kind), alpha=alpha, m=m, orlicz=psis))
+
+    def test_batches_past_one_walk(self):
+        # _kernels.BATCH + 1 tuples take two walks
+        rng = np.random.default_rng(17)
+        batch = [[gf(rng.uniform(0, 3, (6, 5)), h=(0.7, 0.4)) for _ in range(2)] for _ in range(_kernels.BATCH + 1)]
+        _assert_orlicz_batch_is_single_calls(batch, MaximalQuery(basis=ALL, alpha=1.0, m=2, orlicz=(phi_n(2),) * 2))
+
+    def test_members_of_unlike_scale(self):
+        # each member is scaled by its own power of two
+        rng = np.random.default_rng(18)
+        batch = [[gf(rng.uniform(0, 3, (8, 8)) * scale)] for scale in (1e-300, 1.0, 1e300)]
+        _assert_orlicz_batch_is_single_calls(batch, MaximalQuery(basis=ALL, orlicz=(phi_n(2),)))
+
+    def test_one_luxemburg_call_per_young_function(self, monkeypatch):
+        calls = []
+        blocks = orlicz_module.luxemburg_blocks
+        monkeypatch.setattr(orlicz_module, "luxemburg_blocks", lambda *args: calls.append(args) or blocks(*args))
+        rng = np.random.default_rng(19)
+        batch = [[gf(rng.uniform(0, 3, (8, 8)))] for _ in range(4)]
+        _maximal(batch, MaximalQuery(basis=ALL, orlicz=(phi_n(2),)), orlicz=True)
+        assert len(calls) == 1
 
 
 class TestOrlicz:

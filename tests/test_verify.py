@@ -296,17 +296,27 @@ class TestHarness:
         # Luxemburg norm comes from one scalar bisection per rectangle
         theorems = ["one-weight", "vector-valued"]
         batched = reports_to_json(run_all(seed=0, theorems=theorems))
-        calls = []
+        calls, tuples = [], []
+        maximal = verify._maximal
 
         def counted(*args):
             calls.append(args)
             return scalar_blocks(*args)
 
-        monkeypatch.setattr(verify, "orlicz_maximal", orlicz_maximal_oracle)
+        def oracle(batch, query, orlicz):
+            # the batched Orlicz operator, one oracle call per tuple
+            if not orlicz:
+                return maximal(batch, query, orlicz)
+            tuples.extend(batch)
+            return [orlicz_maximal_oracle(fs, query) for fs in batch]
+
+        monkeypatch.setattr(verify, "_maximal", oracle)
         monkeypatch.setattr(orlicz, "luxemburg_blocks", counted)
         assert reports_to_json(run_all(seed=0, theorems=theorems)) == batched
-        # the Young condition's two bisections went through the oracle
+        # the Young condition's two bisections went through the oracle, and
+        # so did every tuple of the Orlicz operator
         assert len(calls) == 2
+        assert tuples
 
     def test_jobs_cover_documented_names(self):
         assert {"endpoint", "one-weight", "two-weight-bump", "prop3.5",
@@ -351,6 +361,45 @@ def test_weight_theory_takes_each_constant_in_one_walk(monkeypatch):
     monkeypatch.setattr(weights, "_sup_over_blocks", counted)
     weight_theory_suite(samples=40, seed=0, shape=(8, 8))
     assert len(calls) <= 8
+
+
+def test_run_all_takes_each_batch_in_one_call(monkeypatch):
+    # each Orlicz query takes all of its tuples in one call (8 calls one
+    # tuple at a time), weight_theory_suite its 40 A_infty verdicts and its
+    # reverse doubling constants in one call each (40 and 40 one pair at a
+    # time), and A_infty reads its nested boxes from the values, with no
+    # prefix sum
+    orlicz_calls, batches, inside, prefix_in_ainf = [], {}, [], []
+    maximal, build, ainf = verify._maximal, weights.build_prefix_sum, weights.a_infty_classifies
+
+    def counted_maximal(batch, query, orlicz):
+        if orlicz:
+            orlicz_calls.append(len(batch))
+        return maximal(batch, query, orlicz)
+
+    def counted_batch(name, original):
+        def call(ws, *args, **kwargs):
+            batches.setdefault(name, []).append(len(ws))
+            return original(ws, *args, **kwargs)
+        return call
+
+    def within_ainf(*args, **kwargs):
+        inside.append(True)
+        try:
+            return ainf(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(verify, "_maximal", counted_maximal)
+    monkeypatch.setattr(weights, "a_infty_classifies", within_ainf)  # a_infty_classify's core too
+    monkeypatch.setattr(verify, "a_infty_classifies", counted_batch("ainf", within_ainf))
+    monkeypatch.setattr(verify, "reverse_doubling_constants",
+                        counted_batch("rd", verify.reverse_doubling_constants))
+    monkeypatch.setattr(weights, "build_prefix_sum", lambda f: prefix_in_ainf.append(bool(inside)) or build(f))
+    run_all(0)
+    assert len(orlicz_calls) == len(verify.ORLICZ_KS) and min(orlicz_calls) > 1
+    assert batches["ainf"] == [40] and len(batches["rd"]) == 1 and batches["rd"][0] > 1
+    assert prefix_in_ainf and not any(prefix_in_ainf)
 
 
 def test_weight_theory_memory_stays_per_chunk():

@@ -14,6 +14,7 @@ from strongmax.weights import (
     SLOPE_TOL,
     WeightError,
     WeightVector,
+    a_infty_classifies,
     a_infty_classify,
     ap_constant,
     ap_constants,
@@ -29,6 +30,7 @@ from strongmax.weights import (
     power_weight_grid,
     power_weight_profile,
     reverse_doubling_constant,
+    reverse_doubling_constants,
     tauberian_constant_estimate,
 )
 
@@ -411,6 +413,35 @@ def _assert_batch_is_single_calls(pairs, ps, basis, p=2.5, r=1.3):
 BATCH_BASES = [Basis("all"), Basis("dyadic"), Basis("cubes")]
 
 
+def _mixed_weights(shape):
+    """Weights on one grid of the given shape with unequal cell sides:
+    log-normal (sigma = 2), a constant, the decay weight of
+    prop35_counterexample along the last axis, one that holds nearly all of
+    its mass at the first cell of the last axis (it fails A_infty), values
+    near 1e-200 and near 1e300 / cells."""
+    rng = np.random.default_rng(math.prod(shape))
+    h = tuple(0.3 + 0.17 * k for k in range(len(shape)))
+    cells = math.prod(shape)
+    return [GridFunction(shape, h, v) for v in (
+        np.exp(rng.normal(0.0, 2.0, shape)),
+        np.full(shape, 3.0),
+        np.broadcast_to(_decay_column(shape[-1]), shape),
+        np.where(np.arange(shape[-1]) == 0, 1.0, 1e-6) * np.ones(shape),
+        1e-200 * rng.uniform(0.5, 2.0, shape),
+        1e300 / cells * rng.uniform(0.5, 1.0, shape),
+    )]
+
+
+def _a_infty_bits(rep):
+    """An A_infty report as bytes and plain values: families, slopes, pairs,
+    verdict and witness axis."""
+    points = [p for fam in rep.families for p in fam["points"]]
+    return ([fam["axis"] for fam in rep.families], [ell for ell, *_ in points],
+            _bits([x for _, *xs in points for x in xs]), list(rep.slopes), _bits(list(rep.slopes.values())),
+            [(big, sub) for big, sub, *_ in rep.pairs], _bits([x for _, _, *xs in rep.pairs for x in xs]),
+            rep.passes, rep.witness_axis)
+
+
 class TestBatch:
     """One walk over the basis for many weight tuples: each member of a batch
     gets the bits and the witness of its own call."""
@@ -460,6 +491,54 @@ class TestBatch:
         for consts, wits in (ap_constants([], 2.0, ALL), multi_weight_constants_ap([], ALL),
                              multi_weight_constants_apq([], ALL), power_bump_constants([], [], 1.5, ALL)):
             assert consts.shape == (0,) and wits == []
+
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (16, 32), (8, 8, 8), (64,), (37,), (6, 11), (8, 4, 6)])
+    def test_a_infty_batch_equals_single_calls(self, shape):
+        ws = _mixed_weights(shape)
+        got = a_infty_classifies(ws, n_random_pairs=0)
+        assert [_a_infty_bits(rep) for rep in got] == [_a_infty_bits(a_infty_classify(w, n_random_pairs=0)) for w in ws]
+        assert {rep.passes for rep in got} == {True, False}
+
+    def test_a_infty_batch_draws_the_pairs_of_single_calls(self):
+        ws = _mixed_weights((8, 8))
+        # successive single calls on one generator, and each on its own
+        # default_rng(0) when no generator is given
+        one = np.random.default_rng(5)
+        want = [_a_infty_bits(a_infty_classify(w, rng=one, n_random_pairs=3)) for w in ws]
+        assert [_a_infty_bits(rep) for rep in a_infty_classifies(ws, np.random.default_rng(5), 3)] == want
+        want = [_a_infty_bits(a_infty_classify(w, n_random_pairs=3)) for w in ws]
+        assert [_a_infty_bits(rep) for rep in a_infty_classifies(ws, n_random_pairs=3)] == want
+
+    def test_a_infty_pairs_of_sampled_product_weights(self):
+        # the nu weights of weight_theory_suite
+        pairs = _sample_weight_pairs(0, 40, (16, 16), (1 / 16, 1 / 16))
+        nus = [ws[0].with_values(WeightVector(ws, (2.0, 2.0), q=1.0).nu()) for ws in pairs]
+        got = a_infty_classifies(nus, n_random_pairs=0)
+        assert [_a_infty_bits(rep) for rep in got] == [_a_infty_bits(a_infty_classify(w, n_random_pairs=0)) for w in nus]
+        rd = reverse_doubling_constants(nus)
+        assert rd.tobytes() == _bits([reverse_doubling_constant(w) for w in nus])
+
+    @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (16, 32), (8, 8, 8), (64,), (2, 2), (4, 2, 8)])
+    def test_reverse_doubling_batch_equals_single_calls(self, shape):
+        # 1e308 weights overflow their block sums and take the redo at a
+        # power-of-two scale, alone; the others keep their one pass
+        ws = _mixed_weights(shape)
+        ws += [ws[0].with_values(np.full(shape, 1e308))]
+        ws.insert(1, ws[0].with_values(np.random.default_rng(2).uniform(0.5, 1.0, shape) * 1e308))
+        got = reverse_doubling_constants(ws)
+        assert got.tobytes() == _bits([reverse_doubling_constant(w) for w in ws])
+        assert got[-1] == pytest.approx(2.0 ** len(shape), rel=1e-12)
+        assert np.all(np.isfinite(got))
+
+    def test_empty_a_infty_and_reverse_doubling_batches(self):
+        assert a_infty_classifies([]) == []
+        assert reverse_doubling_constants([]).shape == (0,)
+
+    def test_a_infty_and_reverse_doubling_batches_share_their_grid(self):
+        w, w8 = gf(np.ones((4, 4))), gf(np.ones((8, 8)))
+        for batched in (a_infty_classifies, reverse_doubling_constants):
+            with pytest.raises(WeightError, match="one grid"):
+                batched([w, w8])
 
     def test_a_batch_shares_its_grid_and_exponents(self):
         w, w8 = gf(np.ones((4, 4))), gf(np.ones((8, 8)))

@@ -301,7 +301,7 @@ def anchored_box_sums(values: np.ndarray, n: int, lmax: int) -> np.ndarray:
     axes run over lmax+1 rows. The last axis, contiguous, is one cumsum; an
     earlier axis adds its rows one at a time into a contiguous accumulator,
     because numpy's cumsum along a strided axis runs one column at a time
-    (31 ms against 1.4 ms on 128^3).
+    (on 128^3, 31 ms against 1.4 ms with numpy 2.4.6 on a 2-CPU x86-64).
     """
     top = 2**lmax
     s = values[(...,) + (slice(0, top),) * n]

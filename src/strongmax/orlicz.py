@@ -11,11 +11,11 @@ There is one bisection, ``luxemburg_blocks``, run in lockstep over the rows
 of a list of blocks, one set of k cells per row, with k free to differ
 between blocks. ``luxemburg_norms`` (the rows of one (R, k) array) and a
 single norm are one-block calls, and ``size_norms`` gives the callers,
-the Orlicz maximal operator and the Young condition of the vector-valued
-check, the norms of every rect of a basis with one call per Young
-function. The rows are taken in chunks of at most CELL_BLOCK cells, in
-order of k, and each bisection step makes one Phi call on the chunk's flat
-cells. Each row runs the scalar control flow on its own bracket: a row
+the Orlicz maximal operator (for every tuple of a batch) and the Young
+condition of the vector-valued check, the norms of every rect of a basis
+with one call per Young function. The rows are taken in chunks of at most
+CELL_BLOCK cells, in order of k, and each bisection step makes one Phi
+call on the chunk's flat cells. Each row runs the scalar control flow on its own bracket: a row
 that a phase no longer steps is evaluated at a lambda it has already seen,
 and that mean is dropped. Its mean is the pairwise sum of its k values
 along the contiguous last axis of its run of equal k, the sum a 1-D array

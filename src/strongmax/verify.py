@@ -222,7 +222,8 @@ def operator_ratio(
     """sup over tuples of ||M_alpha(f) nu_w||_q / prod ||f_i w_i||_{p_i}.
 
     With orlicz_k set, uses the Orlicz maximal operator with Young function
-    Phi_(k+1) in every slot and scale t^(alpha/n).
+    Phi_(k+1) in every slot and scale t^(alpha/n). Either operator takes
+    every tuple with a nonzero denominator in one call.
     """
     nu = wv.nu()
     kept, dens = [], []

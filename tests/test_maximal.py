@@ -354,9 +354,26 @@ def _batch_cases(grids):
                         yield pytest.param(shape, kind, m, alpha, id=f"{shape}-{kind}-m{m}-a{alpha:g}")
 
 
+def _orlicz_cases():
+    for shape in [(16,), (12,), (8, 8), (5, 7), (4, 4, 4), (3, 4, 5)]:
+        for kind in ("all", "dyadic", "cubes"):
+            if kind == "dyadic" and any(k & (k - 1) for k in shape):
+                continue  # the dyadic basis needs power-of-two sides
+            for m in (1, 2):
+                for alpha in (0.0, 0.5):
+                    yield pytest.param(shape, kind, m, alpha, id=f"{shape}-{kind}-m{m}-a{alpha:g}")
+
+
+def _assert_orlicz_batch_is_single_calls(batch, q):
+    got = _maximal(batch, q, orlicz=True)
+    assert len(got) == len(batch)
+    for fs, mf in zip(batch, got):
+        assert mf.values.tobytes() == orlicz_maximal(fs, q).values.tobytes()
+
+
 class TestBatch:
-    """One walk for many tuples: each member of a batch gets the bits of its
-    own call."""
+    """One walk for many tuples, by the sweep or by the Orlicz operator: each
+    member of a batch gets the bits of its own call."""
 
     @pytest.mark.parametrize("shape,kind,m,alpha", list(_batch_cases(AGREEMENT_GRIDS)))
     def test_batch_equals_single_calls(self, shape, kind, m, alpha):
@@ -455,30 +472,8 @@ class TestBatch:
         sizes = list(basis_sizes(ALL, (5, 4), (0.3, 0.7)))
         assert _kernels.sweep_all_rects(P, (0.3, 0.7), -1.0).tobytes() == _kernels.sweep(P, (0.3, 0.7), -1.0, sizes).tobytes()
 
-
-def _orlicz_cases():
-    for shape in [(16,), (12,), (8, 8), (5, 7), (4, 4, 4), (3, 4, 5)]:
-        for kind in ("all", "dyadic", "cubes"):
-            if kind == "dyadic" and any(k & (k - 1) for k in shape):
-                continue  # the dyadic basis needs power-of-two sides
-            for m in (1, 2):
-                for alpha in (0.0, 0.5):
-                    yield pytest.param(shape, kind, m, alpha, id=f"{shape}-{kind}-m{m}-a{alpha:g}")
-
-
-def _assert_orlicz_batch_is_single_calls(batch, q):
-    got = _maximal(batch, q, orlicz=True)
-    assert len(got) == len(batch)
-    for fs, mf in zip(batch, got):
-        assert mf.values.tobytes() == orlicz_maximal(fs, q).values.tobytes()
-
-
-class TestOrliczBatch:
-    """The Orlicz operator over a batch of tuples: each member gets the bits
-    of its own call."""
-
     @pytest.mark.parametrize("shape,kind,m,alpha", list(_orlicz_cases()))
-    def test_batch_equals_single_calls(self, shape, kind, m, alpha):
+    def test_orlicz_batch_equals_single_calls(self, shape, kind, m, alpha):
         rng = np.random.default_rng(len(shape) * 1000 + shape[-1] * 10 + m)
         h = tuple(rng.uniform(0.3, 1.5, len(shape)))
         # zeros on some cells, log-normal cells, and one all-zero function
@@ -488,19 +483,19 @@ class TestOrliczBatch:
         for psis in [(phi_n(2),) * m, (power(2.5), l_log_l(2))[:m]]:
             _assert_orlicz_batch_is_single_calls(batch, MaximalQuery(basis=Basis(kind), alpha=alpha, m=m, orlicz=psis))
 
-    def test_batches_past_one_walk(self):
+    def test_orlicz_batches_past_one_walk(self):
         # _kernels.BATCH + 1 tuples take two walks
         rng = np.random.default_rng(17)
         batch = [[gf(rng.uniform(0, 3, (6, 5)), h=(0.7, 0.4)) for _ in range(2)] for _ in range(_kernels.BATCH + 1)]
         _assert_orlicz_batch_is_single_calls(batch, MaximalQuery(basis=ALL, alpha=1.0, m=2, orlicz=(phi_n(2),) * 2))
 
-    def test_members_of_unlike_scale(self):
+    def test_orlicz_members_of_unlike_scale(self):
         # each member is scaled by its own power of two
         rng = np.random.default_rng(18)
         batch = [[gf(rng.uniform(0, 3, (8, 8)) * scale)] for scale in (1e-300, 1.0, 1e300)]
         _assert_orlicz_batch_is_single_calls(batch, MaximalQuery(basis=ALL, orlicz=(phi_n(2),)))
 
-    def test_one_luxemburg_call_per_young_function(self, monkeypatch):
+    def test_orlicz_batch_takes_one_luxemburg_call_per_young_function(self, monkeypatch):
         calls = []
         blocks = orlicz_module.luxemburg_blocks
         monkeypatch.setattr(orlicz_module, "luxemburg_blocks", lambda *args: calls.append(args) or blocks(*args))

@@ -61,7 +61,6 @@ from .young import (
     YoungFunction,
     bp_star_classify,
     complementary,
-    from_config,
     identity,
     in_bp_star,
     inverse,

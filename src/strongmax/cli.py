@@ -198,9 +198,7 @@ def _cmd_weights(args) -> int:
             "classification": rep.classification,
             "passes": rep.passes,
             "witness_rect": rep.witness_axis,
-            "scale_profile": [
-                {"axis": fam["axis"], "points": fam["points"]} for fam in rep.families
-            ],
+            "scale_profile": rep.families,
         })
     elif args.klass == "rd":
         payload["constant_or_bound"] = reverse_doubling_constant(w)

@@ -59,12 +59,15 @@ class RectFamily:
     def cell_volume(self) -> float:
         return math.prod(self.cell_size)
 
-    def union_measure(self, indices=None) -> float:
+    def union_cells(self, indices=None) -> int:
         mask = np.zeros(self.shape, dtype=bool)
         idx = range(len(self.rects)) if indices is None else indices
         for i in idx:
             mask[self.rects[i].slices()] = True
-        return float(np.count_nonzero(mask)) * self.cell_volume
+        return int(np.count_nonzero(mask))
+
+    def union_measure(self, indices=None) -> float:
+        return float(self.union_cells(indices)) * self.cell_volume
 
 
 @dataclass
@@ -228,6 +231,8 @@ def disjointification_bound_check(fam: RectFamily, kept: list[int], lam: float) 
 
     Follows from the disjoint decomposition E_i = A_i \\ U_{s<i} A_s of the
     kept sequence, where the scattered property gives |A_i| <= |E_i|/(1-lam).
+    Both sides are cell counts times the cell volume, so the counts are
+    compared, with no slack that would outweigh the measures of small cells.
     """
-    total = sum(_rect_cells(fam.rects[i]) for i in kept) * fam.cell_volume
-    return fam.union_measure(kept) >= (1.0 - lam) * total - 1e-12
+    total = sum(_rect_cells(fam.rects[i]) for i in kept)
+    return fam.union_cells(kept) >= (1.0 - lam) * total

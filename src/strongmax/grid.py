@@ -165,34 +165,23 @@ class Basis:
     kind: "all" (every index range), "dyadic" (per-axis dyadic intervals,
     grid sides must be powers of two), or "cubes" (equal physical side
     lengths, within one cell).
-    scale_bounds: optional (min_side, max_side); a rect of the basis has
-    every physical side within them.
     """
 
     kind: str = ALL_RECTS
-    scale_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in _BASIS_KINDS:
             raise GridError(f"unknown basis kind {self.kind!r}")
-        b = self.scale_bounds
-        if b is not None and not (len(b) == 2 and 0 <= b[0] <= b[1]):
-            raise GridError(f"scale_bounds must be (min_side, max_side) with 0 <= min_side <= max_side, got {b}")
 
 
-def _axis_lengths(basis: Basis, nk: int, hk: float) -> list[int]:
+def _axis_lengths(basis: Basis, nk: int) -> list[int]:
     """The cell counts, ascending, of the basis's intervals on an axis of nk
-    cells of side hk: every count for all and cubes, the powers of two for
-    dyadic. Scale bounds keep the counts whose physical side lies within
-    them, so a rect of the basis has every side within them."""
+    cells: every count for all and cubes, the powers of two for dyadic."""
     if basis.kind == DYADIC_RECTS:
         if nk & (nk - 1):
             raise GridError(f"dyadic basis needs power-of-two sides, got {nk}")
-        lengths = [1 << j for j in range(nk.bit_length())]
-    else:
-        lengths = range(1, nk + 1)
-    lo_s, hi_s = basis.scale_bounds or (0.0, math.inf)
-    return [c for c in lengths if lo_s <= c * hk <= hi_s]
+        return [1 << j for j in range(nk.bit_length())]
+    return list(range(1, nk + 1))
 
 
 def _count_tuples(basis: Basis, shape: tuple[int, ...], h: tuple[float, ...]) -> Iterator[tuple[int, ...]]:
@@ -200,7 +189,7 @@ def _count_tuples(basis: Basis, shape: tuple[int, ...], h: tuple[float, ...]) ->
     product of the per-axis lengths. A cube keeps its other sides strictly
     closer than one cell width to its first, so uniform grids give exact
     cubes only."""
-    first, *rest = [_axis_lengths(basis, nk, hk) for nk, hk in zip(shape, h)]
+    first, *rest = [_axis_lengths(basis, nk) for nk in shape]
     if basis.kind != CUBES:
         yield from itertools.product(first, *rest)
         return
@@ -211,21 +200,15 @@ def _count_tuples(basis: Basis, shape: tuple[int, ...], h: tuple[float, ...]) ->
         yield from itertools.product([c0], *others)
 
 
-def _axis_intervals(basis: Basis, nk: int, hk: float) -> tuple[np.ndarray, np.ndarray]:
+def _axis_intervals(basis: Basis, nk: int) -> tuple[np.ndarray, np.ndarray]:
     """(lo, hi), the inclusive cell-index ranges of the basis's intervals on
-    one axis (all or dyadic), in enumeration order: all by lowest cell, then
-    by length; dyadic from the longest length down, each length tiling the
-    axis."""
-    lengths = _axis_lengths(basis, nk, hk)
+    one axis of nk cells (all or dyadic), in enumeration order: all by lowest
+    cell, then by length; dyadic from the longest length down, each length
+    tiling the axis."""
     if basis.kind == DYADIC_RECTS:
-        pairs = [(s, s + c - 1) for c in reversed(lengths) for s in range(0, nk, c)]
-        return tuple(np.array(pairs, dtype=np.intp).reshape(-1, 2).T)
-    lo, hi = np.triu_indices(nk)
-    # the kept lengths are one run, so two comparisons select them
-    first, last = (lengths[0], lengths[-1]) if lengths else (1, 0)
-    span = hi - lo + 1
-    keep = (span >= first) & (span <= last)
-    return lo[keep], hi[keep]
+        pairs = [(s, s + c - 1) for c in reversed(_axis_lengths(basis, nk)) for s in range(0, nk, c)]
+        return tuple(np.array(pairs, dtype=np.intp).T)
+    return np.triu_indices(nk)
 
 
 def enumerate_basis(basis: Basis, shape: Sequence[int], cell_size: Sequence[float] | None = None) -> Iterator[Rect]:
@@ -236,7 +219,7 @@ def enumerate_basis(basis: Basis, shape: Sequence[int], cell_size: Sequence[floa
             for lo in itertools.product(*[range(nk - c + 1) for nk, c in zip(shape, counts)]):
                 yield Rect(lo, tuple(l + c - 1 for l, c in zip(lo, counts)))
         return
-    per_axis = [_axis_intervals(basis, nk, hk) for nk, hk in zip(shape, h)]
+    per_axis = [_axis_intervals(basis, nk) for nk in shape]
     for combo in itertools.product(*[zip(lo.tolist(), hi.tolist()) for lo, hi in per_axis]):
         yield Rect(tuple(a for a, _ in combo), tuple(b for _, b in combo))
 
@@ -370,8 +353,7 @@ def basis_sizes(
     """(counts, step) for each cell-count tuple of the basis: its rects of
     that size have their lowest cells on the anchors 0, step, 2*step, ...
     along each axis. step is the counts for the dyadic basis and 1
-    otherwise; scale bounds filter the per-axis lengths, as in basis_blocks.
-    Each count tuple comes once, in lexicographic order.
+    otherwise. Each count tuple comes once, in lexicographic order.
     """
     shape, h = grid_axes(shape, cell_size)
     ones = (1,) * len(shape)
@@ -410,12 +392,10 @@ def basis_blocks(
             starts = [np.arange(nk - c + 1) for nk, c in zip(shape, counts)]
             yield [(a, a + (c - 1)) for a, c in zip(starts, counts)]
         return
-    (a, b), *rest = [_axis_intervals(basis, nk, hk) for nk, hk in zip(shape, h)]
-    inner = math.prod(len(lo) for lo, _ in rest)
-    if inner:  # else some axis keeps no interval and the basis is empty
-        run = max(1, RECT_BLOCK // inner)
-        for s in range(0, len(a), run):
-            yield [(a[s : s + run], b[s : s + run]), *rest]
+    (a, b), *rest = [_axis_intervals(basis, nk) for nk in shape]
+    run = max(1, RECT_BLOCK // math.prod(len(lo) for lo, _ in rest))
+    for s in range(0, len(a), run):
+        yield [(a[s : s + run], b[s : s + run]), *rest]
 
 
 def block_cell_sums(p: PrefixSum, block: Block) -> np.ndarray:

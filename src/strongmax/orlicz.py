@@ -9,13 +9,12 @@ and every bisection ends.
 
 There is one bisection, ``luxemburg_blocks``, run in lockstep over the rows
 of a list of blocks, one set of k cells per row, with k free to differ
-between blocks. ``luxemburg_norms`` (the rows of one (R, k) array) and a
-single norm are one-block calls, and ``size_norms`` gives the callers,
-the Orlicz maximal operator (for every tuple of a batch) and the Young
-condition of the vector-valued check, the norms of every rect of a basis
-with one call per Young function. The rows are taken in chunks of at most
-CELL_BLOCK cells, in order of k, and each bisection step makes one Phi
-call on the chunk's flat cells. Each row runs the scalar control flow on its own bracket: a row
+between blocks. A single norm is a one-block call, and ``size_norms``
+gives the callers, the Orlicz maximal operator (for every tuple of a batch)
+and the Young condition of the vector-valued check, the norms of every rect
+of a basis with one call per Young function. The rows are taken in chunks
+of at most CELL_BLOCK cells, in order of k, and each bisection step makes
+one Phi call on the chunk's flat cells. Each row runs the scalar control flow on its own bracket: a row
 that a phase no longer steps is evaluated at a lambda it has already seen,
 and that mean is dropped. Its mean is the pairwise sum of its k values
 along the contiguous last axis of its run of equal k, the sum a 1-D array
@@ -208,15 +207,6 @@ def _bisect(cells: np.ndarray, groups, hi: np.ndarray, weight: np.ndarray,
     return np.ldexp(hi, e)
 
 
-def luxemburg_norms(
-    vals: np.ndarray, cell_measure: float, total_measure, phi: YoungFunction
-) -> np.ndarray:
-    """Luxemburg norms of the rows of vals (R, k), one set of k cells per row
-    (a one-block ``luxemburg_blocks`` call); total_measure is the measure of
-    each row's set (a scalar or R values)."""
-    return luxemburg_blocks([(vals, total_measure)], 1, cell_measure, phi)[0]
-
-
 def size_norms(stack: np.ndarray, sizes, cell_measure: float, totals, phis) -> list[list[np.ndarray]]:
     """norms[i][s]: the Luxemburg norms under phis[i] of slot i of a stack of
     functions over the grid (m, ..., N_1, ..., N_n), over the rects of the
@@ -249,7 +239,7 @@ def luxemburg_norm_values(
     """Luxemburg norm of |vals|, the values of a set's member cells (uniform
     cell measure)."""
     row = np.reshape(vals, (1, -1))
-    return float(luxemburg_norms(row, cell_measure, total_measure, phi)[0])
+    return float(luxemburg_blocks([(row, total_measure)], 1, cell_measure, phi)[0][0])
 
 
 def luxemburg_norm(f: GridFunction, e: CellSet, phi: YoungFunction) -> float:

@@ -196,36 +196,6 @@ def identity() -> YoungFunction:
     return power(1.0)
 
 
-def _integer(v) -> int:
-    """v as an int; a value with a fractional part raises ValueError
-    instead of being truncated."""
-    if not float(v).is_integer():
-        raise ValueError(f"{v!r} is not an integer")
-    return int(v)
-
-
-# family name -> (builder, the type of each parameter it takes)
-_FAMILIES = {
-    "power": (power, {"s": float}),
-    "phi_n": (phi_n, {"n": _integer}),
-    "phi_n_iter": (phi_n_iter, {"n": _integer, "m": _integer}),
-    "llogl": (l_log_l, {"k": _integer, "outer": float}),
-    "psi_n": (psi_n, {"n": _integer}),
-    "identity": (identity, {}),
-}
-
-
-def from_config(name: str, **params) -> YoungFunction:
-    """Build a canonical Young function from a family name + parameters."""
-    if name not in _FAMILIES:
-        raise YoungFunctionError(f"unknown Young family {name!r}")
-    build, types = _FAMILIES[name]
-    try:
-        return build(**{k: types[k](v) for k, v in params.items()})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise YoungFunctionError(f"{name} takes {sorted(types)}, got {params}: {exc}") from None
-
-
 # --- conjugate, inverse -----------------------------------------------------
 
 

@@ -49,7 +49,7 @@ def scalar_norm(vals, cell_measure, total_measure, phi) -> float:
 
 
 def scalar_norms(vals, cell_measure, total_measure, phi) -> np.ndarray:
-    """scalar_norm of every row: a drop-in for orlicz.luxemburg_norms."""
+    """scalar_norm of every row of vals (R, k)."""
     vals = np.asarray(vals, dtype=np.float64)
     totals = np.broadcast_to(np.asarray(total_measure, dtype=np.float64), vals.shape[:1])
     return np.array(

@@ -27,6 +27,7 @@ from strongmax.grid import (
     enumerate_basis,
     rect_cell_sum,
 )
+from strongmax.maximal import strong_maximal
 from strongmax.verify import _bump_profile
 from strongmax.weights import (
     WeightVector,
@@ -49,11 +50,7 @@ GRIDS = [
     ((2, 4, 4), (0.25, 0.25, 0.25)),
     ((3, 2, 2), (0.5, 0.5, 0.5)),
 ]
-BASES = [
-    Basis(kind, bounds)
-    for kind in ("all", "dyadic", "cubes")
-    for bounds in (None, (0.3, 0.75))
-]
+BASES = [Basis(kind) for kind in ("all", "dyadic", "cubes")]
 CASES = [
     (shape, h, b)
     for shape, h in GRIDS
@@ -64,7 +61,7 @@ CASES = [
 
 def _ids(case):
     shape, _, b = case
-    return f"{'x'.join(map(str, shape))}-{b.kind}-{'bounded' if b.scale_bounds else 'free'}"
+    return f"{'x'.join(map(str, shape))}-{b.kind}"
 
 
 def _weights(shape, h, seed):
@@ -77,14 +74,13 @@ def _weights(shape, h, seed):
 
 # --- the bases themselves ------------------------------------------------------
 
-# cubes on cells of unequal sides, where a side other than the first can leave
-# the scale bounds while the first stays within them
+# cubes on cells of unequal sides, where each other axis keeps only the counts
+# whose side lies within one cell of the first axis's side
 UNEQUAL_CUBES = [
     ((4, 4), (1.0, 0.6), Basis("cubes")),
-    ((4, 4), (1.0, 0.6), Basis("cubes", (0.0, 2.0))),
-    ((8, 4), (1.0, 0.6), Basis("cubes", (0.3, 1.0))),
-    ((2, 2, 4), (0.5, 0.5, 0.25), Basis("cubes", (0.3, 1.0))),
-    ((2, 4, 8), (0.5, 0.3, 0.2), Basis("cubes", (0.3, 1.0))),
+    ((8, 4), (1.0, 0.6), Basis("cubes")),
+    ((2, 2, 4), (0.5, 0.5, 0.25), Basis("cubes")),
+    ((2, 4, 8), (0.5, 0.3, 0.2), Basis("cubes")),
 ]
 
 
@@ -96,9 +92,6 @@ def _in_basis(basis, h, lo, hi):
     """The definition of the basis, one index range at a time."""
     counts = [b - a + 1 for a, b in zip(lo, hi)]
     sides = [c * hk for c, hk in zip(counts, h)]
-    low, high = basis.scale_bounds or (0.0, math.inf)
-    if not all(low <= s <= high for s in sides):
-        return False
     if basis.kind == "dyadic":
         return all(c & (c - 1) == 0 and a % c == 0 for a, c in zip(lo, counts))
     if basis.kind == "cubes":
@@ -282,8 +275,15 @@ def test_power_bump_bit_equal_to_oracle(case):
 
 
 def test_empty_basis_gives_minus_inf_and_no_witness():
-    w = GridFunction((4,), (0.25,), np.arange(1.0, 5.0))
-    assert ap_constant(w, 2.0, Basis("all", (2.0, 3.0)), return_witness=True) == (-math.inf, None)
+    # cells of sides 1 and 1e-13: no side along axis 1 is within one cell
+    # (1.0) of a side along axis 0, so the cubes basis is empty
+    shape, h, cubes = (4, 4), (1.0, 1e-13), Basis("cubes")
+    assert list(enumerate_basis(cubes, shape, h)) == []
+    assert list(basis_sizes(cubes, shape, h)) == []
+    assert list(basis_blocks(cubes, shape, h)) == []
+    w = GridFunction(shape, h, np.arange(1.0, 17.0))
+    assert ap_constant(w, 2.0, cubes, return_witness=True) == (-math.inf, None)
+    assert np.array_equal(strong_maximal(w, cubes).values, np.zeros(shape))
 
 
 def test_overflowing_power_gives_inf():

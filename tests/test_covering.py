@@ -152,6 +152,15 @@ class TestScattered:
             assert is_scattered(f, sel.kept, lam)
             assert disjointification_bound_check(f, sel.kept, lam)
 
+    @pytest.mark.parametrize("side", [1e-10, 1.0, 1e10])
+    def test_disjointification_bound_on_any_cell_size(self, side):
+        # two identical 2x2 rects: the union is 4 cells against 0.9 * 8 =
+        # 7.2 for lam = 0.1, and 4 against 0.5 * 8 for lam = 0.5; the
+        # cell volume cancels, so no absolute slack may decide
+        f = fam_of((4, 4), [Rect((0, 0), (1, 1))] * 2, h=(side, side))
+        assert not disjointification_bound_check(f, [0, 1], 0.1)
+        assert disjointification_bound_check(f, [0, 1], 0.5)
+
     def test_c_emp_at_least_one(self):
         rng = np.random.default_rng(9)
         rects = []

@@ -14,11 +14,16 @@ from luxemburg_oracle import orlicz_maximal_oracle, scalar_norm, scalar_norms, y
 from strongmax import orlicz
 from strongmax.grid import Basis, GridFunction
 from strongmax.maximal import MaximalQuery, orlicz_maximal
-from strongmax.orlicz import MeasureError, luxemburg_blocks, luxemburg_norm_values, luxemburg_norms
+from strongmax.orlicz import MeasureError, luxemburg_blocks, luxemburg_norm_values
 from strongmax.verify import vector_valued_check
 from strongmax.young import YoungFunction, complementary, l_log_l, phi_n, power
 
 PHIS = [power(1.0), power(1.5), power(2.0), power(3.0), phi_n(2), phi_n(3), l_log_l(1, outer=1.5)]
+
+
+def norms(vals, cell_measure, total, phi):
+    """The norms of the rows of vals (R, k): one luxemburg_blocks block."""
+    return luxemburg_blocks([(vals, total)], 1, cell_measure, phi)[0]
 
 
 def _rows(rng, count, k, scale):
@@ -35,7 +40,7 @@ def test_rows_match_scalar_bisection(phi, scale, k):
     vals = _rows(rng, 40, k, scale)
     vals[3] = 0.0
     total = rng.uniform(0.5, 2.0, 40) * k
-    got = luxemburg_norms(vals, 1.0, total, phi)
+    got = norms(vals, 1.0, total, phi)
     assert got[3] == 0.0
     assert np.array_equal(got, scalar_norms(vals, 1.0, total, phi))
 
@@ -44,7 +49,7 @@ def test_rows_match_scalar_bisection(phi, scale, k):
 def test_scalar_total_measure_and_tolerance(phi):
     rng = np.random.default_rng(5)
     vals = _rows(rng, 25, 16, 2.0)
-    got = luxemburg_norms(vals, 0.25, 4.0, phi)
+    got = norms(vals, 0.25, 4.0, phi)
     assert np.array_equal(got, scalar_norms(vals, 0.25, 4.0, phi))
 
 
@@ -54,7 +59,7 @@ def test_bracket_doubles_and_halves():
     vals = np.array([[1e6, 2e6, 3e6, 0.0], [1e-6, 2e-6, 0.0, 5e-7], [1.0, 1.0, 1.0, 1.0]])
     for phi in (power(2.0), phi_n(2), power(3.0)):
         for cell, total in ((1.0, 0.5), (1.0, 4.0), (1.0, 400.0)):
-            got = luxemburg_norms(vals, cell, total, phi)
+            got = norms(vals, cell, total, phi)
             want = [scalar_norm(row, cell, total, phi) for row in vals]
             assert np.array_equal(got, want)
             assert all(g > 0 for g in got)
@@ -64,13 +69,13 @@ def test_numeric_conjugate():
     # Phi_2's conjugate is a closed form, Phi_3's the numeric kernel
     vals = np.array([[0.5, 0.25, 0.0], [0.0, 0.0, 0.0], [0.9, 0.1, 0.3]])
     for phi in (complementary(phi_n(2)), complementary(phi_n(3))):
-        assert np.array_equal(luxemburg_norms(vals, 1.0, 3.0, phi), scalar_norms(vals, 1.0, 3.0, phi))
+        assert np.array_equal(norms(vals, 1.0, 3.0, phi), scalar_norms(vals, 1.0, 3.0, phi))
 
 
 def test_zero_rows_and_empty_rows():
-    assert np.array_equal(luxemburg_norms(np.zeros((3, 5)), 1.0, 5.0, phi_n(2)), np.zeros(3))
-    assert np.array_equal(luxemburg_norms(np.zeros((2, 0)), 1.0, 1.0, phi_n(2)), np.zeros(2))
-    signed = luxemburg_norms(np.array([[-0.0, -0.0], [-0.0, 1.0]]), 1.0, 2.0, phi_n(2))
+    assert np.array_equal(norms(np.zeros((3, 5)), 1.0, 5.0, phi_n(2)), np.zeros(3))
+    assert np.array_equal(norms(np.zeros((2, 0)), 1.0, 1.0, phi_n(2)), np.zeros(2))
+    signed = norms(np.array([[-0.0, -0.0], [-0.0, 1.0]]), 1.0, 2.0, phi_n(2))
     assert signed[0] == 0.0 and not np.signbit(signed[0])
     assert signed[1] == scalar_norm([-0.0, 1.0], 1.0, 2.0, phi_n(2))
 
@@ -81,9 +86,9 @@ def test_unbounded_bracket_raises():
     with pytest.raises(MeasureError, match="unbounded"):
         scalar_norm(vals[1], 1.0, 2.0, jump)
     with pytest.raises(MeasureError, match="unbounded"):
-        luxemburg_norms(vals, 1.0, 2.0, jump)
+        norms(vals, 1.0, 2.0, jump)
     # a row of zeros never enters the bracket
-    assert luxemburg_norms(vals[:1], 1.0, 2.0, jump)[0] == 0.0
+    assert norms(vals[:1], 1.0, 2.0, jump)[0] == 0.0
 
 
 def _ragged_blocks():
@@ -135,8 +140,8 @@ def test_one_unbounded_row_in_a_ragged_batch_raises():
 
 
 def test_norm_is_of_the_absolute_values():
-    assert np.array_equal(luxemburg_norms([[-3.0, 1.0]], 1.0, 2.0, phi_n(2)),
-                          luxemburg_norms([[3.0, 1.0]], 1.0, 2.0, phi_n(2)))
+    assert np.array_equal(norms([[-3.0, 1.0]], 1.0, 2.0, phi_n(2)),
+                          norms([[3.0, 1.0]], 1.0, 2.0, phi_n(2)))
 
 
 @pytest.mark.parametrize("cell", [-math.inf, math.inf])
@@ -144,7 +149,7 @@ def test_infinite_cell_raises(cell):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MeasureError, match="non-finite"):
-            luxemburg_norms([[cell, 1.0]], 1.0, 2.0, phi_n(2))
+            norms([[cell, 1.0]], 1.0, 2.0, phi_n(2))
 
 
 MEASURES = {
@@ -162,7 +167,7 @@ MEASURES = {
 def test_nonpositive_measure_raises(cell_measure, total):
     # each measure must be positive and finite
     with pytest.raises(MeasureError, match="positive measure"):
-        luxemburg_norms(np.ones((2, 3)), cell_measure, total, phi_n(2))
+        norms(np.ones((2, 3)), cell_measure, total, phi_n(2))
 
 
 @pytest.mark.parametrize("phi", PHIS, ids=lambda p: p.label)
@@ -173,17 +178,24 @@ def test_one_row_call_is_the_scalar_bisection(phi):
         assert luxemburg_norm_values(vals, 0.5, 3.5, phi) == scalar_norm(vals, 0.5, 3.5, phi)
 
 
+def test_small_values_beside_a_large_one():
+    # each row is scaled by a power of two so that its maximum lies in
+    # [0.5, 1): unscaled, the norm 2.5e-303 of the row of 1e-299 lies below
+    # the bisection's fixed bracket floor of 1e-300, and the row of 1e10
+    # in the same call keeps its own scale
+    vals = np.array([[1e10, 0.0, 0.0, 0.0], [1e-299, 0.0, 0.0, 0.0]])
+    got = norms(vals, 1.0, 4000.0, power(1.0))
+    assert np.allclose(got, [2.5e6, 2.5e-303], rtol=1e-11, atol=0.0)
+
+
 # --- the callers: orlicz_maximal and the Young condition ---------------------
 
 GRIDS = [((8,), (0.125,)), ((4, 4), (0.25, 0.25)), ((2, 2, 4), (0.5, 0.5, 0.25))]
-BASES = [
-    Basis("all"), Basis("dyadic"), Basis("cubes"),
-    Basis("all", (0.3, 0.8)), Basis("dyadic", (0.2, 0.6)), Basis("cubes", (0.3, 1.0)),
-]
+BASES = [Basis("all"), Basis("dyadic"), Basis("cubes")]
 
 
 @pytest.mark.parametrize("shape,h", GRIDS, ids=lambda g: str(g))
-@pytest.mark.parametrize("basis", BASES, ids=lambda b: f"{b.kind}-{b.scale_bounds}")
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 @pytest.mark.parametrize("m", [1, 2])
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_orlicz_maximal_matches_per_rect_oracle(shape, h, basis, m, alpha):
@@ -200,7 +212,7 @@ def test_orlicz_maximal_matches_per_rect_oracle(shape, h, basis, m, alpha):
     "shape,h", [((8,), (0.3,)), ((4, 4), (0.3, 0.7)), ((2, 2, 4), (0.6, 0.7, 0.3))],
     ids=lambda g: str(g),
 )
-@pytest.mark.parametrize("basis", [Basis("all"), Basis("dyadic"), Basis("cubes")], ids=lambda b: b.kind)
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_young_condition_sup_matches_per_rect_oracle(shape, h, basis):
     rng = np.random.default_rng(len(shape))
     w = GridFunction(shape, h, rng.uniform(0.2, 3.0, shape))
@@ -213,7 +225,7 @@ def test_young_condition_sup_matches_per_rect_oracle(shape, h, basis):
 
 
 @pytest.mark.parametrize("shape,h", GRIDS, ids=lambda g: str(g))
-@pytest.mark.parametrize("basis", BASES, ids=lambda b: f"{b.kind}-{b.scale_bounds}")
+@pytest.mark.parametrize("basis", BASES, ids=lambda b: b.kind)
 def test_shared_young_function_in_three_slots(monkeypatch, shape, h, basis):
     # Phi_2 is one object in slots 1 and 3, so its two slots share one
     # bisection, and the product still runs in slot order

@@ -14,7 +14,6 @@ from strongmax.orlicz import (
     generalized_holder_check,
     luxemburg_norm,
     luxemburg_norm_values,
-    luxemburg_norms,
     mean_phi_over,
     norm_le_one_equivalence_check,
     product_norm_lemma_check,
@@ -52,7 +51,7 @@ class TestLuxemburg:
     def test_one_stopping_rule(self):
         # the bracket width is a constant, far above the double spacing, so
         # no caller can ask for a bisection that never ends
-        for fn in (luxemburg_norms, luxemburg_norm_values, luxemburg_norm):
+        for fn in (luxemburg_norm_values, luxemburg_norm):
             assert "rel_tol" not in inspect.signature(fn).parameters
         got = luxemburg_norm_values([1.0, 2.0], 1.0, 2.0, phi_n(2))
         assert got == scalar_norm(np.array([1.0, 2.0]), 1.0, 2.0, phi_n(2))

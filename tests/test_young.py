@@ -15,7 +15,6 @@ from strongmax.young import (
     bp_star_classify,
     complementary,
     complementary_value,
-    from_config,
     identity,
     in_bp_star,
     inverse,
@@ -83,12 +82,6 @@ class TestFamilies:
     def test_psi_n(self):
         assert psi_n(2).eval(1.0) == pytest.approx(math.e - 1)
         assert psi_n(3).eval(4.0) == pytest.approx(math.exp(2.0) - 1)
-
-    def test_from_config(self):
-        assert from_config("power", s=2.0).eval(3.0) == pytest.approx(9.0)
-        assert from_config("phi_n", n=2).eval(1.0) == pytest.approx(1.0)
-        with pytest.raises(YoungFunctionError):
-            from_config("nonsense")
 
     @pytest.mark.parametrize("phi", CANONICAL, ids=lambda p: p.label)
     def test_young_axioms(self, phi):
@@ -166,11 +159,7 @@ def _assert_dense_max(conj, phi, s, top):
 
 class TestComplementary:
     def test_quadratic_conjugate(self):
-        half_sq = from_config("power", s=2.0)
-        phi = half_sq.__class__ if False else None
-        # Phi(t) = t^2/2 via scaled eval
-        from strongmax.young import YoungFunction
-
+        # Phi(t) = t^2/2 has conjugate s^2/2
         f = YoungFunction(lambda t: np.asarray(t, dtype=np.float64) ** 2 / 2, label="t^2/2")
         assert complementary_value(f, 3.0) == pytest.approx(4.5, rel=1e-6)
 

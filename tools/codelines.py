@@ -1,4 +1,4 @@
-"""Count the code lines of a Python package directory.
+"""Count the code lines of a Python file, or of every one under a directory.
 
 A code line holds at least one token that is not a comment and not part of
 a docstring (the leading string of a module, class or function body), so
@@ -6,6 +6,7 @@ blank lines, comment lines and every docstring line are skipped. Standard
 library only:
 
     python3 tools/codelines.py src/strongmax
+    python3 tools/codelines.py src/strongmax/grid.py
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ def code_lines(path: Path) -> int:
 
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
-        print("usage: codelines.py PACKAGE_DIR", file=sys.stderr)
+        print("usage: codelines.py FILE_OR_DIR", file=sys.stderr)
         return 2
-    print(sum(code_lines(p) for p in sorted(Path(argv[0]).rglob("*.py"))))
+    root = Path(argv[0])
+    paths = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+    print(sum(code_lines(p) for p in paths))
     return 0
 
 

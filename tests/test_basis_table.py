@@ -40,28 +40,39 @@ from strongmax.weights import (
     power_weight_profile,
 )
 
-# (shape, cell_size); cubes need equal physical sides, so cell sizes are equal
+# (shape, cell_size) with equal cell sides, where cubes are exact cubes
 GRIDS = [
     ((7,), (1 / 7,)),
     ((8,), (0.125,)),
     ((4, 4), (0.25, 0.25)),
     ((3, 5), (0.25, 0.25)),
-    ((4, 2), (0.5, 0.25)),
     ((2, 4, 4), (0.25, 0.25, 0.25)),
     ((3, 2, 2), (0.5, 0.5, 0.5)),
+]
+# cells of unequal sides: the rect measures differ per axis, and cubes keep
+# on each other axis only the counts whose side lies within one cell of the
+# first axis's side
+UNEQUAL_GRIDS = [
+    ((4, 2), (0.5, 0.25)),
+    ((4, 4), (1.0, 0.6)),
+    ((8, 4), (1.0, 0.6)),
+    ((3, 4), (0.7, 0.25)),
+    ((2, 2, 4), (0.5, 0.5, 0.25)),
+    ((2, 4, 8), (0.5, 0.3, 0.2)),
+    ((5, 2, 2), (0.2, 0.5, 0.3)),
 ]
 BASES = [Basis(kind) for kind in ("all", "dyadic", "cubes")]
 CASES = [
     (shape, h, b)
-    for shape, h in GRIDS
+    for shape, h in GRIDS + UNEQUAL_GRIDS
     for b in BASES
     if b.kind != "dyadic" or not any(s & (s - 1) for s in shape)
 ]
 
 
 def _ids(case):
-    shape, _, b = case
-    return f"{'x'.join(map(str, shape))}-{b.kind}"
+    shape, h, b = case
+    return f"{'x'.join(map(str, shape))}-{b.kind}" + ("-unequal" if len(set(h)) > 1 else "")
 
 
 def _weights(shape, h, seed):
@@ -73,19 +84,6 @@ def _weights(shape, h, seed):
 
 
 # --- the bases themselves ------------------------------------------------------
-
-# cubes on cells of unequal sides, where each other axis keeps only the counts
-# whose side lies within one cell of the first axis's side
-UNEQUAL_CUBES = [
-    ((4, 4), (1.0, 0.6), Basis("cubes")),
-    ((8, 4), (1.0, 0.6), Basis("cubes")),
-    ((2, 2, 4), (0.5, 0.5, 0.25), Basis("cubes")),
-    ((2, 4, 8), (0.5, 0.3, 0.2), Basis("cubes")),
-]
-
-
-def _unequal_ids(case):
-    return _ids(case) + ("-unequal" if len(set(case[1])) > 1 else "")
 
 
 def _in_basis(basis, h, lo, hi):
@@ -99,7 +97,7 @@ def _in_basis(basis, h, lo, hi):
     return True
 
 
-@pytest.mark.parametrize("case", CASES + UNEQUAL_CUBES, ids=_unequal_ids)
+@pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_basis_is_its_definition(case):
     shape, h, basis = case
     ranges = [[(a, b) for a in range(n) for b in range(a, n)] for n in shape]
@@ -113,7 +111,7 @@ def test_basis_is_its_definition(case):
     assert set(rects) == want
 
 
-@pytest.mark.parametrize("case", CASES + UNEQUAL_CUBES, ids=_unequal_ids)
+@pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_basis_sizes_are_the_cell_counts_of_its_rects(case):
     shape, h, basis = case
     counts = sorted({r.cell_counts() for r in enumerate_basis(basis, shape, h)})

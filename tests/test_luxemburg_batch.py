@@ -190,7 +190,11 @@ def test_small_values_beside_a_large_one():
 
 # --- the callers: orlicz_maximal and the Young condition ---------------------
 
-GRIDS = [((8,), (0.125,)), ((4, 4), (0.25, 0.25)), ((2, 2, 4), (0.5, 0.5, 0.25))]
+GRIDS = [
+    ((8,), (0.125,)), ((4, 4), (0.25, 0.25)), ((2, 2, 4), (0.5, 0.5, 0.25)),
+    # unequal cells, so the cubes keep some counts per axis and skip others
+    ((4, 4), (1.0, 0.6)), ((2, 4, 4), (0.5, 0.3, 0.2)),
+]
 BASES = [Basis("all"), Basis("dyadic"), Basis("cubes")]
 
 

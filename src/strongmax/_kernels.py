@@ -2,17 +2,34 @@
 engine on it, and the libm volume powers it reads.
 
 ``fold_sizes`` walks the (counts, step) pairs of a basis
-(``grid.basis_sizes``): it narrows a stack of arrays over the grid to the
-rects of each size, one axis at a time, asks a leaf for one value per rect,
-and folds the values into each cell's maximum. The walk carries a batch
-axis: B members on one grid (B functions, or B m-tuples of them) share
-every per-size step, so the Python work of a walk, which dominates it, is
-paid once for the batch. The stack axis comes first and the batch axis
-second, P is (m, B, N_1+1, ...) and the output (B, N_1, ...), so the leaf
-still reads ``prod[i]`` and multiplies in place; only the grid axes move
-one place to the right. A single call is the batch of one: there is one
-fold and one leaf. Each axis is folded in one
-pass from its largest count down. On an axis whose rects start at every
+(``grid.basis_sizes``) as rows: a row is one rect of the leading axes
+(every axis but the last), and a leading count tuple has one row per
+anchor. The walk takes a chunk of rows at a time: consecutive leading
+tuples that offer the same last-axis (count, step) pairs, up to
+CHUNK_CELLS cells, so that the working set stays in cache. It narrows a
+stack of arrays over the grid to the chunk's rows once, walks the last axis
+by count over all of them at once, asking a leaf for one value per rect of
+each last-axis count, and folds the values into each cell's maximum. On the
+all and dyadic bases a chunk holds many leading tuples, so a 64^2 sweep
+takes a few hundred numpy steps where a walk per count tuple took 4,096;
+on the cubes basis each leading tuple offers its own last counts, so a
+chunk is one tuple. A 1-D grid has no leading axis: its one row is the
+whole axis.
+
+The walk carries a batch axis: B members on one grid (B functions, or B
+m-tuples of them) share every step, so the Python work of a walk is paid
+once for the batch. The stack axis comes first and the batch axis second, P
+is (m, B, N_1+1, ...) and the output (B, N_1, ...), so the leaf still reads
+``prod[i]`` and multiplies in place. Inside the walk the last grid axis
+comes right after the batch axis and the rows last, so the rows are the
+contiguous axis of the leaf's arithmetic: (m, B, N_n+1, R) for the
+narrowed sums, (B, anchors, R) for a leaf's values. A single call is the
+batch of one.
+
+Each axis is folded by ``fold_counts`` from its largest count down: the
+last axis over all rows of a chunk, then the chunk's values back over the
+leading axes one axis at a time, the last leading axis first, each over the
+tuples that share the axes before it. On an axis whose rects start at every
 cell (step 1), a rect of count c' >= c anchored at l covers the cells
 l .. l + c - 1 of the count-c rect anchored there, so a running maximum
 over the larger counts joins each count's values, and each count then folds
@@ -21,17 +38,20 @@ not reach (one anchor wide on the all basis). On a dyadic axis the step
 equals the count, so the rects of each count tile the axis and each value
 is repeated over its own cells. Every maximum over a basis runs on this walk:
 ``sweep`` narrows the stacked prefix sums P of the m input functions by
-shifted differences, and its leaf is |R|^e * prod_i integral_R f_i with
-e = alpha/n - m; the Orlicz maximal operator computes the value of every
-rect first (its Luxemburg norms come from ``orlicz.size_norms``), so its
-narrowing returns its source and its leaf looks the values up.
+differences at the corners of each row's rect and then by shifted
+differences along the last axis, and its leaf is |R|^e * prod_i
+integral_R f_i with e = alpha/n - m; the Orlicz maximal operator computes
+the value of every rect first (its Luxemburg norms come from
+``orlicz.size_norms``), so its narrowing returns nothing and its leaf lays
+the values of the chunk's tuples out as rows.
 
 On a normal cell volume the engine and the per-rectangle reference scan in
 ``maximal`` agree bit for bit, for three reasons. They form |R|, the cell
 sums and the product of the factors with the same floating-point
 expressions in the same order: the engine differences the prefix sums axis
-by axis, leading axis first, the order of ``grid.rect_cell_sum``. The volume power
-|R|^e comes from one libm ``pow`` call per side-count tuple (L_1, ..., L_n):
+by axis, leading axis first, the order of ``grid.rect_cell_sum``. The
+volume power |R|^e comes from one libm ``pow`` call per side-count tuple
+(L_1, ..., L_n), whichever rows share a chunk:
 ``vol_pow_table`` goes through ``libm_pow``, whose ``np.float_power``
 calls the C ``pow`` on each element, and the reference scan's scalar
 ``vol**e`` calls the same C ``pow`` on the same double (numpy's SIMD
@@ -72,6 +92,10 @@ USING_NUMBA = False
 # orlicz.CELL_BLOCK caps the Luxemburg chunks; 8 was the fastest of 2-50 for
 # the sweep on 64^2
 BATCH = 8
+# the most cells, counting the stack and the batch, that the rows of one
+# chunk of a walk gather, unless one leading count tuple holds more (see
+# fold_sizes); 1 << 14 to 1 << 17 ran alike on 64^2 and 12^3
+CHUNK_CELLS = 1 << 15
 
 
 def volume_table(shape: tuple[int, ...], h: tuple[float, ...]) -> np.ndarray:
@@ -124,63 +148,97 @@ def fold_max(out: np.ndarray, vals: np.ndarray, axis: int, w: int) -> None:
     np.maximum(out, vals, out=out)
 
 
+def fold_counts(out: np.ndarray, axis: int, pairs, value) -> None:
+    """out = max(out, the values of each (count, step) pair in pairs over the
+    cells its rects cover) along array axis ``axis``; pairs ascend by count,
+    and value(j) gives the values of pairs[j], one per anchor along the
+    axis, which the fold may change in place. Walked from the largest count
+    down: a running maximum where the steps are 1, a tiling where they equal
+    the counts (see the module docstring)."""
+    lead = (slice(None),) * axis
+    run = None  # on a step-1 axis: max over the larger counts, per anchor
+    for j in reversed(range(len(pairs))):
+        (c, s), vals = pairs[j], value(j)
+        if s > 1:
+            # step s = count c: the rects of count c tile the axis
+            np.maximum(out, np.repeat(vals, s, axis=axis), out=out)
+            continue
+        # a rect of a larger count anchored at l covers the cells
+        # l .. l + c - 1 too, so its value joins vals[l]; then cell x needs
+        # only the anchors x - c + 1 .. x - c_prev, the smaller counts
+        # reaching the rest
+        if run is not None:
+            head = lead + (slice(0, run.shape[axis]),)
+            np.maximum(vals[head], run, out=vals[head])
+        run = vals
+        c_prev = pairs[j - 1][0] if j else 0
+        fold_max(out[lead + (slice(c_prev, None),)], vals, axis, c - c_prev)
+
+
 def fold_sizes(shape: tuple[int, ...], sizes, src: np.ndarray, narrow, leaf) -> np.ndarray:
     """out[b, x] = max of +0.0 and the leaf values of batch member b at the
     rects of the (counts, step) pairs in sizes that hold cell x; returns shape
     ``shape`` = (B, N_1, ..., N_n), B members on one grid of shape (N_1, ...,
     N_n).
 
-    src is a stack of arrays over the grid (the grid axes follow a leading
-    stack axis and the batch axis). narrow(src, axis, c, s) keeps the rects
-    of count c and step s along grid axis ``axis``, its earlier axes already
-    narrowed; leaf(counts, src) turns a src narrowed on every axis into one
-    value per member and anchor, shaped (B, anchors...).
-
-    Sizes sharing a count prefix (one run in the lexicographic order of
-    ``grid.basis_sizes``) share that prefix's narrowing and folds. On each
-    axis the steps are all 1, or each equals its count and the count divides
-    the axis (the dyadic basis). Each axis is walked from its largest count
-    down, with a running maximum where the steps are 1 and a tiling where
-    they equal the counts (see the module docstring).
+    src is a stack (m, B, ...) of arrays over the grid. A row is one rect of
+    the leading axes (every axis but the last), and the walk takes the rows
+    a chunk at a time. A chunk is a run of consecutive leading count tuples
+    that offer the same last-axis (count, step) pairs, as long as its rows
+    hold at most CHUNK_CELLS cells of m * B * (N_n + 1) each, and at least
+    one tuple. Its rows are count-major: each tuple's rects, their anchors
+    in C order. narrow(src, lows, counts) narrows src to the chunk's rows,
+    given the lowest cells and the counts of their rects as (R, n - 1) int
+    arrays. Then leaf(leads, c, s, narrowed) gives one value per member,
+    last-axis anchor and row for the rects of count c and step s on the last
+    axis, shaped (B, anchors, R); leads are the chunk's leading count
+    tuples. The last axis is folded by count over all rows of the chunk at
+    once; then the leading axes one at a time, the last first, each by count
+    over the chunk's tuples that share the axes before it.
     """
-    grid = shape[1:]
-    n = len(grid)
+    grid, n = shape[1:], len(shape) - 1
+    lasts: dict = {}  # (leading counts, leading steps) -> last-axis pairs
+    for counts, step in sizes:
+        lasts.setdefault((counts[:-1], step[:-1]), []).append((counts[-1], step[-1]))
+    keys = list(lasts)
+    lc, ls = (np.array([key[i] for key in keys], dtype=np.intp).reshape(len(keys), n - 1) for i in (0, 1))
+    anchors = (np.array(grid[:-1], dtype=np.intp) - lc) // ls + 1
+    first = np.concatenate([[0], np.cumsum(anchors.prod(axis=1))])  # each tuple's first row
+    # every row's tuple, and its anchor along each leading axis, last
+    # fastest: a tuple's row r is anchor r % span // (span // anchors) on
+    # an axis, span the product of the anchors on that axis and the later
+    tup = np.repeat(np.arange(len(keys)), np.diff(first))
+    span = np.cumprod(anchors[:, ::-1], axis=1)[tup, ::-1]
+    lows = (np.arange(len(tup)) - first[tup])[:, None] % span // (span // anchors[tup]) * ls[tup]
 
-    def fold_axis(out: np.ndarray, src: np.ndarray, sizes, prefix: tuple[int, ...]) -> None:
-        # sizes all start with prefix; on the grid axes before axis =
-        # len(prefix) src and out hold anchors, from axis on out holds cells;
-        # the batch axis comes first, so grid axis k is array axis k + 1
-        axis = len(prefix)
-        lead = (slice(None),) * (axis + 1)
-        groups = [(c, s, list(g)) for (c, s), g in
-                  itertools.groupby(sizes, key=lambda cs: (cs[0][axis], cs[1][axis]))]
-        run = None  # on a step-1 axis: max over the larger counts, per anchor
-        for j in reversed(range(len(groups))):
-            c, s, group = groups[j]
-            sub = narrow(src, axis, c, s)
-            if axis < n - 1:
-                vals = np.full(out.shape[: axis + 1] + ((grid[axis] - c) // s + 1,) + grid[axis + 1 :], -np.inf)
-                fold_axis(vals, sub, group, prefix + (c,))
-            else:
-                vals = leaf(prefix + (c,), sub)
-            if s > 1:
-                # step s = count c: the rects of count c tile the axis
-                np.maximum(out, np.repeat(vals, s, axis=axis + 1), out=out)
-                continue
-            # a rect of a larger count anchored at l covers the cells
-            # l .. l + c - 1 too, so its value joins vals[l]; then cell x
-            # needs only the anchors x - c + 1 .. x - c_prev, the smaller
-            # counts reaching the rest
-            if run is not None:
-                head = lead + (slice(0, run.shape[axis + 1]),)
-                np.maximum(vals[head], run, out=vals[head])
-            run = vals
-            c_prev = groups[j - 1][0] if j else 0
-            fold_max(out[lead + (slice(c_prev, None),)], vals, axis + 1, c - c_prev)
-
-    out = np.zeros(shape)
-    fold_axis(out, src, sizes, ())
-    return out + 0.0  # -0.0 -> +0.0
+    # inside the walk the last grid axis comes right after the batch axis,
+    # so the rows, many where the anchors of a large count are few, are the
+    # contiguous axis of the leaf's arithmetic
+    out = np.zeros(shape[:1] + grid[-1:] + grid[:-1])
+    width = src.shape[0] * shape[0] * (grid[-1] + 1)
+    j0 = 0
+    while j0 < len(keys):
+        j1, pairs = j0 + 1, lasts[keys[j0]]  # the chunk: tuples j0 .. j1 - 1
+        while j1 < len(keys) and lasts[keys[j1]] == pairs and (first[j1 + 1] - first[j0]) * width <= CHUNK_CELLS:
+            j1 += 1
+        a, b = first[j0], first[j1]
+        narrowed = narrow(src, lows[a:b], lc[tup[a:b]])
+        leads = [key[0] for key in keys[j0:j1]]
+        vals = np.full((shape[0], grid[-1], b - a), -np.inf) if n > 1 else out[..., None]
+        fold_counts(vals, 1, pairs, lambda i: leaf(leads, *pairs[i], narrowed))
+        items = [(keys[j], vals[..., first[j] - a : first[j + 1] - a].reshape(out.shape[:2] + tuple(anchors[j])))
+                 for j in range(j0, j1)]
+        for k in reversed(range(n - 1)):
+            groups: dict = {}  # (counts, steps) before axis k -> (count, step, values) on it
+            for (c, s), v in items:
+                groups.setdefault((c[:k], s[:k]), []).append((c[k], s[k], v))
+            items = []
+            for prefix, group in groups.items():
+                folded = np.full(group[0][2].shape[: k + 2] + grid[k:-1], -np.inf) if k else out
+                fold_counts(folded, k + 2, [g[:2] for g in group], lambda i: group[i][2])
+                items.append((prefix, folded))
+        j0 = j1
+    return np.add(np.moveaxis(out, 1, -1), 0.0, order="C")  # -0.0 -> +0.0
 
 
 def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
@@ -198,7 +256,9 @@ def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
     subnormal), and wherever a direct value |R|^e * prod_i (S_i * cellvol)
     is not finite, the value is L^e * prod_k h_k^(alpha/n) * prod_i S_i,
     with L = prod counts and S_i the cell sums; alpha/n = e + m >= 0, so
-    that form stays finite.
+    that form stays finite. L is an exact integer product per row, the
+    leading counts times the last, so its ``libm_pow`` gets the double that
+    the scalar call gets.
 
     One finiteness check per member decides where that redo form is needed.
     On a normal cell volume one walk takes the direct values alone. Each
@@ -213,43 +273,55 @@ def sweep(P: np.ndarray, h: tuple[float, ...], e: float, sizes) -> np.ndarray:
     """
     m = P.shape[0]
     shape = tuple(k - 1 for k in P.shape[2:])
-    powtab = vol_pow_table(shape, h, e)
+    powtab = vol_pow_table(tuple(k + 1 for k in shape), h, e)  # up to N_k + 1 cells, as P
     cellvol = math.prod(h)
     tiny = cellvol < np.finfo(float).smallest_normal
 
-    def narrow(sums: np.ndarray, axis: int, c: int, s: int) -> np.ndarray:
-        pre = (slice(None),) * (axis + 2)
-        return sums[pre + (slice(c, None, s),)] - sums[pre + (slice(0, shape[axis] - c + 1, s),)]
+    # flat offsets of the leading axes in P and in powtab, which has P's
+    # shape; the last axis first, for the walk
+    strides = np.array([math.prod(k + 1 for k in shape[j + 1 : -1]) for j in range(len(shape) - 1)], dtype=np.intp)
+    powcols = np.ascontiguousarray(powtab.reshape(-1, shape[-1] + 1).T)
 
-    def leaf(counts: tuple[int, ...], diff: np.ndarray, redo: bool = False) -> np.ndarray:
-        # diff is the fresh array that narrow's subtraction returned, never a
-        # view of P, so the direct pass may scale it in place; the redo pass
-        # reads the unscaled cell sums
+    def narrow(sums: np.ndarray, lows: np.ndarray, counts: np.ndarray):
+        # the rows' cell sums (m, B, N_n+1, R), differenced axis by axis,
+        # leading axis first; the rows' volume powers (N_n+1, R); and counts
+        flat = np.ascontiguousarray(np.moveaxis(sums, -1, 2)).reshape(sums.shape[:2] + (shape[-1] + 1, -1))
+        # the 2^(n-1) corners of each row's rect in C order, low corner first
+        v = [np.take(flat, (lows + counts * np.asarray(corner, dtype=np.intp)) @ strides, axis=3)
+             for corner in itertools.product((0, 1), repeat=len(shape) - 1)]
+        while len(v) > 1:
+            v = [b - a for a, b in zip(v[: len(v) // 2], v[len(v) // 2 :])]
+        return v[0], np.take(powcols, (counts - 1) @ strides, axis=1), counts
+
+    def leaf(leads, c: int, s: int, narrowed, redo: bool = False) -> np.ndarray:
+        rowsums, pw, counts = narrowed
+        # the difference is a fresh array, never a view of P, so the direct
+        # pass may scale it in place; the redo pass reads the unscaled sums
+        diff = rowsums[:, :, c::s] - rowsums[:, :, : shape[-1] - c + 1 : s]
         prod = np.multiply(diff, cellvol, out=None if redo else diff)
         vals = prod[0]
-        vals *= powtab[tuple(k - 1 for k in counts)]
+        vals *= pw[c - 1]
         for i in range(1, m):
             vals *= prod[i]
         if redo:
             bad = ~np.isfinite(vals) | tiny
             if bad.any():
-                fix = libm_pow(float(math.prod(counts)), e)
+                cells = (np.prod(counts, axis=1) * c).astype(float)  # L, one per row
+                fix = np.broadcast_to(libm_pow(cells, e), vals.shape)[bad]
                 for x in [libm_pow(hk, e + m) for hk in h] + [diff[i][bad] for i in range(m)]:
                     fix = fix * x
                 vals[bad] = fix
         return vals
 
-    def redo_leaf(counts: tuple[int, ...], diff: np.ndarray) -> np.ndarray:
-        return leaf(counts, diff, redo=True)
+    def redo_leaf(*args) -> np.ndarray:
+        return leaf(*args, redo=True)
 
     def walk(part: np.ndarray) -> np.ndarray:
-        if tiny:
-            return fold_sizes(part.shape[1:2] + shape, sizes, part, narrow, redo_leaf)
-        out = fold_sizes(part.shape[1:2] + shape, sizes, part, narrow, leaf)
-        bad = ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
+        # a subnormal cell volume takes the redo walk alone
+        out = fold_sizes(part.shape[1:2] + shape, sizes, part, narrow, redo_leaf if tiny else leaf)
+        bad = ~tiny & ~np.isfinite(out).all(axis=tuple(range(1, out.ndim)))
         if bad.any():
-            sub = part[:, bad]
-            out[bad] = fold_sizes(sub.shape[1:2] + shape, sizes, sub, narrow, redo_leaf)
+            out[bad] = fold_sizes((np.count_nonzero(bad),) + shape, sizes, part[:, bad], narrow, redo_leaf)
         return out
 
     with np.errstate(over="ignore", invalid="ignore"):

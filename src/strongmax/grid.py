@@ -7,12 +7,14 @@ supremum over a basis is a finite maximum.
 
 A basis is written once, as the cell counts it offers each axis
 (_axis_lengths), and read three ways: one Rect at a time (enumerate_basis,
-the reference); by cell-count tuple (basis_sizes, walked by
-_kernels.fold_sizes for the maximal operators; window narrows cell values
-for the Luxemburg norms of orlicz.size_norms); or in enumeration order as
-blocks of per-axis interval lists whose product is the block's rects
-(basis_blocks, for the weight constants), which block_cell_sums and
-block_cell_mins reduce one axis at a time.
+the reference); by cell-count tuple (basis_sizes, for the maximal
+operators: _kernels.fold_sizes walks the tuples' rects of the leading axes
+as rows, a chunk of tuples at a time, and the last axis by count over all
+rows of a chunk; window narrows cell values for the Luxemburg norms of
+orlicz.size_norms); or in enumeration order as blocks of per-axis interval
+lists whose product is the block's rects (basis_blocks, for the weight
+constants), which block_cell_sums and block_cell_mins reduce one axis at a
+time.
 """
 
 from __future__ import annotations
@@ -73,8 +75,11 @@ class GridFunction:
         shape, h = grid_axes(self.shape, self.cell_size)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "cell_size", h)
-        org = self.origin if self.origin else (0.0,) * len(shape)
-        object.__setattr__(self, "origin", tuple(float(o) for o in _as_tuple(org, len(shape), "origin")))
+        org = tuple(float(o) for o in _as_tuple(self.origin or 0.0, len(shape), "origin"))
+        if not all(math.isfinite(o) for o in org):
+            # same_grid compares origins, and a NaN origin equals no origin
+            raise GridError("origin entries must be finite")
+        object.__setattr__(self, "origin", org)
         vals = np.asarray(self.values, dtype=np.float64).reshape(self.shape)
         if not np.all(np.isfinite(vals)):
             raise GridError("values must be finite")

@@ -1,15 +1,18 @@
 """Strong, multilinear fractional, and Orlicz maximal operators.
 
 All suprema are exact maxima over the basis, taken by one walk for every
-basis (_kernels.fold_sizes over grid.basis_sizes): the rects of one
-cell-count tuple are evaluated at once, each as the per-rectangle
-expression, and folded into the output; a maximum rounds nothing, so the
-bits are those of a per-rectangle loop. The multilinear operator walks the
-prefix sums (_kernels.sweep), many m-tuples in one walk. The Orlicz
-operator first takes the Luxemburg norms of every rect of every size for
-every tuple, one lockstep bisection per Young function (orlicz.size_norms),
-forms each rect's value from them, and then walks with a leaf that looks
-the values up. Both walk up to _kernels.BATCH m-tuples at once.
+basis (_kernels.fold_sizes over grid.basis_sizes): the walk takes the
+rects of the leading axes (all but the last) as rows, a chunk of rows at a
+time, and the rects of one last-axis count over all rows of a chunk are
+evaluated at once, each as the per-rectangle expression, and folded into
+the output; a maximum rounds nothing, so the bits are those of a
+per-rectangle loop. The multilinear operator walks the prefix sums
+(_kernels.sweep), many m-tuples in one walk. The Orlicz operator first
+takes the Luxemburg norms of every rect of every size for every tuple, one
+lockstep bisection per Young function (orlicz.size_norms), forms each
+rect's value from them, laid out as the walk's rows, and then walks with a
+leaf that looks the values up. Both walk up to _kernels.BATCH m-tuples at
+once.
 
 One body, _maximal, serves both operators. It takes a list of m-tuples on
 one grid with one query and returns their maximal functions in order; the
@@ -129,8 +132,14 @@ def _orlicz_walk(stack: np.ndarray, f0: GridFunction, query: MaximalQuery, sizes
         val = scales[i]
         for slot in norms:
             val = val * slot[s]
-        leaves[counts] = val
-    return _kernels.fold_sizes(stack.shape[1:], sizes, None, lambda src, *_: src, lambda counts, _: leaves[counts])
+        # the walk's layout: (B, anchors on the last axis, rows)
+        leaves[counts] = np.moveaxis(val, -1, 1).reshape(val.shape[0], val.shape[-1], -1)
+
+    def leaf(leads, c, s, _):
+        # the values of the chunk's rows: each leading tuple's rects, in C order
+        return np.concatenate([leaves[lead + (c,)] for lead in leads], axis=-1)
+
+    return _kernels.fold_sizes(stack.shape[1:], sizes, stack, lambda *_: None, leaf)
 
 
 def multilinear_fractional_maximal(

@@ -124,6 +124,8 @@ TABLE = [
     ("GridFunction", "NaN value", lambda: gf([NAN]), GridError),
     ("GridFunction", "inf value", lambda: gf([INF]), GridError),
     ("GridFunction", "NaN cell side", lambda: gf([1.0], h=(NAN,)), GridError),
+    ("GridFunction", "NaN origin", lambda: GridFunction((1,), (1.0,), [1.0], (NAN,)), GridError),
+    ("GridFunction", "inf origin", lambda: GridFunction((1, 1), (1.0, 1.0), [[1.0]], (0.0, -INF)), GridError),
     ("GridFunction", "1e306 values", lambda: BIG.values, lambda v: np.all(v == 1e306)),
     ("Rect", "lo above hi", lambda: Rect((2,), (1,)), GridError),
     ("Rect", "lo and hi of different lengths", lambda: Rect((0, 0), (1,)), GridError),
@@ -166,6 +168,8 @@ TABLE = [
     ("read_grid", "format line with no value", lambda: read_file(HEAD + b"format\n" + CSV3), GridError),
     ("read_grid", "no origin line",
      lambda: read_file(HEAD + CSV3), lambda g: g.origin == (0.0,) and np.array_equal(g.values, [1.0, 2.0, 3.0])),
+    ("read_grid", "origin nan", lambda: read_file(HEAD + b"origin nan\n" + CSV3), GridError),
+    ("read_grid", "origin inf", lambda: read_file(HEAD + b"origin inf\n" + CSV3), GridError),
     ("read_grid", "bin, 3 doubles for shape 3",
      lambda: read_file(HEAD + as_bin(1.0, 2.0, 3.0)), all_equal([1.0, 2.0, 3.0])),
     ("read_grid", "bin, 4 doubles for shape 3", lambda: read_file(HEAD + as_bin(1.0, 2.0, 3.0, 4.0)), GridError),

@@ -337,6 +337,100 @@ class TestFold:
         assert len(got) == walks
 
 
+def _chunk_cases():
+    # unequal cell sides, and one-cell axes in the last and leading positions
+    for shape in [(5, 7), (8, 4), (4, 3, 1), (5, 1), (1, 1, 6), (4, 4, 2), (3, 4, 5)]:
+        for kind in ("all", "dyadic", "cubes"):
+            if kind == "dyadic" and any(k & (k - 1) for k in shape):
+                continue  # the dyadic basis needs power-of-two sides
+            for m in (1, 2):
+                for alpha in (0.0, 0.5):
+                    yield pytest.param(shape, kind, m, alpha, id=f"{shape}-{kind}-m{m}-a{alpha:g}")
+
+
+class TestChunks:
+    """The walk takes the leading-axis rects as rows, a chunk of leading
+    count tuples at a time; where the chunks end moves no bit."""
+
+    # 0 gives each leading count tuple a chunk of its own; 64 cells hold a
+    # few tuples of these grids, so chunks end inside a run of equal
+    # last-axis pairs
+    @pytest.mark.parametrize("cap", [0, 64])
+    @pytest.mark.parametrize("shape,kind,m,alpha", list(_chunk_cases()))
+    def test_chunk_boundaries_match_the_scan(self, monkeypatch, cap, shape, kind, m, alpha):
+        monkeypatch.setattr(_kernels, "CHUNK_CELLS", cap)
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1] * 10 + m)
+        h = tuple(rng.uniform(0.3, 1.5, len(shape)))
+        fs = [gf(rng.uniform(0, 3, shape) * (rng.uniform(size=shape) < 0.8), h=h) for _ in range(m)]
+        q = MaximalQuery(basis=Basis(kind), alpha=alpha, m=m)
+        fast = multilinear_fractional_maximal(fs, q).values
+        assert np.array_equal(fast, maximal_reference_scan(fs, q).values)  # bit-identical up to the sign of zero
+
+    @pytest.mark.parametrize("cap", [0, 64, _kernels.CHUNK_CELLS])
+    @pytest.mark.parametrize("kind", ["all", "dyadic", "cubes"])
+    def test_redo_and_direct_values_in_one_chunk(self, monkeypatch, cap, kind):
+        # cells of 1e-78 by 1e-77, m = 2: |R|^-2 overflows for rects of 1-7
+        # cells only, so the redo walk takes the redo form there and the
+        # direct value beside it; at the default cap the 36 rows of 8x8 are
+        # one chunk
+        monkeypatch.setattr(_kernels, "CHUNK_CELLS", cap)
+        rng = np.random.default_rng(78)
+        h = (1e-78, 1e-77)
+        fs = [gf(rng.uniform(0, 3, (8, 8)), h=h) for _ in range(2)]
+        sizes = list(basis_sizes(Basis(kind), (8, 8), h))
+        P = np.stack([build_prefix_sum(f).cum for f in fs])[:, None]
+        walks = []
+        out = _counted_sweep(P, h, -2.0, sizes, walks)
+        assert len(walks) == 2
+        assert np.array_equal(out[0], _brute_force_sweep(fs, -2.0, sizes))
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("kind,steps", [("all", 5 * 64), ("dyadic", 7), ("cubes", 64)])
+    def test_last_axis_steps_per_sweep(self, monkeypatch, kind, steps):
+        # one leaf call per chunk and last-axis count. On 64^2 with m = 1 a
+        # row of the leading axis holds 65 cells, so the 2080 rows of the
+        # all basis take 5 chunks of 64 counts, where a walk per count tuple
+        # took 4,096 steps; the dyadic basis is one chunk of 7 counts; on the
+        # cubes basis of square cells each leading count c offers the one
+        # last count c, so each is a chunk of its own. Every cap gives the
+        # same bits.
+        f = make_corpus((64, 64), (1 / 64, 1 / 64), 0, 1)[0]
+        fold = _kernels.fold_sizes
+        for cap in (_kernels.CHUNK_CELLS, 0):
+            calls = []
+            monkeypatch.setattr(_kernels, "CHUNK_CELLS", cap)
+            monkeypatch.setattr(_kernels, "fold_sizes", lambda shape, sizes, src, narrow, leaf: fold(
+                shape, sizes, src, narrow, lambda *args: calls.append(args[1]) or leaf(*args)))
+            got = strong_maximal(f, Basis(kind)).values
+            if cap:
+                assert len(calls) <= steps
+                want = got
+            assert got.tobytes() == want.tobytes()
+
+    def test_sweep_memory_stays_per_chunk(self):
+        # 64^2, m = 2, a full batch: a row of the leading axis holds
+        # m * B * 65 cells, and one leading count tuple up to 64 rows; an
+        # unchunked gather holds 2 * 8 * 2080 * 65 doubles (17 MB) for the
+        # differences alone
+        shape, h, B = (64, 64), (1 / 64, 1 / 64), _kernels.BATCH
+        fns = make_corpus(shape, h, 0, 2 * B)
+        P = np.stack([np.stack([build_prefix_sum(fns[2 * b + i]).cum for b in range(B)]) for i in range(2)])
+        sizes = list(basis_sizes(ALL, shape, h))
+        # a chunk holds 1 << 15 cells (CHUNK_CELLS), or one leading tuple's
+        # rows where they hold more
+        chunk = max(1 << 15, 64 * 2 * B * 65)
+        tracemalloc.start()
+        try:
+            _kernels.sweep(P, h, -2.0, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # eight arrays of a chunk's cells (the corners and their difference,
+        # a leaf's difference and values, the chunk's folded values), the
+        # prefix sums with the last axis first, and the output twice
+        assert peak < 8 * (8 * chunk + P.size + 2 * B * 64 * 64)
+
+
 def _counted_sweep(P, h, e, sizes, walks):
     """_kernels.sweep, with the source P of each fold_sizes walk appended to
     walks."""

@@ -10,8 +10,9 @@ A basis is written once, as the cell counts it offers each axis
 the reference); by cell-count tuple (basis_sizes, for the maximal
 operators: _kernels.fold_sizes walks the tuples' rects of the leading axes
 as rows, a chunk of tuples at a time, and the last axis by count over all
-rows of a chunk; window narrows cell values for the Luxemburg norms of
-orlicz.size_norms); or in enumeration order as blocks of per-axis interval
+rows of a chunk, or by halving where a chunk is one row that offers every
+count; _kernels.basis_plan keeps the list per grid and basis; window
+narrows cell values for the Luxemburg norms of orlicz.size_norms); or in enumeration order as blocks of per-axis interval
 lists whose product is the block's rects (basis_blocks, for the weight
 constants), which block_cell_sums and block_cell_mins reduce one axis at a
 time.

@@ -7,7 +7,10 @@ time, and the rects of one last-axis count over all rows of a chunk are
 evaluated at once, each as the per-rectangle expression, and folded into
 the output; a maximum rounds nothing, so the bits are those of a
 per-rectangle loop. The multilinear operator walks the prefix sums
-(_kernels.sweep), many m-tuples in one walk. The Orlicz operator first
+(_kernels.sweep), many m-tuples in one walk, and folds a chunk of one row
+whose last axis offers every count (a 1-D grid) by halving, in tiles of
+intervals. The walk's plan of a basis on a grid is kept per grid and
+basis (_kernels.basis_plan). The Orlicz operator first
 takes the Luxemburg norms of every rect of every size for every tuple, one
 lockstep bisection per Young function (orlicz.size_norms), forms each
 rect's value from them, laid out as the walk's rows, and then walks with a
@@ -45,7 +48,6 @@ from .grid import (
     Basis,
     GridFunction,
     GridError,
-    basis_sizes,
     build_prefix_sum,
     enumerate_basis,
     rect_cell_sum,
@@ -98,15 +100,15 @@ def _maximal(batch: list[list[GridFunction]], query: MaximalQuery, orlicz: bool)
     n = f0.dims
     ks = [[int(np.frexp(np.max(f.values))[1]) for f in fs] for fs in batch]
     batch = [[f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, kf)] for fs, kf in zip(batch, ks)]
-    sizes = list(basis_sizes(query.basis, f0.shape, f0.cell_size))
+    plan = _kernels.basis_plan(query.basis, f0.shape, f0.cell_size)
     # the stack axis first and the batch axis second: (m, B, N_1, ...)
     if orlicz:
         stack = np.stack([np.stack([f.values for f in fs]) for fs in batch], axis=1)
-        out = np.concatenate([_orlicz_walk(stack[:, b : b + _kernels.BATCH], f0, query, sizes)
+        out = np.concatenate([_orlicz_walk(stack[:, b : b + _kernels.BATCH], f0, query, plan)
                               for b in range(0, len(batch), _kernels.BATCH)])
     else:
         P = np.stack([np.stack([build_prefix_sum(f).cum for f in fs]) for fs in batch], axis=1)
-        out = _kernels.sweep(P, f0.cell_size, query.alpha / n - query.m, sizes)
+        out = _kernels.sweep(P, f0.cell_size, query.alpha / n - query.m, plan)
     results = []
     for vals, kf in zip(out, ks):
         with np.errstate(over="ignore"):
@@ -117,13 +119,14 @@ def _maximal(batch: list[list[GridFunction]], query: MaximalQuery, orlicz: bool)
     return results
 
 
-def _orlicz_walk(stack: np.ndarray, f0: GridFunction, query: MaximalQuery, sizes) -> np.ndarray:
+def _orlicz_walk(stack: np.ndarray, f0: GridFunction, query: MaximalQuery, plan: _kernels.Plan) -> np.ndarray:
     """The Orlicz maximal values (B, N_1, ...) of a stack (m, B, N_1, ...) of
     B m-tuples on f0's grid: one size_norms call takes the norms of every
     member, and one walk folds them. A member's norms are its own call's
     (each row of the bisection runs alone), and so are its values."""
     vols = _kernels.volume_table(f0.shape, f0.cell_size)
     scales = _kernels.libm_pow(vols, query.alpha / f0.dims)
+    sizes = plan.sizes
     at = [tuple(c - 1 for c in counts) for counts, _ in sizes]
     norms = size_norms(stack, sizes, f0.cell_volume, [vols[i] for i in at], query.orlicz)
     # phi(|R|) * prod_i ||f_i||_{Psi_i,R}, the product in slot order
@@ -139,7 +142,7 @@ def _orlicz_walk(stack: np.ndarray, f0: GridFunction, query: MaximalQuery, sizes
         # the values of the chunk's rows: each leading tuple's rects, in C order
         return np.concatenate([leaves[lead + (c,)] for lead in leads], axis=-1)
 
-    return _kernels.fold_sizes(stack.shape[1:], sizes, stack, lambda *_: None, leaf)
+    return _kernels.fold_sizes(stack.shape[1:], plan, stack, lambda *_: None, leaf)
 
 
 def multilinear_fractional_maximal(

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongmax import _kernels
+from strongmax import grid as grid_module
 from strongmax import orlicz as orlicz_module
 from strongmax.corpus import make_corpus
 from strongmax.grid import Basis, GridError, GridFunction, Rect, basis_sizes, build_prefix_sum, rect_cell_sum
@@ -385,22 +386,29 @@ class TestChunks:
         assert np.array_equal(out[0], _brute_force_sweep(fs, -2.0, sizes))
         assert np.all(np.isfinite(out))
 
-    @pytest.mark.parametrize("kind,steps", [("all", 5 * 64), ("dyadic", 7), ("cubes", 64)])
-    def test_last_axis_steps_per_sweep(self, monkeypatch, kind, steps):
-        # one leaf call per chunk and last-axis count. On 64^2 with m = 1 a
-        # row of the leading axis holds 65 cells, so the 2080 rows of the
-        # all basis take 5 chunks of 64 counts, where a walk per count tuple
-        # took 4,096 steps; the dyadic basis is one chunk of 7 counts; on the
-        # cubes basis of square cells each leading count c offers the one
-        # last count c, so each is a chunk of its own. Every cap gives the
-        # same bits.
-        f = make_corpus((64, 64), (1 / 64, 1 / 64), 0, 1)[0]
+    @pytest.mark.parametrize("shape,kind,steps", [((64, 64), "all", 5 * 64), ((64, 64), "dyadic", 7),
+                                                  ((64, 64), "cubes", 64), ((4096,), "all", 400)])
+    def test_last_axis_steps_per_sweep(self, monkeypatch, shape, kind, steps):
+        # one leaf call per chunk and last-axis count, and one tile call per
+        # tile. On 64^2 with m = 1 a row of the leading axis holds 65 cells,
+        # so the 2080 rows of the all basis take 5 chunks of 64 counts, where
+        # a walk per count tuple took 4,096 steps; the dyadic basis is one
+        # chunk of 7 counts; on the cubes basis of square cells each leading
+        # count c offers the one last count c, so each is a chunk of its own.
+        # 1-D 4096 is one row: 64 counts (_kernels.BLOCK) and 252 tiles of
+        # 1 << 15 cells over the halving levels 64 .. 2048, where a walk by
+        # count took 4,096 steps. Every cap gives the same bits.
+        f = make_corpus(shape, tuple(1 / k for k in shape), 0, 1)[0]
         fold = _kernels.fold_sizes
+
+        def counted(step):
+            return step and (lambda *args: calls.append(args[1]) or step(*args))
+
         for cap in (_kernels.CHUNK_CELLS, 0):
             calls = []
             monkeypatch.setattr(_kernels, "CHUNK_CELLS", cap)
-            monkeypatch.setattr(_kernels, "fold_sizes", lambda shape, sizes, src, narrow, leaf: fold(
-                shape, sizes, src, narrow, lambda *args: calls.append(args[1]) or leaf(*args)))
+            monkeypatch.setattr(_kernels, "fold_sizes", lambda shape, sizes, src, narrow, leaf, tile=None: fold(
+                shape, sizes, src, narrow, counted(leaf), counted(tile)))
             got = strong_maximal(f, Basis(kind)).values
             if cap:
                 assert len(calls) <= steps
@@ -429,6 +437,101 @@ class TestChunks:
         # a leaf's difference and values, the chunk's folded values), the
         # prefix sums with the last axis first, and the output twice
         assert peak < 8 * (8 * chunk + P.size + 2 * B * 64 * 64)
+
+
+S = _kernels.BLOCK
+HALVES_SIDES = [1, 2, S - 1, S, S + 1, 100, 2 * S - 1, 2 * S + 1, 1000, 4097]
+
+
+def _halves_cases():
+    # every 1-D side around the block and halving boundaries, and one-row
+    # grids with leading axes of one cell; the cubes basis offers every
+    # interval in 1-D, and on (1, 300) the cubes of the one-cell first side
+    for shape in [(n,) for n in HALVES_SIDES] + [(1, 300), (1, 1, 300)]:
+        for kind in ("all", "cubes"):
+            for m in (1, 2, 3):
+                for alpha in (0.0, 0.5):
+                    yield pytest.param(shape, kind, m, alpha, id=f"{shape}-{kind}-m{m}-a{alpha:g}")
+
+
+def _halves_batch(shape, m, count, seed):
+    rng = np.random.default_rng(seed)
+    h = tuple(rng.uniform(0.3, 1.5, len(shape)))
+    batch = [[gf(rng.uniform(0, 3, shape) * (rng.uniform(size=shape) < 0.8), h=h) for _ in range(m)]
+             for _ in range(count)]
+    batch[0][0] = gf(np.zeros(shape), h=h)  # a zero slot: a zero cell sum beside a rounded one
+    return batch
+
+
+class TestHalves:
+    """A chunk of one row whose last axis offers every count folds the
+    intervals of more than BLOCK cells by halving, in tiles; the tiles move
+    no bit."""
+
+    @pytest.mark.parametrize("shape,kind,m,alpha", list(_halves_cases()))
+    def test_tiles_equal_the_fold_by_count(self, monkeypatch, shape, kind, m, alpha):
+        # a batch of BATCH + 1 members takes two walks; BLOCK at the side or
+        # past it (a multiple of 16, as numpy's buffer size must be) folds
+        # every interval by count, as a walk without tiles does
+        count = _kernels.BATCH + 1 if shape[-1] <= 1000 else 1
+        batch = _halves_batch(shape, m, count, shape[-1] * 10 + m)
+        q = MaximalQuery(basis=Basis(kind), alpha=alpha, m=m)
+        got = _maximal(batch, q, orlicz=False)
+        monkeypatch.setattr(_kernels, "BLOCK", -(-max(shape) // 16) * 16)
+        want = _maximal(batch, q, orlicz=False)
+        for g, w in zip(got, want):
+            assert g.values.tobytes() == w.values.tobytes()
+        assert not any(np.signbit(g.values).any() for g in got)
+
+    @pytest.mark.parametrize("n", [S + 1, 2 * S - 1, 2 * S + 1, 3 * S - 2])
+    @pytest.mark.parametrize("kind", ["all", "cubes"])
+    @pytest.mark.parametrize("m,alpha", [(1, 0.0), (2, 0.5), (3, 0.0)])
+    def test_tiles_match_the_scan(self, n, kind, m, alpha):
+        (fs,) = _halves_batch((n,), m, 1, n + m)
+        q = MaximalQuery(basis=Basis(kind), alpha=alpha, m=m)
+        fast = multilinear_fractional_maximal(fs, q).values
+        assert np.array_equal(fast, maximal_reference_scan(fs, q).values)  # bit-identical up to the sign of zero
+
+    def test_redo_form_inside_tiles(self):
+        # 300 cells of 1e-160, m = 2: |R|^-2 overflows for every interval,
+        # so the redo walk forms each value, the tiles' too, from the cell
+        # count and the cell sums
+        rng = np.random.default_rng(160)
+        h = (1e-160,)
+        fs = [gf(rng.uniform(0, 3, 300), h=h) for _ in range(2)]
+        sizes = list(basis_sizes(ALL, (300,), h))
+        P = np.stack([build_prefix_sum(f).cum for f in fs])[:, None]
+        walks = []
+        out = _counted_sweep(P, h, -2.0, sizes, walks)
+        assert len(walks) == 2
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out[0], _brute_force_sweep(fs, -2.0, sizes))
+
+    def test_huge_times_tiny_in_one_dimension(self):
+        # prefix sums of 1e306 values overflow unless the inputs are scaled by
+        # their powers of two, which scale the result back without rounding
+        rng = np.random.default_rng(306)
+        h = (1.0 / 300,)
+        fs = [gf(rng.uniform(1, 3, 300) * 1e306, h=h), gf(rng.uniform(1, 3, 300) * 1e-306, h=h)]
+        got = multilinear_fractional_maximal(fs, MaximalQuery(basis=ALL, m=2)).values
+        ks = [int(np.frexp(np.max(f.values))[1]) for f in fs]
+        scaled = [f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, ks)]
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, np.ldexp(_brute_force_sweep(scaled, -2.0, basis_sizes(ALL, (300,), h)), sum(ks)))
+
+
+def test_a_second_sweep_reuses_the_walk_plan(monkeypatch):
+    # the basis's count tuples and the walk's plan of them are kept per
+    # grid and basis
+    tuples, calls = grid_module._count_tuples, []
+    monkeypatch.setattr(grid_module, "_count_tuples", lambda *args: calls.append(args) or tuples(*args))
+    _kernels.basis_plan.cache_clear()
+    f = gf(np.random.default_rng(4).uniform(0, 3, (6, 5)), h=(0.7, 0.4))
+    first = strong_maximal(f, ALL).values
+    assert calls
+    calls.clear()
+    assert strong_maximal(f, ALL).values.tobytes() == first.tobytes()
+    assert calls == []
 
 
 def _counted_sweep(P, h, e, sizes, walks):

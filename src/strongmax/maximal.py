@@ -12,7 +12,7 @@ whose last axis offers every count (a 1-D grid) by halving, in tiles of
 intervals. The walk's plan of a basis on a grid is kept per grid and
 basis (_kernels.basis_plan). The Orlicz operator first
 takes the Luxemburg norms of every rect of every size for every tuple, one
-lockstep bisection per Young function (orlicz.size_norms), forms each
+lockstep solve per Young function (orlicz.size_norms), forms each
 rect's value from them, laid out as the walk's rows, and then walks with a
 leaf that looks the values up. Both walk up to _kernels.BATCH m-tuples at
 once.
@@ -123,7 +123,7 @@ def _orlicz_walk(stack: np.ndarray, f0: GridFunction, query: MaximalQuery, plan:
     """The Orlicz maximal values (B, N_1, ...) of a stack (m, B, N_1, ...) of
     B m-tuples on f0's grid: one size_norms call takes the norms of every
     member, and one walk folds them. A member's norms are its own call's
-    (each row of the bisection runs alone), and so are its values."""
+    (each row is solved as if alone), and so are its values."""
     vols = _kernels.volume_table(f0.shape, f0.cell_size)
     scales = _kernels.libm_pow(vols, query.alpha / f0.dims)
     sizes = plan.sizes

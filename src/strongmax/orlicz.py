@@ -1,31 +1,32 @@
 """Luxemburg norms over cell sets and the product/Hoelder lemmas.
 
 The Luxemburg norm is the infimal lambda > 0 making the normalized mean of
-Phi(|f|/lambda) over the set at most one; it is the unique crossing of a
-monotone function of lambda, so bracketing bisection is exact up to the
-relative tolerance REL_TOL. That tolerance is a fixed constant far
-above the double spacing (2^-52), so the bracket always narrows below it
-and every bisection ends.
+Phi(|f|/lambda) over the set at most one. Here it is a certified double:
+the least double b > 0 whose floating-point mean (one Phi call on the
+cells over b, their pairwise sum, times the cell measure over the set's
+measure) is <= 1, so the mean at the double below b is > 1. The mean is
+monotone in lambda, so b is unique, with no tolerance.
 
-There is one bisection, ``luxemburg_blocks``, run in lockstep over the rows
+There is one solver, ``luxemburg_blocks``, run in lockstep over the rows
 of a list of blocks, one set of k cells per row, with k free to differ
 between blocks. A single norm is a one-block call, and ``size_norms``
 gives the callers, the Orlicz maximal operator (for every tuple of a batch)
 and the Young condition of the vector-valued check, the norms of every rect
 of a basis with one call per Young function. The rows are taken in chunks
-of at most CELL_BLOCK cells, in order of k, and each bisection step makes
-one Phi call on the chunk's flat cells. Each row runs the scalar control flow on its own bracket: a row
-that a phase no longer steps is evaluated at a lambda it has already seen,
-and that mean is dropped. Its mean is the pairwise sum of its k values
-along the contiguous last axis of its run of equal k, the sum a 1-D array
-of those values gets. So every row sees the same sequence of lambdas and
-the same means as a bisection run on that row alone, and gives the same
-bits. Each row is first scaled by a power of two so that its
+of at most CELL_BLOCK cells, in order of k. A family with a closed-form
+solve (young.YoungFunction.luxemburg_start: t^s, Phi_1 and Phi_2) starts
+each row within a few doubles of b; any other keeps a bracket that doubles
+hi from the row's max and halves lo. The finish bisects the bit patterns
+of the doubles, which are ordered as the doubles are, and each of its
+steps makes one Phi call on the cells of the rows not yet settled. A row's
+mean is the pairwise sum of its k values along the contiguous last axis
+of its run of equal k, the sum a 1-D array of those values gets, so every
+row gets the norm that a solve of that row alone gets, whatever else its
+chunk holds. Each row is first scaled by a power of two so that its
 maximum lies in [0.5, 1), and its norm scaled back. A power of two scales
-every lambda, mean argument and bracket without rounding, so this changes
-no bit where the unscaled bisection stays within its fixed floor (1e-300)
-and ceiling (1e300) and no scaled cell is subnormal; it keeps lo + hi
-finite and those limits far from any row's norm.
+every lambda and mean argument without rounding, so this changes no bit
+where no scaled cell or norm is subnormal; it keeps the bracket's fixed
+floor (1e-300) and ceiling (1e300) far from any row's norm.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, Rect, grid_axes, window
-from .young import YoungFunction, complementary, iterate
+from .young import MAX_BITS, YoungFunction, complementary, iterate
 
 
 TOL = 1e-9  # slack of the norm-vs-mean and Hoelder comparisons
-REL_TOL = 1e-12  # relative bracket width at which the Luxemburg bisection stops
-CELL_BLOCK = 1 << 14  # cells per lockstep bisection chunk, so its temporaries stay in cache
+CELL_BLOCK = 1 << 15  # cells per lockstep chunk, so its temporaries stay in cache
 
 
 class MeasureError(ValueError):
@@ -90,7 +90,7 @@ def _member_values(f: GridFunction, e: CellSet) -> np.ndarray:
 
 
 def luxemburg_blocks(blocks, lead: int, cell_measure: float, phi: YoungFunction) -> list[np.ndarray]:
-    """Luxemburg norms of the rows of every block, by one lockstep bisection.
+    """Luxemburg norms of the rows of every block, by one lockstep solve.
 
     A block is (cells, total): the first ``lead`` axes of cells index its
     rows, and the other axes hold the k cells of each row's set, in C order;
@@ -101,8 +101,8 @@ def luxemburg_blocks(blocks, lead: int, cell_measure: float, phi: YoungFunction)
 
     The blocks are taken in order of k, and a block's cells are gathered
     only when its first row enters a chunk. A chunk holds at most CELL_BLOCK
-    cells (or one row) and runs ``_bisect``. A row of zeros has norm +0.0
-    and is not bisected.
+    cells (or one row) and runs ``_solve``. A row of zeros has norm +0.0
+    and is not solved.
     """
     shapes = [np.shape(cells) for cells, _ in blocks]
     counts = [math.prod(s[lead:]) for s in shapes]
@@ -122,7 +122,7 @@ def luxemburg_blocks(blocks, lead: int, cell_measure: float, phi: YoungFunction)
             else:
                 groups.append([counts[j], rows.size])
         weight = np.concatenate([cell_measure / totals[j][rows] for j, rows, _ in chunk])
-        got = _bisect(buf[:used], groups, np.concatenate([top for *_, top in chunk]), weight, phi)
+        got = _solve(buf[:used], groups, np.concatenate([top for *_, top in chunk]), weight, phi)
         for j, rows, _ in chunk:
             norms[j][rows], got = got[: rows.size], got[rows.size :]
         chunk.clear()
@@ -150,24 +150,36 @@ def luxemburg_blocks(blocks, lead: int, cell_measure: float, phi: YoungFunction)
     return [v.reshape(s[:lead]) for v, s in zip(norms, shapes)]
 
 
-def _bisect(cells: np.ndarray, groups, hi: np.ndarray, weight: np.ndarray,
-            phi: YoungFunction) -> np.ndarray:
-    """Norms of the rows of cells, a flat array of runs of rows with equal
-    cell counts ([k, rows] in groups); hi holds each row's maximum, all > 0,
-    and weight each row's cell measure over its set's measure. Scales cells
-    in place.
+def _runs(cells: np.ndarray, groups):
+    """(span of rows, view (r, k) of their cells) of each run [k, r] in groups."""
+    r0 = c0 = 0
+    for k, r in groups:
+        yield slice(r0, r0 + r), cells[c0 : c0 + k * r].reshape(r, k)
+        r0, c0 = r0 + r, c0 + k * r
 
-    Each row runs the scalar bracketing bisection: double hi from the row's
-    max while the mean exceeds one, halve lo while half of it still
-    satisfies, then bisect to REL_TOL. Each phase steps every row and
-    updates the rows its mask keeps; a row outside the mask is evaluated at
-    its hi, a lambda it has seen before, and that mean is dropped.
+
+def _solve(cells: np.ndarray, groups, top: np.ndarray, weight: np.ndarray,
+           phi: YoungFunction) -> np.ndarray:
+    """Norms of the rows of cells, a flat array of runs of rows with equal
+    cell counts ([k, rows] in groups); top holds each row's maximum, all
+    > 0, and weight each row's cell measure over its set's measure. Scales
+    cells in place.
+
+    A row's norm is the least double b whose mean is <= 1. A start
+    (phi.luxemburg_start) gives the bracket of its bit pattern and the one
+    below it, both unchecked. Without one, hi doubles from the row's max
+    while the mean exceeds one and lo halves while half of it still
+    satisfies, which checks both. Each step then makes one Phi call on the
+    cells of the rows not yet settled, at one lambda per row: an unchecked
+    end, or else the middle of the bit patterns of lo and hi. An end that
+    is on the wrong side moves past the other by a step that doubles each
+    time. A row is settled once lo fails, hi satisfies and they are adjacent
+    doubles; its norm is hi.
     """
     reps = np.repeat([k for k, _ in groups], [r for _, r in groups])
     # each row runs on its values times 2^-e, e the exponent of its max
-    e = np.frexp(hi)[1]
+    e = np.frexp(top)[1]
     np.ldexp(cells, -np.repeat(e, reps), out=cells)
-    hi = np.ldexp(hi, -e)
 
     def mean_phi(lam: np.ndarray) -> np.ndarray:
         # one Phi call on the flat cells; each run of rows is summed along its
@@ -175,36 +187,52 @@ def _bisect(cells: np.ndarray, groups, hi: np.ndarray, weight: np.ndarray,
         # values that a 1-D array of them gets
         with np.errstate(over="ignore"):
             phis = phi.eval(cells / np.repeat(lam, reps))
-        sums, c0 = [], 0
-        for k, r in groups:
-            sums.append(np.add.reduce(phis[c0 : c0 + k * r].reshape(r, k), axis=1))
-            c0 += k * r
-        return np.concatenate(sums) * weight
+        return np.concatenate([np.add.reduce(v, axis=1) for _, v in _runs(phis, groups)]) * weight
 
-    act = np.ones(hi.size, dtype=bool)
-    while True:
-        act &= mean_phi(hi) > 1.0
-        if not act.any():
-            break
-        hi = np.where(act, hi * 2.0, hi)
-        if np.any(hi > 1e300):
+    if phi.luxemburg_start is None:
+        hi = first = np.ldexp(top, -e)
+        act = np.ones(hi.size, dtype=bool)
+        while True:
+            act &= mean_phi(hi) > 1.0
+            if not act.any():
+                break
+            hi = np.where(act, hi * 2.0, hi)
+            if np.any(hi > 1e300):
+                raise MeasureError(f"{phi.label}: Luxemburg bracket unbounded")
+        lo, act = hi.copy(), hi == first  # a row whose hi doubled has seen hi/2 fail
+        while act.any():
+            act &= mean_phi(np.where(act, lo * 0.5, hi)) <= 1.0
+            lo = np.where(act, lo * 0.5, lo)
+            act &= lo > 1e-300
+        hok, lok = np.ones(hi.size, dtype=bool), lo > 1e-300  # else lo/2 was not tried
+        hi, lo = hi.view(np.int64), (lo * 0.5).view(np.int64)
+    else:
+        start = np.concatenate([phi.luxemburg_start(v, weight[span]) for span, v in _runs(cells, groups)])
+        hi = np.clip(start.view(np.int64), 1, MAX_BITS)
+        lo = hi - 1
+        hok, lok = np.zeros(hi.size, dtype=bool), lo == 0
+    step = np.ones(hi.size, dtype=np.int64)
+    out, rows = np.empty(hi.size), np.arange(hi.size)
+    while rows.size:
+        probe = np.where(hok, np.where(lok, lo + ((hi - lo) >> 1), lo), hi)
+        ok = mean_phi(probe.view(np.float64)) <= 1.0
+        if probe.max() == MAX_BITS and np.any(~ok & (probe == MAX_BITS)):
             raise MeasureError(f"{phi.label}: Luxemburg bracket unbounded")
-    lo = hi.copy()
-    act[:] = True
-    while act.any():
-        act &= mean_phi(np.where(act, lo * 0.5, hi)) <= 1.0
-        lo = np.where(act, lo * 0.5, lo)
-        act &= lo > 1e-300
-    lo *= 0.5
-    # lo violates (or hit underflow floor), hi satisfies
-    act = hi - lo > REL_TOL * hi
-    while act.any():
-        mid = 0.5 * (lo + hi)
-        ok = mean_phi(np.where(act, mid, hi)) <= 1.0
-        hi = np.where(act & ok, mid, hi)
-        lo = np.where(act & ~ok, mid, lo)
-        act &= hi - lo > REL_TOL * hi
-    return np.ldexp(hi, e)
+        down = ok & hok & ~lok  # a satisfied lo moves down, a failed hi up
+        hi = np.where(ok, probe, np.where(hok, hi, probe + np.minimum(step, MAX_BITS - probe)))
+        lo = np.where(ok, np.where(down, np.maximum(probe - step, 0), lo), probe)
+        step = np.where(down | ~(ok | hok), 2 * step, step)
+        hok |= ok
+        lok |= ~ok | (lo == 0)
+        keep = ~(hok & lok & (hi - lo == 1))
+        if not keep.all():
+            out[rows[~keep]] = hi[~keep].view(np.float64)
+            parts = [v[keep[span]] for span, v in _runs(cells, groups)]
+            groups = [[k, len(p)] for (k, _), p in zip(groups, parts) if len(p)]
+            cells = np.concatenate(parts, axis=None)
+            reps, weight, rows, hi, lo, hok, lok, step = (
+                x[keep] for x in (reps, weight, rows, hi, lo, hok, lok, step))
+    return np.ldexp(out, e)
 
 
 def size_norms(stack: np.ndarray, sizes, cell_measure: float, totals, phis) -> list[list[np.ndarray]]:

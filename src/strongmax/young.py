@@ -18,6 +18,13 @@ overflows, the objective s*t - Phi(t) is -inf, or inf - inf, which counts
 as -inf; so the kernel needs no cap, and it gives +inf only where s*t
 overflows while Phi(t) stays finite.
 
+A family whose Luxemburg equation has a closed form carries a start for
+the Luxemburg norm (luxemburg_start): a map from rows (r, k) of cell values
+and their weights (cell measure over set measure) to one estimate of each
+row's norm, which orlicz then certifies. t^s gives (w sum v^s)^(1/s), and
+Phi_2 (also l_log_l(1)) a solve on the sorted row, exact between
+consecutive cell values; every other family has none.
+
 Every inverse has one path too: a bisection over the bit patterns of the
 doubles in [0, largest double], which are ordered as the doubles are, run
 on every point of an array of y in lockstep. It stops at two adjacent
@@ -60,6 +67,7 @@ class YoungFunction:
     label: str
     is_submultiplicative: bool | None = None
     closed_complementary: Callable[[np.ndarray], np.ndarray] | None = None
+    luxemburg_start: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(self, t):
         return self.eval(np.asarray(t, dtype=np.float64))
@@ -100,12 +108,17 @@ def power(s: float) -> YoungFunction:
             tpow = _pow(tstar, s)
             return np.where(y <= 0.0, 0.0, np.where(np.isinf(tpow), np.inf, y * tstar - tpow))
 
-    return YoungFunction(
-        eval=lambda t: np.asarray(t, dtype=np.float64) ** s,
-        label=f"t^{s:g}",
-        is_submultiplicative=True,
-        closed_complementary=conj,
-    )
+    def ev(t):
+        with np.errstate(over="ignore"):
+            return np.asarray(t, dtype=np.float64) ** s
+
+    def start(v, w):
+        # mean (v/lam)^s = 1 at lam = (w sum v^s)^(1/s)
+        with np.errstate(over="ignore"):
+            return _pow(w * np.add.reduce(_pow(v, s), axis=1), 1.0 / s)
+
+    return YoungFunction(ev, label=f"t^{s:g}", is_submultiplicative=True,
+                         closed_complementary=conj, luxemburg_start=start)
 
 
 def l_log_l(k: int, outer: float = 1.0) -> YoungFunction:
@@ -119,9 +132,11 @@ def l_log_l(k: int, outer: float = 1.0) -> YoungFunction:
             base = t * _pow(1.0 + _logp(t), k)
             return base if outer == 1.0 else _pow(base, outer)
 
+    phi2 = (k, outer) == (1, 1.0)
     return YoungFunction(ev, label=f"[t(1+log+t)^{k}]^{outer:g}",
                          is_submultiplicative=True if outer == 1.0 else None,
-                         closed_complementary=_conj_phi2 if (k, outer) == (1, 1.0) else None)
+                         closed_complementary=_conj_phi2 if phi2 else None,
+                         luxemburg_start=_start_phi2 if phi2 else None)
 
 
 def phi_n(n: int) -> YoungFunction:
@@ -141,7 +156,8 @@ def phi_n(n: int) -> YoungFunction:
             return t * (1.0 + _pow(_logp(t), n - 1))
 
     return YoungFunction(ev, label=f"Phi_{n}", is_submultiplicative=True,
-                         closed_complementary=_conj_phi2 if n == 2 else None)
+                         closed_complementary=_conj_phi2 if n == 2 else None,
+                         luxemburg_start=_start_phi2 if n == 2 else None)
 
 
 def _conj_phi2(y):
@@ -153,6 +169,44 @@ def _conj_phi2(y):
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(over="ignore"):
         return np.where(y <= 1.0, 0.0, np.where(y <= 2.0, y - 1.0, np.exp(y - 2.0)))
+
+
+def _start_phi2(v, w):
+    """Root of mean Phi_2(v/lam) = 1 per row of v (r, k), with weights w.
+
+    With v_1 >= ... >= v_k, on lam in [v_(J+1), v_J) the mean is
+    (w/lam)(S_1 + A_J - B_J log lam), S_1 the row sum and A_J, B_J the sums
+    of v log v and of v over the J largest cells; the mean at each v_j finds
+    the segment, and Newton on S_1 + A_J - B_J log lam - lam/w, convex and
+    decreasing, rises to the root from max(v_(J+1), w S_1), a lower bound
+    (Jensen).
+    """
+    w = np.asarray(w, dtype=np.float64)
+    s1 = np.add.reduce(v, axis=1)
+    v = -np.sort(-v, axis=1)
+    # the mean at lam is at least w S_1 / lam, so every v_j that can bound the
+    # root's segment from above is at least w S_1: only those are taken
+    above = v >= (w * s1)[:, None]
+    v = v[:, : int(np.where(above[:, -1], v.shape[1] - 1, np.argmin(above, axis=1)).max()) + 1]
+    r, k = np.arange(v.shape[0]), v.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logv = np.log(v)
+        a = v * logv  # NaN at the zero cells, which sort last and never hold the root
+        a[:, 0] += s1
+        a, b = np.cumsum(a, axis=1), np.cumsum(v, axis=1)  # S_1 + A_j and B_j
+        # the mean at v_j is <= 1 for every j below J and for none from J on
+        meets = a - b * logv <= np.divide(v, w[:, None], out=logv)
+        j = np.where(meets[:, -1], k, np.argmin(meets, axis=1))
+        a, b = np.where(j > 0, a[r, j - 1], s1), np.where(j > 0, b[r, j - 1], 0.0)
+        lam = np.maximum(np.where(j < k, v[r, np.minimum(j, k - 1)], 0.0), w * s1)
+        # the relative error after a step of relative size d is below d^2 / 2
+        wi = 1.0 / w
+        for _ in range(64):
+            step = np.maximum((a - b * np.log(lam) - lam * wi) / (b / lam + wi), 0.0)
+            lam = lam + step
+            if not np.any(step > 1e-8 * lam):
+                break
+    return lam
 
 
 def iterate(phi: YoungFunction, m: int) -> YoungFunction:

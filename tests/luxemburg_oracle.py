@@ -1,8 +1,12 @@
 """Per-rectangle scalar oracles for the batched Luxemburg code.
 
-They walk enumerate_basis one Rect at a time and run one scalar bracketing
-bisection per norm, written out here rather than imported, so a fault in
-the batched kernel cannot hide in its own oracle.
+They walk enumerate_basis one Rect at a time and take each norm by its
+definition, the least double b > 0 whose floating-point mean of Phi(|f|/b)
+is at most one, by a bisection of the bit patterns of every positive double,
+one scalar step at a time. It is written out here rather than imported, so
+a fault in the batched solver (its starts, its bracket or its finish)
+cannot hide in its own oracle. bracket_norm keeps the earlier bracketing
+bisection to a relative width of 1e-12, to bound how far a norm moved.
 """
 
 from __future__ import annotations
@@ -13,23 +17,58 @@ import numpy as np
 
 from strongmax.grid import Basis, GridFunction, enumerate_basis
 from strongmax.orlicz import MeasureError
+from strongmax.young import MAX_BITS
 
 
-def scalar_norm(vals, cell_measure, total_measure, phi) -> float:
-    """Luxemburg norm of |vals| for a 1-D array of cell values, one bisection
-    step at a time, to a relative bracket width of 1e-12."""
-    if total_measure <= 0:
-        raise MeasureError("Luxemburg norm needs a set of positive measure")
-    vals = np.abs(np.asarray(vals, dtype=np.float64).ravel())
-    vmax = float(vals.max(initial=0.0))
-    if vmax == 0.0:
-        return 0.0
-    weight = cell_measure / total_measure
-
+def _mean_phi(vals, weight, phi):
+    """The mean of Phi(vals / lam) at lam, as the solver forms it: one Phi
+    call, np.sum over the cells, times the weight."""
     def mean_phi(lam: float) -> float:
         with np.errstate(over="ignore"):
             return float(np.sum(phi.eval(vals / lam))) * weight
+    return mean_phi
 
+
+def _cells(vals, total_measure):
+    if total_measure <= 0:
+        raise MeasureError("Luxemburg norm needs a set of positive measure")
+    return np.abs(np.asarray(vals, dtype=np.float64).ravel())
+
+
+def scalar_norm(vals, cell_measure, total_measure, phi) -> float:
+    """Luxemburg norm of |vals| for a 1-D array of cell values: the least
+    double b > 0 whose mean is <= 1, by a bisection of the bit patterns of
+    the doubles in [0, largest double], one at a time. lo = 0 fails (a
+    nonzero row has positive norm) and hi = the largest double must
+    satisfy; they meet as adjacent doubles, and hi is b."""
+    vals = _cells(vals, total_measure)
+    if not vals.any():
+        return 0.0
+    mean_phi = _mean_phi(vals, cell_measure / total_measure, phi)
+
+    def ok(bits: int) -> bool:
+        return mean_phi(float(np.int64(bits).view(np.float64))) <= 1.0
+
+    lo, hi = 0, MAX_BITS
+    if not ok(hi):
+        raise MeasureError(f"{phi.label}: Luxemburg bracket unbounded")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return float(np.int64(hi).view(np.float64))
+
+
+def bracket_norm(vals, cell_measure, total_measure, phi) -> float:
+    """The norm by the bracketing bisection that stops at a relative width
+    of 1e-12: hi doubles from the max while the mean exceeds one, lo halves
+    while half of it satisfies, and their midpoint bisects until hi - lo is
+    at most 1e-12 hi; returns hi, a double at most 1e-12 relative above the
+    least double that satisfies."""
+    vals = _cells(vals, total_measure)
+    vmax = float(vals.max(initial=0.0))
+    if vmax == 0.0:
+        return 0.0
+    mean_phi = _mean_phi(vals, cell_measure / total_measure, phi)
     hi = vmax
     while mean_phi(hi) > 1.0:
         hi *= 2.0
@@ -69,7 +108,7 @@ def scalar_blocks(blocks, lead, cell_measure, phi) -> list[np.ndarray]:
 
 
 def orlicz_maximal_oracle(fs: list[GridFunction], query) -> GridFunction:
-    """orlicz_maximal, one Rect and one scalar bisection at a time."""
+    """orlicz_maximal, one Rect and one scalar norm at a time."""
     f0 = fs[0]
     cellvol = float(np.prod(f0.cell_size))
     out = np.zeros(f0.shape)

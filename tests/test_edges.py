@@ -244,6 +244,15 @@ TABLE = [
      lambda: sm.mean_phi_over(BIG, sm.CellSet.full(BIG), PHI2), lambda m: m == INF),
     ("mean_phi_over", "1e306 values, warnings as errors",
      strict(lambda: sm.mean_phi_over(BIG, sm.CellSet.full(BIG), PHI2)), lambda m: m == INF),
+    # t^2 of 1e306 is past the largest double too: +inf, with no overflow warning
+    ("mean_phi_over", "1e306 values under t^2",
+     lambda: sm.mean_phi_over(BIG, sm.CellSet.full(BIG), sm.power(2.0)), lambda m: m == INF),
+    ("mean_phi_over", "1e306 values under t^2, warnings as errors",
+     strict(lambda: sm.mean_phi_over(BIG, sm.CellSet.full(BIG), sm.power(2.0))), lambda m: m == INF),
+    ("luxemburg_norm", "1e306 values under t^2",
+     lambda: sm.luxemburg_norm(BIG, sm.CellSet.full(BIG), sm.power(2.0)), close(1e306)),
+    ("luxemburg_norm", "1e306 values under t^2, warnings as errors",
+     strict(lambda: sm.luxemburg_norm(BIG, sm.CellSet.full(BIG), sm.power(2.0))), close(1e306)),
     ("generalized_holder_check", "grids that do not match",
      lambda: sm.generalized_holder_check(ONES, OTHER, sm.CellSet.full(ONES), PHI2), MeasureError),
     ("generalized_holder_check", "empty set",

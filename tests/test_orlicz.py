@@ -49,8 +49,8 @@ class TestLuxemburg:
             luxemburg_norm(f, empty, identity())
 
     def test_one_stopping_rule(self):
-        # the bracket width is a constant, far above the double spacing, so
-        # no caller can ask for a bisection that never ends
+        # a norm is the least double whose mean is <= 1, so no caller passes
+        # a tolerance
         for fn in (luxemburg_norm_values, luxemburg_norm):
             assert "rel_tol" not in inspect.signature(fn).parameters
         got = luxemburg_norm_values([1.0, 2.0], 1.0, 2.0, phi_n(2))

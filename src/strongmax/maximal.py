@@ -19,10 +19,11 @@ once.
 
 One body, _maximal, serves both operators. It takes a list of m-tuples on
 one grid with one query and returns their maximal functions in order; the
-public operators pass a list of one tuple. It checks the inputs (one grid,
-m functions per tuple, 0 <= alpha < m*n, m Young functions for the Orlicz
-operator and none for the multilinear one, so the query's Young functions
-select the operator), scales each input by a power of two so that its
+public operators pass a list of one tuple, after refusing a query made
+for the other operator. The query's Young functions select the operator:
+m of them the Orlicz one, None the multilinear one. It checks the inputs
+(one grid, m functions per tuple, 0 <= alpha < m*n, and m Young functions
+where there are any), scales each input by a power of two so that its
 maximum lies in [0.5, 1), runs the walk, scales each member's result back
 by its own power and raises a GridError where that leaves the double
 range. In the sweep, a member whose output is not finite takes the redo
@@ -76,33 +77,39 @@ def _check_common_grid(fs: list[GridFunction]) -> GridFunction:
     return f0
 
 
-def _checked(fs: list[GridFunction], query: MaximalQuery, orlicz: bool = False) -> GridFunction:
+def _checked(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
     """The grid of fs, after the checks every operator makes."""
     f0 = _check_common_grid(fs)
     if len(fs) != query.m:
         raise GridError(f"query.m={query.m} but {len(fs)} functions given")
     if not 0 <= query.alpha < query.m * f0.dims:
         raise GridError(f"need 0 <= alpha < m*n, got alpha={query.alpha}, m={query.m}, n={f0.dims}")
-    if orlicz and len(query.orlicz or ()) != query.m:
+    if query.orlicz is not None and len(query.orlicz) != query.m:
         raise GridError("query.orlicz must hold m Young functions")
-    if not orlicz and query.orlicz is not None:
-        raise GridError("query.orlicz selects the Orlicz operator: call orlicz_maximal, or set orlicz=None")
     return f0
 
 
-def _maximal(batch: list[list[GridFunction]], query: MaximalQuery, orlicz: bool) -> list[GridFunction]:
-    """The maximal function of each m-tuple in batch, all on one grid."""
+def _multilinear(query: MaximalQuery) -> MaximalQuery:
+    """query, refused where its Young functions select the Orlicz operator."""
+    if query.orlicz is not None:
+        raise GridError("query.orlicz selects the Orlicz operator: call orlicz_maximal, or set orlicz=None")
+    return query
+
+
+def _maximal(batch: list[list[GridFunction]], query: MaximalQuery) -> list[GridFunction]:
+    """The maximal function of each m-tuple in batch, all on one grid, under
+    the operator that query.orlicz selects."""
     if not batch:
         return []
-    f0 = _checked(batch[0], query, orlicz)
-    if not all(_checked(fs, query, orlicz).same_grid(f0) for fs in batch[1:]):
+    f0 = _checked(batch[0], query)
+    if not all(_checked(fs, query).same_grid(f0) for fs in batch[1:]):
         raise GridError("all input functions must live on the same grid")
     n = f0.dims
     ks = [[int(np.frexp(np.max(f.values))[1]) for f in fs] for fs in batch]
     batch = [[f.with_values(np.ldexp(f.values, -k)) for f, k in zip(fs, kf)] for fs, kf in zip(batch, ks)]
     plan = _kernels.basis_plan(query.basis, f0.shape, f0.cell_size)
     # the stack axis first and the batch axis second: (m, B, N_1, ...)
-    if orlicz:
+    if query.orlicz is not None:
         stack = np.stack([np.stack([f.values for f in fs]) for fs in batch], axis=1)
         out = np.concatenate([_orlicz_walk(stack[:, b : b + _kernels.BATCH], f0, query, plan)
                               for b in range(0, len(batch), _kernels.BATCH)])
@@ -149,7 +156,7 @@ def multilinear_fractional_maximal(
     fs: list[GridFunction], query: MaximalQuery
 ) -> GridFunction:
     """sup over basis rects R containing x of prod_i |R|^(alpha/(mn)-1) int_R f_i."""
-    return _maximal([fs], query, orlicz=False)[0]
+    return _maximal([fs], _multilinear(query))[0]
 
 
 def strong_maximal(f: GridFunction, basis: Basis) -> GridFunction:
@@ -184,7 +191,7 @@ def _maximal_rect_scan(fs: list[GridFunction], basis: Basis, e: float) -> GridFu
 
 def maximal_reference_scan(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
     """Independent per-rect scan implementation (oracle for the kernels)."""
-    f0 = _checked(fs, query)
+    f0 = _checked(fs, _multilinear(query))
     return _maximal_rect_scan(fs, query.basis, query.alpha / f0.dims - query.m)
 
 
@@ -193,7 +200,9 @@ def orlicz_maximal(fs: list[GridFunction], query: MaximalQuery) -> GridFunction:
 
     phi(t) = t^(alpha/n) with alpha = query.alpha; Psi_i from query.orlicz.
     """
-    return _maximal([fs], query, orlicz=True)[0]
+    if query.orlicz is None:
+        raise GridError("query.orlicz must hold m Young functions")
+    return _maximal([fs], query)[0]
 
 
 def level_set_measure(mf: GridFunction, lam: float) -> float:

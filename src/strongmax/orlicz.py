@@ -13,20 +13,19 @@ between blocks. A single norm is a one-block call, and ``size_norms``
 gives the callers, the Orlicz maximal operator (for every tuple of a batch)
 and the Young condition of the vector-valued check, the norms of every rect
 of a basis with one call per Young function. The rows are taken in chunks
-of at most CELL_BLOCK cells, in order of k. A family with a closed-form
-solve (young.YoungFunction.luxemburg_start: t^s, Phi_1 and Phi_2) starts
-each row within a few doubles of b; any other keeps a bracket that doubles
-hi from the row's max and halves lo. The finish bisects the bit patterns
-of the doubles, which are ordered as the doubles are, and each of its
-steps makes one Phi call on the cells of the rows not yet settled. A row's
-mean is the pairwise sum of its k values along the contiguous last axis
-of its run of equal k, the sum a 1-D array of those values gets, so every
-row gets the norm that a solve of that row alone gets, whatever else its
-chunk holds. Each row is first scaled by a power of two so that its
-maximum lies in [0.5, 1), and its norm scaled back. A power of two scales
-every lambda and mean argument without rounding, so this changes no bit
-where no scaled cell or norm is subnormal; it keeps the bracket's fixed
-floor (1e-300) and ceiling (1e300) far from any row's norm.
+of at most CELL_BLOCK cells, in order of k. Each row is first scaled by a
+power of two so that its maximum lies in [0.5, 1), and its norm scaled
+back. A power of two scales every lambda and mean argument without
+rounding, so this changes no bit where no scaled cell or norm is
+subnormal. Every row then takes one search over the bit patterns of the
+doubles, which are ordered as the doubles are. It starts from a start: a
+family with a closed-form solve (young.YoungFunction.luxemburg_start:
+t^s, Phi_1 and Phi_2) starts each row within a few doubles of b, and any
+other at the row's scaled maximum. Each step makes one Phi call on the
+cells of the rows not yet settled. A row's mean is the pairwise sum of its
+k values along the contiguous last axis of its run of equal k, the sum a
+1-D array of those values gets, so every row gets the norm that a solve of
+that row alone gets, whatever else its chunk holds.
 """
 
 from __future__ import annotations
@@ -165,20 +164,23 @@ def _solve(cells: np.ndarray, groups, top: np.ndarray, weight: np.ndarray,
     > 0, and weight each row's cell measure over its set's measure. Scales
     cells in place.
 
-    A row's norm is the least double b whose mean is <= 1. A start
-    (phi.luxemburg_start) gives the bracket of its bit pattern and the one
-    below it, both unchecked. Without one, hi doubles from the row's max
-    while the mean exceeds one and lo halves while half of it still
-    satisfies, which checks both. Each step then makes one Phi call on the
-    cells of the rows not yet settled, at one lambda per row: an unchecked
-    end, or else the middle of the bit patterns of lo and hi. An end that
-    is on the wrong side moves past the other by a step that doubles each
-    time. A row is settled once lo fails, hi satisfies and they are adjacent
-    doubles; its norm is hi.
+    A row's norm is the least double b whose mean is <= 1. Each row starts
+    from hi, a start, and lo, its bit pattern less a first step, both
+    unchecked: a closed-form start (phi.luxemburg_start) lies a few doubles
+    from b, with a first step of one bit pattern; any other row starts at
+    its scaled max, with a first step of 2^52 bit patterns, one binade.
+    Each step makes one Phi call on the cells of the rows not yet settled,
+    at one lambda per row: an unchecked end, or else the middle of the bit
+    patterns of lo and hi. An end that is on the wrong side moves past the
+    other by the step, which doubles each time, so an end d bit patterns
+    from b passes it in about log2(d) moves. A row is settled once lo fails,
+    hi satisfies and they are adjacent doubles; its norm is hi. A hi that
+    fails at the largest double is a MeasureError.
     """
     reps = np.repeat([k for k, _ in groups], [r for _, r in groups])
-    # each row runs on its values times 2^-e, e the exponent of its max
-    e = np.frexp(top)[1]
+    # each row runs on its values times 2^-e, e the exponent of its max, so
+    # that its max is frac, in [0.5, 1)
+    frac, e = np.frexp(top)
     np.ldexp(cells, -np.repeat(e, reps), out=cells)
 
     def mean_phi(lam: np.ndarray) -> np.ndarray:
@@ -190,28 +192,13 @@ def _solve(cells: np.ndarray, groups, top: np.ndarray, weight: np.ndarray,
         return np.concatenate([np.add.reduce(v, axis=1) for _, v in _runs(phis, groups)]) * weight
 
     if phi.luxemburg_start is None:
-        hi = first = np.ldexp(top, -e)
-        act = np.ones(hi.size, dtype=bool)
-        while True:
-            act &= mean_phi(hi) > 1.0
-            if not act.any():
-                break
-            hi = np.where(act, hi * 2.0, hi)
-            if np.any(hi > 1e300):
-                raise MeasureError(f"{phi.label}: Luxemburg bracket unbounded")
-        lo, act = hi.copy(), hi == first  # a row whose hi doubled has seen hi/2 fail
-        while act.any():
-            act &= mean_phi(np.where(act, lo * 0.5, hi)) <= 1.0
-            lo = np.where(act, lo * 0.5, lo)
-            act &= lo > 1e-300
-        hok, lok = np.ones(hi.size, dtype=bool), lo > 1e-300  # else lo/2 was not tried
-        hi, lo = hi.view(np.int64), (lo * 0.5).view(np.int64)
+        start, first = frac, 1 << 52
     else:
-        start = np.concatenate([phi.luxemburg_start(v, weight[span]) for span, v in _runs(cells, groups)])
-        hi = np.clip(start.view(np.int64), 1, MAX_BITS)
-        lo = hi - 1
-        hok, lok = np.zeros(hi.size, dtype=bool), lo == 0
-    step = np.ones(hi.size, dtype=np.int64)
+        start, first = np.concatenate([phi.luxemburg_start(v, weight[span]) for span, v in _runs(cells, groups)]), 1
+    hi = np.clip(start.view(np.int64), 1, MAX_BITS)
+    step = np.full(hi.size, first, dtype=np.int64)
+    lo = hi - step
+    hok, lok = np.zeros(hi.size, dtype=bool), lo == 0
     out, rows = np.empty(hi.size), np.arange(hi.size)
     while rows.size:
         probe = np.where(hok, np.where(lok, lo + ((hi - lo) >> 1), lo), hi)

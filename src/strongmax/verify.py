@@ -198,7 +198,7 @@ def _tuple_maxima(fns: list[GridFunction], m: int, alpha: float) -> dict:
     """Each m-tuple fns[i : i + m] with its M_alpha on the all basis, keyed
     by i; a tuple holding an all-zero function is left out."""
     keys = [i for i in range(0, len(fns) - m + 1, m) if all(f.values.max() != 0 for f in fns[i : i + m])]
-    mfs = _maximal([fns[i : i + m] for i in keys], MaximalQuery(basis=ALL, alpha=alpha, m=m), orlicz=False)
+    mfs = _maximal([fns[i : i + m] for i in keys], MaximalQuery(basis=ALL, alpha=alpha, m=m))
     return {i: (fns[i : i + m], mf) for i, mf in zip(keys, mfs)}
 
 
@@ -239,7 +239,7 @@ def operator_ratio(
     # Phi_1 = identity, Phi_2 = t(1+log+ t)
     psis = None if orlicz_k is None else (phi_n(orlicz_k + 1),) * wv.m
     q = MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m, orlicz=psis)
-    mfs = _maximal(kept, q, orlicz=psis is not None)
+    mfs = _maximal(kept, q)
     best = 0.0
     for mf, den in zip(mfs, dens):
         best = max(best, lp_norm(mf.with_values(mf.values * nu), wv.q) / den)
@@ -318,7 +318,7 @@ def two_weight_power_bump_check(
             kept.append(list(fs))
             dens.append(den)
     best = 0.0
-    for mf, den in zip(_maximal(kept, MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m), orlicz=False), dens):
+    for mf, den in zip(_maximal(kept, MaximalQuery(basis=basis, alpha=wv.alpha, m=wv.m)), dens):
         best = max(best, lp_norm(mf, wv.q, weight=v) / den)
     report.stats["max_operator_ratio"] = best
     report.passed = math.isfinite(best)
@@ -375,7 +375,7 @@ def vector_valued_check(
         ell_q = np.sum(np.stack([g.values for g in gs]) ** q, axis=0) ** (1.0 / q)
         return lp_norm(f0.with_values(ell_q), p, weight)
 
-    mfs = _maximal([[f] for f in fjs], MaximalQuery(basis=basis), orlicz=False)
+    mfs = _maximal([[f] for f in fjs], MaximalQuery(basis=basis))
     lhs = lq_stack(mfs, f0.with_values(w.values**p))
     rhs = lq_stack(fjs, f0.with_values(v.values**p))
     report.lhs, report.rhs = lhs, rhs

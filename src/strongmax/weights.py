@@ -596,7 +596,7 @@ def tauberian_constant_estimate(
     # one sweep walk for every non-empty candidate
     candidates = [(name, mask) for name, mask in candidates if mask.any()]
     m1es = _maximal([[w.with_values(mask.astype(np.float64))] for _, mask in candidates],
-                    MaximalQuery(basis=basis), orlicz=False)
+                    MaximalQuery(basis=basis))
     best, witness = -math.inf, ""
     for (name, mask), m1e in zip(candidates, m1es):
         ratio = w_mass(m1e.values > gamma) / w_mass(mask)

@@ -23,7 +23,8 @@ the Luxemburg norm (luxemburg_start): a map from rows (r, k) of cell values
 and their weights (cell measure over set measure) to one estimate of each
 row's norm, which orlicz then certifies. t^s gives (w sum v^s)^(1/s), and
 Phi_2 (also l_log_l(1)) a solve on the sorted row, exact between
-consecutive cell values; every other family has none.
+consecutive cell values; orlicz starts every other family at the row's
+maximum.
 
 Every inverse has one path too: a bisection over the bit patterns of the
 doubles in [0, largest double], which are ordered as the doubles are, run

@@ -1,12 +1,15 @@
-"""Per-rectangle scalar oracles for the batched Luxemburg code.
+"""Per-rectangle oracles for the batched Luxemburg code.
 
-They walk enumerate_basis one Rect at a time and take each norm by its
-definition, the least double b > 0 whose floating-point mean of Phi(|f|/b)
-is at most one, by a bisection of the bit patterns of every positive double,
-one scalar step at a time. It is written out here rather than imported, so
-a fault in the batched solver (its starts, its bracket or its finish)
-cannot hide in its own oracle. bracket_norm keeps the earlier bracketing
-bisection to a relative width of 1e-12, to bound how far a norm moved.
+They take each norm by its definition, the least double b > 0 whose
+floating-point mean of Phi(|f|/b) is at most one, by a bisection of the
+bit patterns of every positive double: scalar_norm one scalar step at a
+time, lockstep_norms on many rows of one cell count at once, with the
+same steps. The per-rectangle oracles walk enumerate_basis one Rect at a
+time, with every rect's norm from lockstep_norms. It is written out
+here rather than imported, so a fault in the batched solver (its starts
+or its finish) cannot hide in its own oracle. bracket_norm keeps the
+earlier bracketing bisection to a relative width of 1e-12, to bound how
+far a norm moved.
 """
 
 from __future__ import annotations
@@ -58,6 +61,36 @@ def scalar_norm(vals, cell_measure, total_measure, phi) -> float:
     return float(np.int64(hi).view(np.float64))
 
 
+def lockstep_norms(vals, cell_measure, total_measure, phi) -> np.ndarray:
+    """scalar_norm of every row of vals (R, k), in lockstep: each step is
+    one Phi call on the rows not yet at adjacent doubles. Each row's mean is
+    the pairwise sum of its k values along the contiguous last axis, the
+    sum np.sum gives a 1-D array of them (test_rows_match_scalar_bisection
+    checks that premise against scalar_norm), so each row gets the bits of
+    scalar_norm."""
+    vals = np.abs(np.asarray(vals, dtype=np.float64))
+    totals = np.broadcast_to(np.asarray(total_measure, dtype=np.float64), vals.shape[:1])
+    if np.any(totals <= 0):
+        raise MeasureError("Luxemburg norm needs a set of positive measure")
+    out, live = np.zeros(len(vals)), np.flatnonzero(vals.any(axis=1))
+    cells, weight = vals[live], cell_measure / totals[live]
+
+    def ok(bits: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.add.reduce(phi.eval(cells / bits.view(np.float64)[:, None]), axis=1) * weight <= 1.0
+
+    lo, hi = np.zeros(live.size, dtype=np.int64), np.full(live.size, MAX_BITS)
+    if not ok(hi).all():
+        raise MeasureError(f"{phi.label}: Luxemburg bracket unbounded")
+    while np.any(hi - lo > 1):
+        # a row at adjacent doubles probes hi, which satisfies
+        mid = np.where(hi - lo > 1, lo + ((hi - lo) >> 1), hi)
+        sat = ok(mid)
+        lo, hi = np.where(sat, lo, mid), np.where(sat, mid, hi)
+    out[live] = hi.view(np.float64)
+    return out
+
+
 def bracket_norm(vals, cell_measure, total_measure, phi) -> float:
     """The norm by the bracketing bisection that stops at a relative width
     of 1e-12: hi doubles from the max while the mean exceeds one, lo halves
@@ -97,27 +130,42 @@ def scalar_norms(vals, cell_measure, total_measure, phi) -> np.ndarray:
 
 
 def scalar_blocks(blocks, lead, cell_measure, phi) -> list[np.ndarray]:
-    """scalar_norms of the rows of every block: a drop-in for
+    """lockstep_norms of the rows of every block: a drop-in for
     orlicz.luxemburg_blocks."""
     out = []
     for cells, total in blocks:
         shape = np.shape(cells)
         rows = np.reshape(cells, (math.prod(shape[:lead]), math.prod(shape[lead:])))
-        out.append(scalar_norms(rows, cell_measure, total, phi).reshape(shape[:lead]))
+        out.append(lockstep_norms(rows, cell_measure, total, phi).reshape(shape[:lead]))
+    return out
+
+
+def _rect_norms(values, sets, cellvol, phi) -> list[float]:
+    """The norm of values over each (slices, measure) in sets, in order: one
+    lockstep_norms call on the rects of each cell count."""
+    by_count: dict[int, list] = {}
+    for j, (sl, measure) in enumerate(sets):
+        cells = values[sl].ravel()
+        by_count.setdefault(cells.size, []).append((j, cells, measure))
+    out = [0.0] * len(sets)
+    for group in by_count.values():
+        at, rows, measures = zip(*group)
+        for j, b in zip(at, lockstep_norms(np.array(rows), cellvol, np.array(measures), phi)):
+            out[j] = float(b)
     return out
 
 
 def orlicz_maximal_oracle(fs: list[GridFunction], query) -> GridFunction:
-    """orlicz_maximal, one Rect and one scalar norm at a time."""
+    """orlicz_maximal, one Rect at a time."""
     f0 = fs[0]
     cellvol = float(np.prod(f0.cell_size))
+    sets = [(r.slices(), r.volume(f0.cell_size)) for r in enumerate_basis(query.basis, f0.shape, f0.cell_size)]
+    norms = [_rect_norms(f.values, sets, cellvol, psi) for f, psi in zip(fs, query.orlicz)]
     out = np.zeros(f0.shape)
-    for r in enumerate_basis(query.basis, f0.shape, f0.cell_size):
-        sl = r.slices()
-        vol = r.volume(f0.cell_size)
+    for j, (sl, vol) in enumerate(sets):
         val = vol ** (query.alpha / f0.dims)
-        for f, psi in zip(fs, query.orlicz):
-            val *= scalar_norm(f.values[sl], cellvol, vol, psi)
+        for slot in norms:
+            val *= slot[j]
         np.maximum(out[sl], val, out=out[sl])
     return f0.with_values(out)
 
@@ -127,10 +175,9 @@ def young_sup_oracle(w: GridFunction, v: GridFunction, q: float, a_young, b_youn
     """sup over rects R of ||w^q||_{A,R}^(1/q) ||1/v||_{B,R}, rect by rect."""
     cellvol = float(np.prod(w.cell_size))
     wq, vinv = w.values**q, 1.0 / v.values
+    sets = [(r.slices(), float(np.prod(r.cell_counts())) * cellvol)
+            for r in enumerate_basis(basis, w.shape, w.cell_size)]
     cond = 0.0
-    for r in enumerate_basis(basis, w.shape, w.cell_size):
-        sl = r.slices()
-        measure = float(np.prod(r.cell_counts())) * cellvol
-        cond = max(cond, scalar_norm(wq[sl], cellvol, measure, a_young) ** (1.0 / q)
-                   * scalar_norm(vinv[sl], cellvol, measure, b_young))
+    for a, b in zip(_rect_norms(wq, sets, cellvol, a_young), _rect_norms(vinv, sets, cellvol, b_young)):
+        cond = max(cond, a ** (1.0 / q) * b)
     return cond

@@ -43,6 +43,7 @@ TINY = gf(np.full((4, 4), 1e-306))
 OTHER = gf(np.ones((4, 8)))  # matches no other grid here
 OUTER_BIG = gf(np.pad(np.ones((4, 4)), ((0, 1), (0, 1)), constant_values=1e308))  # 1e308 off [0, 4)^2
 PHI2 = sm.phi_n(2)
+STEEP = sm.YoungFunction(lambda t: 1e305 * t, label="1e305 t")  # a norm of 1e305 times the mean
 FAMILY = sm.RectFamily((4, 4), (1.0, 1.0), (Rect((0, 0), (1, 1)), Rect((0, 0), (3, 3))))
 
 
@@ -237,6 +238,8 @@ TABLE = [
      MeasureError),
     ("luxemburg_norm", "grids that do not match",
      lambda: sm.luxemburg_norm(ONES, sm.CellSet.full(OTHER), PHI2), MeasureError),
+    ("luxemburg_norm", "1e305 t on two cells, warnings as errors",
+     strict(lambda: sm.luxemburg_norm(gf([1.0, 2.0]), sm.CellSet.full(gf([1.0, 2.0])), STEEP)), close(1.5e305)),
     ("mean_phi_over", "one cell",
      lambda: sm.mean_phi_over(ONE, sm.CellSet.full(ONE), PHI2), close(2.0 * (1.0 + math.log(2.0)))),
     # the true mean, 1e306 (1 + log 1e306), is past the largest double

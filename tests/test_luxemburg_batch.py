@@ -2,7 +2,7 @@
 
 Every comparison is np.array_equal (or ==): a norm is the least double
 whose floating-point mean is <= 1, and the mean is monotone, so the batch
-(a start, a bracket and a bisection of bit patterns, in lockstep) and the
+(a start and a search of bit patterns, in lockstep) and the
 oracle (a bisection of every positive double, one row at a time) reach
 the same double on the same sums by different paths.
 """
@@ -60,11 +60,12 @@ def test_scalar_total_measure_and_tolerance(phi):
     assert np.array_equal(got, scalar_norms(vals, 0.25, 4.0, phi))
 
 
-def test_bracket_doubles_and_halves():
-    # values near 1e6 need hi doubled many times from the row max under
-    # t^2 with a small set; values near 1e-6 under Phi_2 need lo halved
+def test_norms_far_from_the_row_max():
+    # a small set puts the norm above the row max, a large one below it; the
+    # last two families have no closed-form start, so their search starts
+    # at the row max
     vals = np.array([[1e6, 2e6, 3e6, 0.0], [1e-6, 2e-6, 0.0, 5e-7], [1.0, 1.0, 1.0, 1.0]])
-    for phi in (power(2.0), phi_n(2), power(3.0)):
+    for phi in (power(2.0), phi_n(2), power(3.0), phi_n(3), l_log_l(2)):
         for cell, total in ((1.0, 0.5), (1.0, 4.0), (1.0, 400.0)):
             got = norms(vals, cell, total, phi)
             want = [scalar_norm(row, cell, total, phi) for row in vals]
@@ -94,7 +95,7 @@ def test_unbounded_bracket_raises():
         scalar_norm(vals[1], 1.0, 2.0, jump)
     with pytest.raises(MeasureError, match="unbounded"):
         norms(vals, 1.0, 2.0, jump)
-    # a row of zeros never enters the bracket
+    # a row of zeros never enters the search
     assert norms(vals[:1], 1.0, 2.0, jump)[0] == 0.0
 
 
@@ -126,7 +127,7 @@ def test_ragged_blocks_match_scalar_bisection(monkeypatch, phi, cell_block):
         top = vals.max(axis=1, initial=0.0)
         doubled += np.count_nonzero(norms > top)
         halved += np.count_nonzero(norms < 0.5 * top)
-    assert doubled and halved  # some brackets double from the max, some halve
+    assert doubled and halved  # some norms lie above the row max, some below half of it
 
 
 def test_blocks_keep_their_row_shape():
@@ -187,12 +188,25 @@ def test_one_row_call_is_the_scalar_bisection(phi):
 
 def test_small_values_beside_a_large_one():
     # each row is scaled by a power of two so that its maximum lies in
-    # [0.5, 1): unscaled, the norm 2.5e-303 of the row of 1e-299 lies below
-    # the bisection's fixed bracket floor of 1e-300, and the row of 1e10
-    # in the same call keeps its own scale
+    # [0.5, 1): the norm 2.5e-303 of the row of 1e-299 and that of the row
+    # of 1e10 in the same call each keep their own scale
     vals = np.array([[1e10, 0.0, 0.0, 0.0], [1e-299, 0.0, 0.0, 0.0]])
     got = norms(vals, 1.0, 4000.0, power(1.0))
     assert np.allclose(got, [2.5e6, 2.5e-303], rtol=1e-11, atol=0.0)
+
+
+def test_norm_far_below_the_row_max_takes_few_phi_calls():
+    # under Phi(t) = 1e-305 t each norm lies about 1013 binades below its
+    # row's max, where the search starts: lo steps down one binade, then 2,
+    # 4, ..., so it passes the norm in about ten steps, and the bisection of
+    # the last step's bit patterns takes at most 63 more
+    calls = []
+    tiny = YoungFunction(lambda t: calls.append(1) or 1e-305 * np.asarray(t), label="1e-305 t")
+    vals = np.random.default_rng(31).uniform(0.5, 1.0, (50, 8))
+    got = norms(vals, 1.0, 8.0, tiny)
+    assert len(calls) <= 2 * 64
+    assert np.array_equal(got, scalar_norms(vals, 1.0, 8.0, tiny))
+    assert np.allclose(got, 1e-305 * vals.mean(axis=1), rtol=1e-12, atol=0.0)
 
 
 # --- the certificate ---------------------------------------------------------

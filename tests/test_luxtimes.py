@@ -12,7 +12,7 @@ def test_one_small_case_and_one_dense_grid():
                          capture_output=True, text=True, check=True)
     header, *rows, dense = out.stdout.splitlines()
     assert header.split() == ["case", "phi", "ms", "phi_calls", "passes_per_norm"]
-    assert [row.split()[:2] for row in rows] == [["50x16", "Phi_2"], ["50x16", "t^2.5"]]
+    assert [row.split()[:2] for row in rows] == [["50x16", "Phi_2"], ["50x16", "t^2.5"], ["50x16", "Phi_3"]]
     for row in rows:
         ms, calls, passes = row.split()[2:]
         assert float(ms) > 0 and int(calls) >= 2 and float(passes) >= 2.0

@@ -225,7 +225,7 @@ class TestEngine:
         batch = [[gf(rng.uniform(0, 1, 2048), h=(1.0 / 2048,))] for _ in range(count)]
         tracemalloc.start()
         try:
-            _maximal(batch, MaximalQuery(basis=ALL), orlicz=False)
+            _maximal(batch, MaximalQuery(basis=ALL))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -476,9 +476,9 @@ class TestHalves:
         count = _kernels.BATCH + 1 if shape[-1] <= 1000 else 1
         batch = _halves_batch(shape, m, count, shape[-1] * 10 + m)
         q = MaximalQuery(basis=Basis(kind), alpha=alpha, m=m)
-        got = _maximal(batch, q, orlicz=False)
+        got = _maximal(batch, q)
         monkeypatch.setattr(_kernels, "BLOCK", -(-max(shape) // 16) * 16)
-        want = _maximal(batch, q, orlicz=False)
+        want = _maximal(batch, q)
         for g, w in zip(got, want):
             assert g.values.tobytes() == w.values.tobytes()
         assert not any(np.signbit(g.values).any() for g in got)
@@ -544,7 +544,7 @@ def _counted_sweep(P, h, e, sizes, walks):
 
 
 def _assert_batch_is_single_calls(batch, q):
-    got = _maximal(batch, q, orlicz=False)
+    got = _maximal(batch, q)
     assert len(got) == len(batch)
     for fs, mf in zip(batch, got):
         assert mf.values.tobytes() == multilinear_fractional_maximal(fs, q).values.tobytes()
@@ -577,7 +577,7 @@ def _orlicz_cases():
 
 
 def _assert_orlicz_batch_is_single_calls(batch, q):
-    got = _maximal(batch, q, orlicz=True)
+    got = _maximal(batch, q)
     assert len(got) == len(batch)
     for fs, mf in zip(batch, got):
         assert mf.values.tobytes() == orlicz_maximal(fs, q).values.tobytes()
@@ -660,7 +660,7 @@ class TestBatch:
         fold = _kernels.fold_sizes
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "fold_sizes", lambda *args: walks.append(args[2]) or fold(*args))
-            got = _maximal(batch, q, orlicz=False)
+            got = _maximal(batch, q)
         assert [w.shape[1] for w in walks] == [5]
         for (f,), mf in zip(batch, got):
             assert mf.values.tobytes() == multilinear_fractional_maximal([f], q).values.tobytes()
@@ -669,14 +669,14 @@ class TestBatch:
     def test_members_on_other_grids_are_refused(self):
         q = MaximalQuery(basis=ALL, m=1)
         with pytest.raises(GridError, match="same grid"):
-            _maximal([[gf(np.ones(4))], [gf(np.ones(4), h=(0.5,))]], q, orlicz=False)
-        assert _maximal([], q, orlicz=False) == []
+            _maximal([[gf(np.ones(4))], [gf(np.ones(4), h=(0.5,))]], q)
+        assert _maximal([], q) == []
 
     def test_overflowing_member_raises(self):
         q = MaximalQuery(basis=ALL, m=2)
         ok, big = [gf(np.ones(4))] * 2, [gf(np.full(4, 1e200))] * 2
         with pytest.raises(GridError, match="overflows"):
-            _maximal([ok, big], q, orlicz=False)
+            _maximal([ok, big], q)
 
     def test_sweep_all_rects_is_sweep_over_every_size(self):
         fs = [gf(np.random.default_rng(3).uniform(0, 3, (5, 4)), h=(0.3, 0.7))]
@@ -713,7 +713,7 @@ class TestBatch:
         monkeypatch.setattr(orlicz_module, "luxemburg_blocks", lambda *args: calls.append(args) or blocks(*args))
         rng = np.random.default_rng(19)
         batch = [[gf(rng.uniform(0, 3, (8, 8)))] for _ in range(4)]
-        _maximal(batch, MaximalQuery(basis=ALL, orlicz=(phi_n(2),)), orlicz=True)
+        _maximal(batch, MaximalQuery(basis=ALL, orlicz=(phi_n(2),)))
         assert len(calls) == 1
 
 

@@ -62,8 +62,7 @@ class TestLuxemburg:
 
     @pytest.mark.parametrize("scale", [1e-305, 1.0, 1e305])
     def test_norm_far_from_one(self, scale):
-        # with Phi = identity the norm is the mean; the bisection's bracket
-        # floor (1e-300) must not stop a norm of 2.5e-306
+        # with Phi = identity the norm is the mean, 2.5e-306 at the least
         got = luxemburg_norm_values(np.array([scale, 0.0, 0.0, 0.0]), 1.0, 4.0, identity())
         assert got == pytest.approx(scale / 4, rel=1e-11, abs=0.0)
 

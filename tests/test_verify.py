@@ -98,8 +98,8 @@ class TestEndpoint:
     def test_corpus_max_sweeps_each_tuple_once_across_lambdas(self, monkeypatch):
         calls = []
         sweep = verify._maximal
-        monkeypatch.setattr(verify, "_maximal", lambda batch, q, orlicz: calls.append(
-            [[f.values.tobytes() for f in fs] for fs in batch]) or sweep(batch, q, orlicz))
+        monkeypatch.setattr(verify, "_maximal", lambda batch, q: calls.append(
+            [[f.values.tobytes() for f in fs] for fs in batch]) or sweep(batch, q))
         verify._corpus_maxima.cache_clear()
         shape, h, m, alpha, lams = (8, 8), (0.125, 0.125), 2, 1.0, (0.25, 1.0, 4.0)
         # lists hash once normalised, and name the same corpus as tuples
@@ -304,10 +304,10 @@ class TestHarness:
             calls.append(args)
             return scalar_blocks(*args)
 
-        def oracle(batch, query, orlicz):
+        def oracle(batch, query):
             # the batched Orlicz operator, one oracle call per tuple
-            if not orlicz:
-                return maximal(batch, query, orlicz)
+            if query.orlicz is None:
+                return maximal(batch, query)
             tuples.extend(batch)
             return [orlicz_maximal_oracle(fs, query) for fs in batch]
 
@@ -395,10 +395,10 @@ def test_run_all_takes_each_batch_in_one_call(monkeypatch):
     orlicz_calls, batches, inside, prefix_in_ainf = [], {}, [], []
     maximal, build, ainf = verify._maximal, weights.build_prefix_sum, weights.a_infty_classifies
 
-    def counted_maximal(batch, query, orlicz):
-        if orlicz:
+    def counted_maximal(batch, query):
+        if query.orlicz is not None:
             orlicz_calls.append(len(batch))
-        return maximal(batch, query, orlicz)
+        return maximal(batch, query)
 
     def counted_batch(name, original):
         def call(ws, *args, **kwargs):

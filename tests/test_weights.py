@@ -383,7 +383,7 @@ class TestTauberian:
         w = gf(rng.lognormal(0.0, 1.0, (16, 16)), h=(1 / 16, 1 / 16))
         rep = tauberian_constant_estimate(w, Basis(kind), gamma, seed=seed)
         monkeypatch.setattr(weights, "_maximal",
-                            lambda batch, query, orlicz: [strong_maximal(fs[0], query.basis) for fs in batch])
+                            lambda batch, query: [strong_maximal(fs[0], query.basis) for fs in batch])
         single = tauberian_constant_estimate(w, Basis(kind), gamma, seed=seed)
         assert (rep.max_ratio.hex(), rep.witness, rep.samples) == (single.max_ratio.hex(), single.witness, single.samples)
 

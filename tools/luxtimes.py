@@ -2,7 +2,8 @@
 
 For each case, the median wall time of one ``orlicz.luxemburg_blocks`` call
 on R rows of k cells (log-normal, sigma 1, a fixed seed; each row a set of
-measure k cells of measure 1), after one warm-up call, for Phi_2 and t^2.5.
+measure k cells of measure 1), after one warm-up call, for Phi_2 and t^2.5,
+which start from a closed form, and Phi_3, which starts from the row max.
 The columns are the median ms, the Phi calls of one call, and the Phi
 passes per norm: the cells that went through Phi over the cells of all
 rows, so a pass that leaves out the settled rows counts by its share. With
@@ -34,7 +35,7 @@ from strongmax.orlicz import luxemburg_blocks  # noqa: E402
 from strongmax.young import phi_n, power  # noqa: E402
 
 CASES = ["20000x16", "1200x256", "300x1024"]
-PHIS = {"Phi_2": phi_n(2), "t^2.5": power(2.5)}
+PHIS = {"Phi_2": phi_n(2), "t^2.5": power(2.5), "Phi_3": phi_n(3)}
 
 
 def counting(phi):
